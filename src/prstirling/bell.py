@@ -12,12 +12,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .kernel import binomial
+from .kernel import RationalLike, binomial
 from .stirling import StirlingContext, prob_r_stirling2, prob_stirling2
-
-RationalLike = Union[Fraction, int]
 
 DEFAULT_MAX_TERMS = 10000
 MAX_TERMS_ENV = "PRSTIRLING_MAX_TERMS"

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -33,11 +34,6 @@ from .stirling import StirlingContext, stirling_triangle
 SCHEMA_VERSION = "1"
 
 
-def format_fraction(v: Fraction) -> str:
-    """'p' for integers, 'p/q' otherwise; inverse of parse_rational."""
-    return str(v)
-
-
 def _record(command: str, context: Optional[dict], payload, diagnostics: Optional[dict] = None) -> dict:
     rec = {"schema_version": SCHEMA_VERSION, "command": command}
     if context is not None:
@@ -49,7 +45,7 @@ def _record(command: str, context: Optional[dict], payload, diagnostics: Optiona
 
 
 def _context_dict(oracle: MomentOracle, lam: Fraction, r: int) -> dict:
-    ctx = {"dist": oracle.describe(), "lambda": format_fraction(lam), "r": r}
+    ctx = {"dist": oracle.describe(), "lambda": str(lam), "r": r}
     if oracle.formal:
         # custom moment sequences are taken at face value; identities hold
         # as formal moment identities
@@ -96,7 +92,7 @@ def cmd_table(args) -> int:
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
     rows = stirling_triangle(ctx, args.n_max)
-    payload = {"rows": [[format_fraction(v) for v in row] for row in rows]}
+    payload = {"rows": [[str(v) for v in row] for row in rows]}
     _emit(_record("table", _context_dict(oracle, lam, args.r), payload), args.format, args.out)
     return 0
 
@@ -106,11 +102,11 @@ def cmd_bell(args) -> int:
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
     poly = bell_coeffs(ctx, args.n)
-    payload = {"n": args.n, "coefficients": [format_fraction(c) for c in poly.coefficients]}
+    payload = {"n": args.n, "coefficients": [str(c) for c in poly.coefficients]}
     diagnostics = None
     if args.x is not None:
-        payload["x"] = format_fraction(parse_rational(args.x))
-        payload["value"] = format_fraction(poly(parse_rational(args.x)))
+        payload["x"] = str(parse_rational(args.x))
+        payload["value"] = str(poly(parse_rational(args.x)))
     if args.dobinski:
         if args.x_float is None:
             raise SystemExit("--dobinski requires --x-float")
@@ -167,7 +163,7 @@ def cmd_moments(args) -> int:
         context["formal_moments"] = True
     if args.sum is not None:
         context["sum"] = args.sum
-    payload = {"rows": [[format_fraction(v) for v in values]], "upto": args.upto}
+    payload = {"rows": [[str(v) for v in values]], "upto": args.upto}
     _emit(_record("moments", context, payload), args.format, args.out)
     return 0
 
@@ -221,9 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_rationals(argv: Sequence[str]) -> list[str]:
+    """'--lambda -1/2' -> '--lambda=-1/2', likewise for --x: argparse would
+    take the token '-1/2' for an option string."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--lambda", "--x") and re.match(r"-\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ParseError, DistributionError, ValueError) as exc:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from .kernel import (
     Basis,
     Polynomial,
+    RationalLike,
     binomial,
     convert_basis,
     degenerate_falling_coeffs,
@@ -32,8 +33,6 @@ from .stirling import (
     prob_r_stirling2_via_shift,
     prob_stirling2,
 )
-
-RationalLike = Union[Fraction, int]
 
 
 class IdentityId(str, Enum):
@@ -78,10 +77,6 @@ class VerificationReport:
         return d
 
 
-def _fmt(v) -> str:
-    return str(v)
-
-
 def _vec(coeffs: Sequence[Fraction]) -> str:
     return "[" + ", ".join(str(c) for c in coeffs) + "]"
 
@@ -101,7 +96,7 @@ def _poly_equal(a: Polynomial, b: Polynomial) -> bool:
 def _exact_report(identity, point, lhs, rhs, vector=False) -> VerificationReport:
     if vector:
         return VerificationReport(identity, point, list(lhs) == list(rhs), _vec(lhs), _vec(rhs))
-    return VerificationReport(identity, point, lhs == rhs, _fmt(lhs), _fmt(rhs))
+    return VerificationReport(identity, point, lhs == rhs, str(lhs), str(rhs))
 
 
 # ---- individual checkers ---------------------------------------------------
@@ -291,49 +286,47 @@ def run_suite(
     failures are data, not errors.
     """
     wanted = sorted(set(identities), key=lambda i: i.value)
-    oracles = {d: parse_dist(d) for d in grid.dists}
     lambdas = [parse_rational(s) for s in grid.lambdas]
     xs = [parse_rational(s) for s in grid.xs]
+    ns = range(grid.max_n + 1)
+    oracles = [parse_dist(d) for d in grid.dists]
+    contexts = [StirlingContext(o, lam, r) for o in oracles for lam in lambdas for r in grid.rs]
+    rows = [(ctx, n) for ctx in contexts for n in ns]
 
+    # identity -> (checker, argument tuples in report order); generators, so
+    # only the selected identities build their points
+    suite = {
+        IdentityId.ClassicalLambda0: (verify_classical_limit, ((r, n) for r in grid.rs for n in ns)),
+        IdentityId.ReductionY1: (
+            verify_reduction_point_one,
+            ((lam, r, n) for lam in lambdas for r in grid.rs for n in ns),
+        ),
+        IdentityId.T2_1_vs_T2_2: (
+            verify_formula_agreement,
+            ((c, n, k, IdentityId.T2_1_vs_T2_2) for c, n in rows for k in range(n + 1)),
+        ),
+        IdentityId.T2_1_vs_T2_3: (
+            verify_formula_agreement,
+            ((c, n, k, IdentityId.T2_1_vs_T2_3) for c, n in rows for k in range(n + 1)),
+        ),
+        IdentityId.T2_4: (verify_thm_2_4, rows),
+        IdentityId.T2_5: (verify_thm_2_5, rows),
+        IdentityId.T2_6: (verify_thm_2_6, ((c, n, x) for c, n in rows for x in xs)),
+        IdentityId.T2_7: (
+            verify_thm_2_7,
+            ((c, n, x, grid.dobinski_tol) for c, n in rows for x in grid.dobinski_xs),
+        ),
+        IdentityId.T2_8: (
+            verify_thm_2_8,
+            ((c, n, m, k) for c, n in rows for m in range(n + 1) for k in range(n - m + 1)),
+        ),
+        IdentityId.T2_9_corrected: (verify_thm_2_9, ((c, n, "corrected") for c, n in rows)),
+        IdentityId.T2_9_paper_form: (verify_thm_2_9, ((c, n, "paper") for c, n in rows)),
+    }
     reports: list[VerificationReport] = []
     for identity in wanted:
-        if identity is IdentityId.ClassicalLambda0:
-            for r in grid.rs:
-                for n in range(grid.max_n + 1):
-                    reports.append(verify_classical_limit(r, n))
-            continue
-        if identity is IdentityId.ReductionY1:
-            for lam in lambdas:
-                for r in grid.rs:
-                    for n in range(grid.max_n + 1):
-                        reports.append(verify_reduction_point_one(lam, r, n))
-            continue
-        for dist in grid.dists:
-            for lam in lambdas:
-                for r in grid.rs:
-                    ctx = StirlingContext(oracles[dist], lam, r)
-                    for n in range(grid.max_n + 1):
-                        if identity in (IdentityId.T2_1_vs_T2_2, IdentityId.T2_1_vs_T2_3):
-                            for k in range(n + 1):
-                                reports.append(verify_formula_agreement(ctx, n, k, identity))
-                        elif identity is IdentityId.T2_4:
-                            reports.append(verify_thm_2_4(ctx, n))
-                        elif identity is IdentityId.T2_5:
-                            reports.append(verify_thm_2_5(ctx, n))
-                        elif identity is IdentityId.T2_6:
-                            for x in xs:
-                                reports.append(verify_thm_2_6(ctx, n, x))
-                        elif identity is IdentityId.T2_7:
-                            for x in grid.dobinski_xs:
-                                reports.append(verify_thm_2_7(ctx, n, x, grid.dobinski_tol))
-                        elif identity is IdentityId.T2_8:
-                            for m in range(n + 1):
-                                for k in range(n - m + 1):
-                                    reports.append(verify_thm_2_8(ctx, n, m, k))
-                        elif identity is IdentityId.T2_9_corrected:
-                            reports.append(verify_thm_2_9(ctx, n, "corrected"))
-                        elif identity is IdentityId.T2_9_paper_form:
-                            reports.append(verify_thm_2_9(ctx, n, "paper"))
+        checker, points = suite[identity]
+        reports.extend(checker(*point) for point in points)
 
     summary: dict[str, dict[str, int]] = {}
     for rep in reports:

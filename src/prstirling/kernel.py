@@ -1,17 +1,19 @@
 """Exact arithmetic kernel: combinatorial triangles and polynomial basis changes.
 
 All values are `fractions.Fraction`. The signed first-kind convention is used
-throughout: (x)_n = sum_k s1(n,k) x^k. Triangle caches are append-only lists of
-fully built rows, so concurrent readers never observe a partial row.
+throughout: (x)_n = sum_k s1(n,k) x^k. The triangle caches are process-wide
+lists of rows, grown under one lock and appended only as full rows, so threads
+growing them at once read the same rows a single thread would.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -33,30 +35,18 @@ def binomial(n: int, k: int) -> Fraction:
 # Row i of each cache is the full triangle row [T(i, 0), ..., T(i, i)].
 _S1_ROWS: list[list[int]] = [[1]]
 _S2_ROWS: list[list[int]] = [[1]]
+_GROWTH_LOCK = threading.Lock()
 
 
-def _grow_s1(n: int) -> None:
-    while len(_S1_ROWS) <= n:
-        i = len(_S1_ROWS)
-        prev = _S1_ROWS[i - 1]
-        row = [0] * (i + 1)
-        for k in range(i + 1):
-            above = prev[k] if k < i else 0
-            left = prev[k - 1] if k >= 1 else 0
-            row[k] = left - (i - 1) * above
-        _S1_ROWS.append(row)
-
-
-def _grow_s2(n: int) -> None:
-    while len(_S2_ROWS) <= n:
-        i = len(_S2_ROWS)
-        prev = _S2_ROWS[i - 1]
-        row = [0] * (i + 1)
-        for k in range(i + 1):
-            above = prev[k] if k < i else 0
-            left = prev[k - 1] if k >= 1 else 0
-            row[k] = k * above + left
-        _S2_ROWS.append(row)
+def _grow(rows: list[list[int]], n: int, weight: Callable[[int, int], int]) -> None:
+    """Append rows until rows[n] exists, by T(i,k) = weight(i,k) T(i-1,k) + T(i-1,k-1)."""
+    with _GROWTH_LOCK:
+        while len(rows) <= n:
+            i = len(rows)
+            prev = rows[i - 1]
+            rows.append(
+                [(weight(i, k) * prev[k] if k < i else 0) + (prev[k - 1] if k else 0) for k in range(i + 1)]
+            )
 
 
 def stirling1_signed(n: int, k: int) -> Fraction:
@@ -65,7 +55,8 @@ def stirling1_signed(n: int, k: int) -> Fraction:
         raise ValueError(f"stirling1_signed requires n, k >= 0, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    _grow_s1(n)
+    if n >= len(_S1_ROWS):
+        _grow(_S1_ROWS, n, lambda i, k: 1 - i)
     return Fraction(_S1_ROWS[n][k])
 
 
@@ -75,7 +66,8 @@ def stirling2(n: int, k: int) -> Fraction:
         raise ValueError(f"stirling2 requires n, k >= 0, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    _grow_s2(n)
+    if n >= len(_S2_ROWS):
+        _grow(_S2_ROWS, n, lambda i, k: k)
     return Fraction(_S2_ROWS[n][k])
 
 

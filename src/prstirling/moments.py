@@ -1,19 +1,22 @@
 """Random variables as exact moment sequences, and moments of their iid sums.
 
-Every downstream formula consumes only raw moments E[S_j^m], so a random
-variable is represented purely by its moment sequence. Presets keep all
-moments rational; a custom oracle accepts any raw moment sequence, in which
-case results are formal moment identities (no positive-definiteness check).
+A random variable is represented purely by its raw moment sequence. Presets
+keep all moments rational; a custom oracle accepts any raw moment sequence, in
+which case results are formal moment identities (no positive-definiteness
+check). Every downstream formula consumes the degenerate factorial moments
+E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
+type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
+one table per lam whose row j is the binomial convolution of row j - 1 with
+the single-copy row; the lam = 0 table holds the raw sum moments E[S_j^m].
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .kernel import binomial, factorial, stirling1_signed, stirling2
-
-RationalLike = Union[Fraction, int]
+from .kernel import RationalLike, binomial, factorial, stirling1_signed, stirling2
 
 
 class DistributionError(ValueError):
@@ -23,8 +26,11 @@ class DistributionError(ValueError):
 class MomentOracle:
     """A random variable presented as the exact sequence m -> E[Y^m].
 
-    Instances compare and hash by (kind, parameters); the moment caches are
-    derived data. Caches are append-only, so concurrent readers are safe.
+    Instances compare and hash by (kind, parameters); the moment list and the
+    per-lam tables of E[(S_j)_{n,lam}] are derived data that grow on demand
+    for the life of the oracle. Growth holds the oracle's lock and appends
+    only finished entries, so threads sharing one oracle read the same values
+    a single thread would.
     """
 
     def __init__(self, kind: str, params: tuple[Fraction, ...], *, formal: bool = False):
@@ -32,9 +38,9 @@ class MomentOracle:
         self.params = params
         self.formal = formal
         self._moments: list[Fraction] = [Fraction(1)]
-        # _sum_rows[j][m] = E[S_j^m]; row 0 is the constant 0 variable.
-        self._sum_rows: list[list[Fraction]] = [[Fraction(1)]]
-        self._dfm_cache: dict[tuple[int, int, Fraction], Fraction] = {}
+        # _tables[lam][j][n] = E[(S_j)_{n,lam}]; lam = 0 holds E[S_j^n].
+        self._tables: dict[Fraction, list[list[Fraction]]] = {}
+        self._lock = threading.RLock()
 
     # ---- constructors -------------------------------------------------
 
@@ -117,25 +123,22 @@ class MomentOracle:
 
     def describe(self) -> str:
         """Canonical expression in the distribution grammar."""
-        def fmt(v: Fraction) -> str:
-            return str(v)
-
         k, ps = self.kind, self.params
         if k == "point":
-            return f"point({fmt(ps[0])})"
+            return f"point({ps[0]})"
         if k == "bernoulli":
-            return f"bernoulli({fmt(ps[0])})"
+            return f"bernoulli({ps[0]})"
         if k == "binomial":
-            return f"binomial({ps[0].numerator},{fmt(ps[1])})"
+            return f"binomial({ps[0].numerator},{ps[1]})"
         if k == "uniform_discrete":
-            return "uniform{" + ",".join(fmt(v) for v in ps) + "}"
+            return "uniform{" + ",".join(str(v) for v in ps) + "}"
         if k == "uniform_continuous":
-            return f"uniform[{fmt(ps[0])},{fmt(ps[1])}]"
+            return f"uniform[{ps[0]},{ps[1]}]"
         if k == "poisson":
-            return f"poisson({fmt(ps[0])})"
+            return f"poisson({ps[0]})"
         if k == "geometric":
-            return f"geometric({fmt(ps[0])})"
-        return "moments[" + ",".join(fmt(v) for v in ps) + "]"
+            return f"geometric({ps[0]})"
+        return "moments[" + ",".join(str(v) for v in ps) + "]"
 
     # ---- moments ------------------------------------------------------
 
@@ -143,8 +146,10 @@ class MomentOracle:
         """Exact raw moment E[Y^m]."""
         if m < 0:
             raise ValueError(f"moment order must be >= 0, got {m}")
-        while len(self._moments) <= m:
-            self._moments.append(self._compute_moment(len(self._moments)))
+        if m >= len(self._moments):
+            with self._lock:
+                while len(self._moments) <= m:
+                    self._moments.append(self._compute_moment(len(self._moments)))
         return self._moments[m]
 
     def _compute_moment(self, m: int) -> Fraction:
@@ -184,48 +189,39 @@ class MomentOracle:
         return ps[m]
 
     def sum_moment(self, j: int, m: int) -> Fraction:
-        """Exact E[S_j^m] for S_j the sum of j independent copies of Y.
-
-        Built row by row with the binomial convolution
-        E[S_j^m] = sum_i C(m, i) E[S_{j-1}^i] E[Y^(m-i)].
-        """
+        """Exact E[S_j^m] for S_j the sum of j independent copies of Y: the
+        lam = 0 entry of the degenerate factorial moment table."""
         if j < 0 or m < 0:
             raise ValueError(f"sum_moment requires j, m >= 0, got ({j}, {m})")
-        # row 0: S_0 = 0 almost surely
-        while len(self._sum_rows[0]) <= m:
-            self._sum_rows[0].append(Fraction(0))
-        for row_j in range(1, j + 1):
-            if row_j >= len(self._sum_rows):
-                self._sum_rows.append([Fraction(1)])
-            row = self._sum_rows[row_j]
-            prev = self._sum_rows[row_j - 1]
-            while len(row) <= m:
-                mm = len(row)
-                if len(prev) <= mm:
-                    # ensure the previous row covers order mm
-                    self.sum_moment(row_j - 1, mm)
-                val = sum(
-                    (binomial(mm, i) * prev[i] * self.moment(mm - i) for i in range(mm + 1)),
-                    Fraction(0),
-                )
-                row.append(val)
-        return self._sum_rows[j][m]
+        return self._row(Fraction(0), j, m)[m]
 
     def degenerate_factorial_moment(self, j: int, n: int, lam: RationalLike) -> Fraction:
-        """Exact E[(S_j)_{n,lam}] via the first-kind expansion of the
-        degenerate falling factorial: sum_k s1(n,k) lam^(n-k) E[S_j^k]."""
+        """Exact E[(S_j)_{n,lam}] for S_j the sum of j independent copies of Y."""
         if n < 0:
             raise ValueError(f"order must be >= 0, got {n}")
-        lam = Fraction(lam)
-        key = (j, n, lam)
-        cached = self._dfm_cache.get(key)
-        if cached is not None:
-            return cached
-        total = Fraction(0)
-        for k in range(n + 1):
-            s1 = stirling1_signed(n, k)
-            if s1 == 0:
-                continue
-            total += s1 * lam ** (n - k) * self.sum_moment(j, k)
-        self._dfm_cache[key] = total
-        return total
+        if j < 0:
+            raise ValueError(f"number of summands must be >= 0, got {j}")
+        return self._row(Fraction(lam), j, n)[n]
+
+    def _row(self, lam: Fraction, j: int, n: int) -> list[Fraction]:
+        """Row j of the lam table, holding at least orders 0..n."""
+        rows = self._tables.get(lam)
+        if rows is not None and j < len(rows) and n < len(rows[j]):
+            return rows[j]
+        with self._lock:
+            rows = self._tables.setdefault(lam, [])
+            while len(rows) <= j:
+                rows.append([Fraction(1)])
+            # Entries are appended only once computed, so a reader that sees
+            # an index without taking the lock sees its final value.
+            for i, row in enumerate(rows[: j + 1]):
+                for k in range(len(row), n + 1):
+                    if i == 0:  # S_0 = 0
+                        row.append(Fraction(0))
+                    elif i == 1:  # first-kind expansion of (Y)_{k,lam}
+                        row.append(
+                            sum(stirling1_signed(k, q) * lam ** (k - q) * self.moment(q) for q in range(k + 1))
+                        )
+                    else:  # binomial convolution of S_{i-1} with one copy
+                        row.append(sum(binomial(k, q) * rows[i - 1][q] * rows[1][k - q] for q in range(k + 1)))
+            return rows[j]

@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
-from .kernel import binomial, factorial, stirling1_signed
+from .kernel import RationalLike, binomial, factorial, stirling1_signed
 from .moments import MomentOracle
-
-RationalLike = Union[Fraction, int]
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ def bell_number(n):
     return sum(1 for _ in set_partitions(n))
 
 
-def enumerate_sum_moment(support, weights, j, m):
-    """E[(Y_1 + ... + Y_j)^m] by exhaustive enumeration over support^j."""
+def enumerate_sum_moment(support, weights, j, m, lam=0):
+    """E[(S)_{m,lam}] for S = Y_1 + ... + Y_j, by exhaustive enumeration over
+    support^j, where (s)_{m,lam} = s (s - lam) ... (s - (m-1) lam); lam = 0
+    gives the raw moment E[S^m]."""
     total = Fraction(0)
     for outcome in product(range(len(support)), repeat=j):
         prob = Fraction(1)
@@ -39,7 +41,10 @@ def enumerate_sum_moment(support, weights, j, m):
         for i in outcome:
             prob *= weights[i]
             s += support[i]
-        total += prob * s**m
+        value = Fraction(1)
+        for i in range(m):
+            value *= s - i * Fraction(lam)
+        total += prob * value
     return total
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling.cli import format_fraction, main
+from prstirling.cli import main
 from prstirling.distparse import parse_rational
 
 F = Fraction
@@ -167,8 +167,24 @@ def test_output_file_deterministic(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
 
+@pytest.mark.parametrize(
+    "joined",
+    [
+        ["table", "--n-max", "3", "--r", "1", "--lambda=-1/2", "--dist", "bernoulli(1/2)"],
+        ["table", "--n-max", "2", "--lambda=-3", "--dist", "point(1)", "--format", "csv"],
+        ["bell", "--n", "3", "--r", "1", "--lambda=-2/3", "--dist", "poisson(1)", "--x=-1/2"],
+    ],
+)
+def test_negative_rational_as_separate_token(capsys, joined):
+    split = [part for arg in joined for part in (arg.split("=", 1) if "=" in arg else [arg])]
+    assert len(split) > len(joined)
+    code, expected, _ = run_cli(capsys, *joined)
+    assert code == 0
+    assert run_cli(capsys, *split) == (0, expected, "")
+
+
 def test_fraction_round_trip_random():
     rng = random.Random(20240817)
     for _ in range(1000):
         v = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        assert parse_rational(format_fraction(v)) == v
+        assert parse_rational(str(v)) == v

@@ -1,0 +1,67 @@
+"""Threads sharing the cached tables must read what a single thread reads.
+
+Each test empties the caches it covers, then has 8 threads start the same
+work at once under a short interpreter switch interval, so cache growth
+interleaves between threads.
+"""
+
+import sys
+import threading
+from fractions import Fraction
+
+from prstirling import kernel
+from prstirling.distparse import parse_dist
+from prstirling.kernel import stirling1_signed, stirling2
+from prstirling.stirling import StirlingContext, _prob_r_stirling2, stirling_triangle
+
+THREADS = 8
+
+
+def run_in_threads(work):
+    """Results of `work()` from THREADS threads released together."""
+    results = [None] * THREADS
+    start = threading.Barrier(THREADS)
+
+    def run(i):
+        start.wait()
+        results[i] = work()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def empty_kernel_caches():
+    del kernel._S1_ROWS[1:]
+    del kernel._S2_ROWS[1:]
+
+
+def test_threads_sharing_one_cold_oracle_build_the_same_triangle():
+    dist, lam, r, n_max = "uniform{0,1,2,3,5}", Fraction(2, 7), 2, 12
+    reference = stirling_triangle(StirlingContext(parse_dist(dist), lam, r), n_max)
+    _prob_r_stirling2.cache_clear()
+    empty_kernel_caches()
+    ctx = StirlingContext(parse_dist(dist), lam, r)
+    assert run_in_threads(lambda: stirling_triangle(ctx, n_max)) == [reference] * THREADS
+
+
+def test_threads_growing_the_kernel_triangles_read_the_same_rows():
+    n_max = 40
+
+    def rows():
+        # the top row first, so every thread enters growth at once
+        stirling1_signed(n_max, 0), stirling2(n_max, 0)
+        return [[(stirling1_signed(n, k), stirling2(n, k)) for k in range(n + 1)] for n in range(n_max + 1)]
+
+    reference = rows()
+    empty_kernel_caches()
+    assert run_in_threads(rows) == [reference] * THREADS

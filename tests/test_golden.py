@@ -1,0 +1,31 @@
+"""CLI output compared byte for byte with files captured from an earlier
+version of the program, so any change to what the CLI prints shows here.
+Each case's file is tests/golden/<name>.out, the exact stdout of
+`prstirling ARGV`."""
+
+from pathlib import Path
+
+import pytest
+
+from prstirling.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "table_json": ["table", "--n-max", "5", "--r", "2", "--lambda=-1/2", "--dist", "uniform{0,1,2}"],
+    "table_csv": [
+        "table", "--n-max", "4", "--r", "1", "--lambda", "1/3", "--dist", "poisson(1/2)", "--format", "csv",
+    ],
+    "bell_dobinski": [
+        "bell", "--n", "4", "--r", "1", "--lambda", "1/3", "--dist", "bernoulli(1/2)",
+        "--x", "2", "--dobinski", "--x-float", "2",
+    ],
+    "moments_sum": ["moments", "--dist", "uniform{0,1,2,3,5}", "--sum", "3", "--upto", "6"],
+    "verify_summary": ["verify", "--suite", "all", "--max-n", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()

@@ -87,6 +87,21 @@ def test_custom_moments():
         y.moment(4)
 
 
+def test_custom_oracle_sums_beyond_given_order():
+    y = MomentOracle.from_moments([1, 2])
+    # S_0 = 0 needs no moment of Y, whatever the order
+    assert y.sum_moment(0, 5) == 0
+    assert y.degenerate_factorial_moment(0, 5, F(1, 3)) == 0
+    assert y.degenerate_factorial_moment(0, 0, F(1, 3)) == 1
+    with pytest.raises(DistributionError):
+        y.sum_moment(1, 2)
+    with pytest.raises(DistributionError):
+        y.degenerate_factorial_moment(2, 3, F(1, 3))
+    # a failed request leaves the computed entries usable
+    assert y.sum_moment(2, 1) == 4
+    assert y.sum_moment(0, 7) == 0
+
+
 def test_invalid_parameters():
     with pytest.raises(DistributionError):
         MomentOracle.bernoulli(F(3, 2))
@@ -115,10 +130,13 @@ def test_sum_moment_examples():
 
 @pytest.mark.parametrize("name,oracle,support,weights", finite_supports())
 def test_sum_moments_by_enumeration(name, oracle, support, weights):
-    for j in range(4):
-        for m in range(7):
-            expected = enumerate_sum_moment(support, weights, j, m)
-            assert oracle.sum_moment(j, m) == expected, (name, j, m)
+    for lam in (F(0), F(-1, 2), F(1, 3), F(2)):
+        for j in range(4):
+            for m in range(7):
+                expected = enumerate_sum_moment(support, weights, j, m, lam)
+                assert oracle.degenerate_factorial_moment(j, m, lam) == expected, (name, lam, j, m)
+                if lam == 0:
+                    assert oracle.sum_moment(j, m) == expected, (name, j, m)
 
 
 def test_mean_additivity():
