@@ -217,12 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _takes_rational(flag: str) -> bool:
+    """--x, --lambda, or an abbreviation of --lambda (at least --l)."""
+    return flag == "--x" or (len(flag) >= 3 and "--lambda".startswith(flag))
+
+
 def _bind_negative_rationals(argv: Sequence[str]) -> list[str]:
-    """'--lambda -1/2' -> '--lambda=-1/2', likewise for --x: argparse would
-    take the token '-1/2' for an option string."""
+    """'--lambda -1/2' -> '--lambda=-1/2', likewise for --x and for
+    abbreviations of --lambda: argparse would take the token '-1/2' for an
+    option string."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in ("--lambda", "--x") and re.match(r"-\d", token):
+        if out and _takes_rational(out[-1]) and re.match(r"-\d", token):
             out[-1] += "=" + token
         else:
             out.append(token)

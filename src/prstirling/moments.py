@@ -12,6 +12,7 @@ the single-copy row; the lam = 0 table holds the raw sum moments E[S_j^m].
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import Sequence
@@ -159,12 +160,10 @@ class MomentOracle:
         if k == "bernoulli":
             return ps[0]
         if k == "binomial":
+            # E[(X)_j] = (n)_j p^j, converted through the second-kind triangle
+            # to raw moments; (n)_j = 0 for j > n.
             n, p = ps[0].numerator, ps[1]
-            q = 1 - p
-            return sum(
-                (binomial(n, i) * p**i * q ** (n - i) * Fraction(i) ** m for i in range(n + 1)),
-                Fraction(0),
-            )
+            return sum((stirling2(m, j) * math.perm(n, j) * p**j for j in range(min(m, n) + 1)), Fraction(0))
         if k == "uniform_discrete":
             return sum((v**m for v in ps), Fraction(0)) / len(ps)
         if k == "uniform_continuous":

@@ -1,13 +1,23 @@
 """Probabilistic degenerate (r-)Stirling numbers of the second kind.
 
-`prob_r_stirling2` is the production formula (single alternating sum over
-degenerate factorial moments). The `_via_conv` and `_via_shift` variants are
-independent routes used for cross-checking; their exact agreement is the core
-correctness evidence for the whole library.
+`prob_r_stirling2` is the explicit formula of Theorem 2.1 (one alternating
+sum over degenerate factorial moments of iid sums); it serves single entries
+and is the reference the triangle is tested against. The `_via_conv` and
+`_via_shift` variants are independent routes used for cross-checking; their
+exact agreement is the core correctness evidence for the whole library.
+
+`stirling_triangle` builds whole triangles from the generating function
+instead: with A(t) = E[e_lam^Y(t)] - 1, column k is
+sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r, so column 0 is the
+r-fold binomial convolution of the single-copy row and column k is column
+k - 1 convolved with A, divided by k. It works in exact integers over one
+denominator per column, reads only the single-copy moments E[(Y)_{n,lam}],
+and leaves the `prob_r_stirling2` cache alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,4 +122,27 @@ def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
     """Rows n = 0..n_max of the triangle, row n having entries k = 0..n."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [[prob_r_stirling2(ctx, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+    single = [ctx.oracle.degenerate_factorial_moment(1, n, ctx.lam) for n in range(n_max + 1)]
+    den = math.lcm(*(v.denominator for v in single))
+    # weighted[n][q] = C(n, q) a[q], where a[q] / den = E[(Y)_{q,lam}]
+    a = [v.numerator * (den // v.denominator) for v in single]
+    weighted = [[math.comb(n, q) * a[q] for q in range(n + 1)] for n in range(n_max + 1)]
+
+    def convolve(col: list[int], first: int, low: int) -> list[int]:
+        """(a * col)[n] = sum_q C(n, q) a[q] col[n - q] over q >= first
+        (first = 1 drops a[0], giving A) and n - q >= low (col is zero
+        below order low)."""
+        return [sum(w[q] * col[n - q] for q in range(first, n - low + 1)) for n, w in enumerate(weighted)]
+
+    col, col_den = [1] + [0] * n_max, 1
+    for _ in range(ctx.r):  # column 0 = (A + 1)^r, the r-fold convolution of e_0 with the single row
+        col, col_den = convolve(col, 0, 0), col_den * den
+    rows: list[list[Fraction]] = [[] for _ in range(n_max + 1)]
+    for k in range(n_max + 1):
+        if k:  # column k = A * column (k - 1) / k, A the single row without its constant term
+            col, col_den = convolve(col, 1, k - 1), col_den * den * k
+        g = math.gcd(col_den, *col)
+        col, col_den = [v // g for v in col], col_den // g
+        for n in range(k, n_max + 1):
+            rows[n].append(Fraction(col[n], col_den))
+    return rows

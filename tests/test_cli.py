@@ -173,6 +173,8 @@ def test_output_file_deterministic(tmp_path, capsys):
         ["table", "--n-max", "3", "--r", "1", "--lambda=-1/2", "--dist", "bernoulli(1/2)"],
         ["table", "--n-max", "2", "--lambda=-3", "--dist", "point(1)", "--format", "csv"],
         ["bell", "--n", "3", "--r", "1", "--lambda=-2/3", "--dist", "poisson(1)", "--x=-1/2"],
+        ["table", "--n-max", "2", "--lam=-1/2", "--dist", "point(1)"],
+        ["bell", "--n", "3", "--l=-2/3", "--dist", "poisson(1)", "--x=-1/2"],
     ],
 )
 def test_negative_rational_as_separate_token(capsys, joined):
@@ -188,3 +190,9 @@ def test_fraction_round_trip_random():
     for _ in range(1000):
         v = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         assert parse_rational(str(v)) == v
+
+
+def test_table_past_the_given_moments_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "table", "--n-max", "4", "--dist", "moments[1,2,5,7]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,6 +16,12 @@ CASES = {
     "table_csv": [
         "table", "--n-max", "4", "--r", "1", "--lambda", "1/3", "--dist", "poisson(1/2)", "--format", "csv",
     ],
+    "table_deep_uniform_csv": [
+        "table", "--n-max", "30", "--r", "3", "--lambda=-3/2", "--dist", "uniform[1/2,3]", "--format", "csv",
+    ],
+    "table_deep_binomial_json": [
+        "table", "--n-max", "30", "--r", "2", "--lambda", "1/3", "--dist", "binomial(300,1/3)",
+    ],
     "bell_dobinski": [
         "bell", "--n", "4", "--r", "1", "--lambda", "1/3", "--dist", "bernoulli(1/2)",
         "--x", "2", "--dobinski", "--x-float", "2",

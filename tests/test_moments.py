@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,6 +25,15 @@ def finite_supports():
             MomentOracle.binomial_dist(3, F(1, 4)),
             [F(0), F(1), F(2), F(3)],
             [F(27, 64), F(27, 64), F(9, 64), F(1, 64)],
+        ),
+        ("binomial(0,1/2)", MomentOracle.binomial_dist(0, F(1, 2)), [F(0)], [F(1)]),
+        ("binomial(5,0)", MomentOracle.binomial_dist(5, 0), [F(0)], [F(1)]),
+        ("binomial(5,1)", MomentOracle.binomial_dist(5, 1), [F(5)], [F(1)]),
+        (
+            "binomial(7,2/3)",
+            MomentOracle.binomial_dist(7, F(2, 3)),
+            [F(i) for i in range(8)],
+            [comb(7, i) * F(2, 3) ** i * F(1, 3) ** (7 - i) for i in range(8)],
         ),
     ]
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument
-from prstirling.moments import MomentOracle
+from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
     StirlingContext,
+    _prob_r_stirling2,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
@@ -112,12 +113,56 @@ def test_diagonal_is_mean_power():
 
 
 def test_triangle_shape():
-    ctx = StirlingContext(PRESETS["poisson(1)"], F(1, 3), 2)
-    rows = stirling_triangle(ctx, 5)
-    assert len(rows) == 6
-    for n, row in enumerate(rows):
-        assert len(row) == n + 1
-        assert row == [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
+    rows = stirling_triangle(StirlingContext(PRESETS["poisson(1)"], F(1, 3), 2), 5)
+    assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6]
+
+
+TRIANGLE_ORACLES = {
+    "point(3/2)": MomentOracle.point(F(3, 2)),
+    "bernoulli(1/3)": MomentOracle.bernoulli(F(1, 3)),
+    "binomial(6,2/3)": MomentOracle.binomial_dist(6, F(2, 3)),
+    "uniform{0,1,2,3,5}": MomentOracle.uniform_discrete([0, 1, 2, 3, 5]),
+    # denominators that are not powers of one prime
+    "uniform[1/2,3]": MomentOracle.uniform_continuous(F(1, 2), 3),
+    "poisson(1/2)": MomentOracle.poisson(F(1, 2)),
+    "geometric(1/3)": MomentOracle.geometric(F(1, 3)),
+    # formal: no random variable has these moments
+    "moments[...]": MomentOracle.from_moments(
+        [1] + [F((-1) ** m * (m + 2), 3 * m + 1) for m in range(1, 13)]
+    ),
+}
+TRIANGLE_LAMBDAS = [F(-3, 2), F(-1, 2), F(0), F(1, 3), F(2)]
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_ORACLES))
+@pytest.mark.parametrize("lam", TRIANGLE_LAMBDAS, ids=str)
+def test_triangle_matches_explicit_formula(name, lam):
+    """The generating-function triangle against the Theorem 2.1 sum."""
+    n_max = 12
+    for r in range(4):
+        ctx = StirlingContext(TRIANGLE_ORACLES[name], lam, r)
+        rows = stirling_triangle(ctx, n_max)
+        assert rows == [[prob_r_stirling2(ctx, n, k) for k in range(n + 1)] for n in range(n_max + 1)], r
+
+
+def test_deep_triangle_reduces_to_degenerate_r_stirling():
+    n_max, lam, r = 40, F(-3, 2), 3
+    rows = stirling_triangle(StirlingContext(MomentOracle.point(1), lam, r), n_max)
+    assert rows == [degenerate_r_row(n, lam, r) for n in range(n_max + 1)]
+
+
+def test_triangle_past_the_given_moments_raises():
+    ctx = StirlingContext(MomentOracle.from_moments([1, 2, 5, 7]), F(1, 3), 1)
+    assert len(stirling_triangle(ctx, 3)) == 4
+    with pytest.raises(DistributionError, match="requested 4"):
+        stirling_triangle(ctx, 4)
+
+
+def test_triangle_leaves_the_entry_cache_alone():
+    before = _prob_r_stirling2.cache_info().currsize
+    for i in range(20):
+        stirling_triangle(StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, i + 2), 2), 10)
+    assert _prob_r_stirling2.cache_info().currsize == before
 
 
 def test_context_validation():
