@@ -107,10 +107,10 @@ def bell_dobinski(
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if x < 0:
-        raise ValueError(f"series evaluation requires x >= 0, got {x}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"series evaluation requires a finite x >= 0, got {x}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if max_terms is None:
         max_terms = int(os.environ.get(MAX_TERMS_ENV, DEFAULT_MAX_TERMS))
 

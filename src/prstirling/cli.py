@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -53,6 +54,12 @@ def _context_dict(oracle: MomentOracle, lam: Fraction, r: int) -> dict:
     return ctx
 
 
+def _json_float(value: float) -> Optional[float]:
+    """None (JSON null) for NaN or infinity, which JSON cannot hold; a series
+    that did not converge has the value NaN."""
+    return value if math.isfinite(value) else None
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -71,7 +78,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
-        _write_output(json.dumps(record, indent=2, sort_keys=False) + "\n", out)
+        _write_output(json.dumps(record, indent=2, sort_keys=False, allow_nan=False) + "\n", out)
         return
     # CSV: context metadata as comment lines, then ragged value rows.
     buf = io.StringIO()
@@ -109,13 +116,13 @@ def cmd_bell(args) -> int:
         payload["value"] = str(poly(parse_rational(args.x)))
     if args.dobinski:
         if args.x_float is None:
-            raise SystemExit("--dobinski requires --x-float")
+            raise ValueError("--dobinski requires --x-float")
         result = bell_dobinski(ctx, args.n, args.x_float, args.tol)
         diagnostics = {
             "x_float": args.x_float,
-            "approximation": result.value,
+            "approximation": _json_float(result.value),
             "terms_used": result.terms_used,
-            "last_term": result.last_term,
+            "last_term": _json_float(result.last_term),
             "tolerance": result.tolerance,
             "converged": result.converged,
         }
@@ -137,7 +144,7 @@ def cmd_verify(args) -> int:
             try:
                 wanted.append(IdentityId(name))
             except ValueError:
-                raise SystemExit(f"unknown identity id: {name!r}")
+                raise ValueError(f"unknown identity id: {name!r}") from None
     grid = default_grid(args.max_n)
     reports, summary = run_suite(grid, wanted)
     if args.report == "json":
@@ -154,6 +161,8 @@ def cmd_verify(args) -> int:
 
 def cmd_moments(args) -> int:
     oracle = parse_dist(args.dist)
+    if args.upto < 0:
+        raise ValueError(f"--upto must be >= 0, got {args.upto}")
     if args.sum is not None:
         values = [oracle.sum_moment(args.sum, m) for m in range(args.upto + 1)]
     else:
@@ -242,6 +251,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ParseError, DistributionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: value beyond float range: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -272,6 +272,8 @@ class SuiteGrid:
 
 
 def default_grid(max_n: int = 6) -> SuiteGrid:
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     return SuiteGrid(max_n=max_n)
 
 

@@ -8,16 +8,20 @@ E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
 type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
 one table per lam whose row j is the binomial convolution of row j - 1 with
 the single-copy row; the lam = 0 table holds the raw sum moments E[S_j^m].
+The rows are Python ints over one denominator per order n, shared by every
+row, so growing them runs no gcd; an entry becomes a reduced Fraction when
+it is read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from typing import Sequence
 
-from .kernel import RationalLike, binomial, factorial, stirling1_signed, stirling2
+from .kernel import RationalLike, factorial, stirling1_signed, stirling2
 
 
 class DistributionError(ValueError):
@@ -28,10 +32,10 @@ class MomentOracle:
     """A random variable presented as the exact sequence m -> E[Y^m].
 
     Instances compare and hash by (kind, parameters); the moment list and the
-    per-lam tables of E[(S_j)_{n,lam}] are derived data that grow on demand
-    for the life of the oracle. Growth holds the oracle's lock and appends
-    only finished entries, so threads sharing one oracle read the same values
-    a single thread would.
+    per-lam tables of E[(S_j)_{n,lam}] (integer rows over one denominator per
+    order) are derived data that grow on demand for the life of the oracle.
+    Growth holds the oracle's lock and appends only finished entries, so
+    threads sharing one oracle read the same values a single thread would.
     """
 
     def __init__(self, kind: str, params: tuple[Fraction, ...], *, formal: bool = False):
@@ -39,8 +43,8 @@ class MomentOracle:
         self.params = params
         self.formal = formal
         self._moments: list[Fraction] = [Fraction(1)]
-        # _tables[lam][j][n] = E[(S_j)_{n,lam}]; lam = 0 holds E[S_j^n].
-        self._tables: dict[Fraction, list[list[Fraction]]] = {}
+        # _tables[lam] holds E[(S_j)_{n,lam}] for j >= 1; lam = 0 holds E[S_j^n].
+        self._tables: dict[Fraction, _SumTable] = {}
         self._lock = threading.RLock()
 
     # ---- constructors -------------------------------------------------
@@ -192,7 +196,7 @@ class MomentOracle:
         lam = 0 entry of the degenerate factorial moment table."""
         if j < 0 or m < 0:
             raise ValueError(f"sum_moment requires j, m >= 0, got ({j}, {m})")
-        return self._row(Fraction(0), j, m)[m]
+        return self._entry(Fraction(0), j, m)
 
     def degenerate_factorial_moment(self, j: int, n: int, lam: RationalLike) -> Fraction:
         """Exact E[(S_j)_{n,lam}] for S_j the sum of j independent copies of Y."""
@@ -200,27 +204,84 @@ class MomentOracle:
             raise ValueError(f"order must be >= 0, got {n}")
         if j < 0:
             raise ValueError(f"number of summands must be >= 0, got {j}")
-        return self._row(Fraction(lam), j, n)[n]
+        return self._entry(Fraction(lam), j, n)
 
-    def _row(self, lam: Fraction, j: int, n: int) -> list[Fraction]:
-        """Row j of the lam table, holding at least orders 0..n."""
-        rows = self._tables.get(lam)
-        if rows is not None and j < len(rows) and n < len(rows[j]):
-            return rows[j]
-        with self._lock:
-            rows = self._tables.setdefault(lam, [])
-            while len(rows) <= j:
-                rows.append([Fraction(1)])
-            # Entries are appended only once computed, so a reader that sees
-            # an index without taking the lock sees its final value.
-            for i, row in enumerate(rows[: j + 1]):
-                for k in range(len(row), n + 1):
-                    if i == 0:  # S_0 = 0
-                        row.append(Fraction(0))
-                    elif i == 1:  # first-kind expansion of (Y)_{k,lam}
-                        row.append(
-                            sum(stirling1_signed(k, q) * lam ** (k - q) * self.moment(q) for q in range(k + 1))
-                        )
-                    else:  # binomial convolution of S_{i-1} with one copy
-                        row.append(sum(binomial(k, q) * rows[i - 1][q] * rows[1][k - q] for q in range(k + 1)))
-            return rows[j]
+    def _entry(self, lam: Fraction, j: int, n: int) -> Fraction:
+        """E[(S_j)_{n,lam}] from the lam table, grown to (j, n) if needed."""
+        if j == 0:  # S_0 = 0
+            return Fraction(1 if n == 0 else 0)
+        table = self._tables.get(lam)
+        if table is None or not table.holds(j, n):
+            with self._lock:
+                table = self._tables.setdefault(lam, _SumTable(lam))
+                table.grow(self, j, n)
+        if j == 1:
+            return table.single[n]
+        return Fraction(table.rows[j][n], table.den[n])
+
+
+class _SumTable:
+    """E[(S_j)_{k,lam}] for j >= 1, as integers over one denominator per order.
+
+    single[k] = E[(Y)_{k,lam}] has reduced denominator d_k. The order
+    denominators are D_0 = 1 and D_k = lcm(d_k, d_q D_{k-q} for 0 < q < k):
+    every order-k entry of every row is a sum of products of single-copy
+    entries whose orders add up to k, so rows[j][k] = D_k E[(S_j)_{k,lam}] is
+    an integer for every j. Row 1 is single[k] D_k; row j >= 2 is the
+    binomial convolution of row j - 1 with the single-copy row, through the
+    integer weights C(k,q) num(single[q]) D_k / (d_q D_{k-q}). D_k, rows[1]
+    and the weights are built to order k only when a row j >= 2 first needs
+    it, so reading row 1 costs no more than the single-copy row. rows[0]
+    stays empty: row 0 is never stored, as it needs no moment of Y.
+
+    Growth runs under the owning oracle's lock and only appends, D_k before
+    any order-k entry, so a reader that sees an entry without the lock also
+    sees its denominator.
+    """
+
+    def __init__(self, lam: Fraction):
+        self.lam = lam
+        self.single: list[Fraction] = [Fraction(1)]  # E[(Y)_{0,lam}] = 1
+        self.den: list[int] = []
+        self.rows: list[list[int]] = [[], []]
+        # weights[k][i] is the weight of rows[j - 1][i] in rows[j][k]
+        self.weights: list[list[int]] = []
+
+    def holds(self, j: int, n: int) -> bool:
+        """Whether E[(S_j)_{n,lam}] (j >= 1) is in the table."""
+        if j == 1:
+            return n < len(self.single)
+        return j < len(self.rows) and n < len(self.rows[j])
+
+    def grow(self, oracle: MomentOracle, j: int, n: int) -> None:
+        """Hold rows 1..j to at least order n."""
+        lam, single, den, row1 = self.lam, self.single, self.den, self.rows[1]
+        for k in range(len(single), n + 1):
+            single.append(sum(stirling1_signed(k, q) * lam ** (k - q) * oracle.moment(q) for q in range(k + 1)))
+        if j == 1:
+            return
+        for k in range(len(row1), n + 1):
+            f = single[k]
+            d = math.lcm(f.denominator, *(single[q].denominator * den[k - q] for q in range(1, k)))
+            den.append(d)
+            row1.append(f.numerator * (d // f.denominator))
+        while len(self.rows) <= j:
+            self.rows.append([])
+        # row lengths never increase with j, so the rows short of order n
+        # are rows[first..j]
+        first = max(j, 2)
+        while first > 2 and len(self.rows[first - 1]) <= n:
+            first -= 1
+        for i in range(first, j + 1):
+            prev, row = self.rows[i - 1], self.rows[i]
+            for k in range(len(row), n + 1):
+                row.append(sum(map(operator.mul, self._weights(k), prev)))
+
+    def _weights(self, k: int) -> list[int]:
+        weights, single, den = self.weights, self.single, self.den
+        for m in range(len(weights), k + 1):
+            weights.append([
+                math.comb(m, q) * single[q].numerator * (den[m] // (single[q].denominator * den[m - q]))
+                for q in range(m, -1, -1)
+            ])
+        return weights[k]

@@ -7,6 +7,7 @@ polynomial products are expanded term by term.
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 
 def set_partitions(n):
@@ -58,3 +59,18 @@ def expand_product(points):
             nxt[k] -= c * Fraction(p)
         coeffs = nxt
     return coeffs
+
+
+def binomial_powers(single, j):
+    """Rows 0..j of the binomial powers of `single`: row 0 is (1, 0, 0, ...)
+    and row i is the binomial convolution of row i - 1 with `single`, in plain
+    Fractions, to the order of `single`. With single[k] = E[(Y)_{k,lam}], row i
+    holds E[(S_i)_{k,lam}] for S_i the sum of i independent copies of Y."""
+    rows = [[Fraction(1)] + [Fraction(0)] * (len(single) - 1)]
+    for _ in range(j):
+        prev = rows[-1]
+        rows.append([
+            sum((comb(k, q) * prev[q] * single[k - q] for q in range(k + 1)), Fraction(0))
+            for k in range(len(single))
+        ])
+    return rows

@@ -149,9 +149,69 @@ def test_verify_paper_form_exit_zero(capsys):
     assert rec["payload"]["summary"]["T2_9_paper_form"]["fail"] > 0
 
 
+def one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_identity(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "T9_99"])
+    code, out, err = run_cli(capsys, "verify", "--suite", "T9_99")
+    assert one_error_line(code, out, err)
+    assert "T9_99" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--x-float", "inf"], "finite x >= 0"),
+        (["--x-float", "nan"], "finite x >= 0"),
+        (["--x-float", "1", "--tol", "nan"], "tolerance must be finite and > 0"),
+        (["--x-float", "1", "--tol", "inf"], "tolerance must be finite and > 0"),
+        (["--x-float", "1", "--tol", "0"], "tolerance must be finite and > 0"),
+        ([], "--dobinski requires --x-float"),
+    ],
+    ids=["x-inf", "x-nan", "tol-nan", "tol-inf", "tol-zero", "no-x-float"],
+)
+def test_bell_dobinski_bad_inputs_are_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bell", "--n", "2", "--dist", "poisson(1)", "--dobinski", *argv)
+    assert one_error_line(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--dist", "point(1)", "--upto", "-1"],
+        ["moments", "--dist", "point(1)", "--sum", "2", "--upto", "-1"],
+        ["verify", "--max-n", "-1"],
+    ],
+    ids=["moments", "moments-sum", "verify"],
+)
+def test_negative_sizes_are_one_error_line(capsys, argv):
+    assert one_error_line(*run_cli(capsys, *argv))
+
+
+def test_out_into_missing_directory_is_one_error_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "t.json"
+    code, out, err = run_cli(capsys, "table", "--n-max", "2", "--dist", "point(1)", "--out", str(target))
+    assert one_error_line(code, out, err)
+    assert str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_dobinski_term_past_float_range_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "bell", "--n", "1", "--dist", f"point(1{'0' * 400})", "--dobinski", "--x-float", "1")
+    assert one_error_line(code, out, err)
+    assert "float range" in err
+
+
+def test_unconverged_series_is_strict_json(capsys, monkeypatch):
+    monkeypatch.setenv("PRSTIRLING_MAX_TERMS", "3")
+    code, out, _ = run_cli(capsys, "bell", "--n", "2", "--dist", "poisson(1)", "--dobinski", "--x-float", "1")
+    assert code == 0
+    diag = json.loads(out, parse_constant=pytest.fail)["diagnostics"]
+    assert diag["converged"] is False
+    assert diag["approximation"] is None
+    assert diag["terms_used"] == 3
 
 
 def test_output_file_deterministic(tmp_path, capsys):

@@ -10,6 +10,7 @@ import threading
 from fractions import Fraction
 
 from prstirling import kernel
+from prstirling.bell import bell_coeffs, bell_dobinski
 from prstirling.distparse import parse_dist
 from prstirling.kernel import stirling1_signed, stirling2
 from prstirling.stirling import StirlingContext, _prob_r_stirling2, stirling_triangle
@@ -52,6 +53,25 @@ def test_threads_sharing_one_cold_oracle_build_the_same_triangle():
     empty_kernel_caches()
     ctx = StirlingContext(parse_dist(dist), lam, r)
     assert run_in_threads(lambda: stirling_triangle(ctx, n_max)) == [reference] * THREADS
+
+
+def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
+    # rows j >= 2 of two tables: lam = 2/7 through the Bell coefficients and
+    # the Dobinski series, then lam = -1/2 read from its deepest entry down
+    dist, lam, r, other_lam = "uniform{0,1,2,3,5}", Fraction(2, 7), 2, Fraction(-1, 2)
+
+    def work(ctx):
+        return (
+            bell_coeffs(ctx, 12).coefficients,
+            bell_dobinski(ctx, 10, 3.0, 1e-9),
+            [ctx.oracle.degenerate_factorial_moment(j, n, other_lam) for j in range(20, 0, -1) for n in range(12, -1, -1)],
+        )
+
+    reference = work(StirlingContext(parse_dist(dist), lam, r))
+    _prob_r_stirling2.cache_clear()
+    empty_kernel_caches()
+    ctx = StirlingContext(parse_dist(dist), lam, r)
+    assert run_in_threads(lambda: work(ctx)) == [reference] * THREADS
 
 
 def test_threads_growing_the_kernel_triangles_read_the_same_rows():

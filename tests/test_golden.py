@@ -26,6 +26,14 @@ CASES = {
         "bell", "--n", "4", "--r", "1", "--lambda", "1/3", "--dist", "bernoulli(1/2)",
         "--x", "2", "--dobinski", "--x-float", "2",
     ],
+    "bell_dobinski_uniform_deep": [
+        "bell", "--n", "30", "--r", "1", "--lambda=2", "--dist", "uniform{0,1,4,6}",
+        "--x", "5", "--dobinski", "--x-float", "5.0",
+    ],
+    "bell_dobinski_binomial_deep": [
+        "bell", "--n", "28", "--r", "2", "--lambda", "0", "--dist", "binomial(315,1/3)",
+        "--x", "41/4", "--dobinski", "--x-float", "10.25",
+    ],
     "moments_sum": ["moments", "--dist", "uniform{0,1,2,3,5}", "--sum", "3", "--upto", "6"],
     "verify_summary": ["verify", "--suite", "all", "--max-n", "3"],
 }

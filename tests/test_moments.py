@@ -5,7 +5,7 @@ import pytest
 
 from prstirling.moments import DistributionError, MomentOracle
 
-from oracles import bell_number, enumerate_sum_moment
+from oracles import bell_number, binomial_powers, enumerate_sum_moment, expand_product
 
 F = Fraction
 
@@ -191,3 +191,47 @@ def test_describe_round_trips_through_grammar():
         MomentOracle.from_moments([1, 1, 2]),
     ):
         assert parse_dist(oracle.describe()) == oracle
+
+
+def single_copy_row(oracle, lam, n):
+    """E[(Y)_{k,lam}] for k <= n, expanding y (y - lam) ... (y - (k-1) lam)
+    into monomials term by term."""
+    return [
+        sum(c * oracle.moment(i) for i, c in enumerate(expand_product([q * lam for q in range(k)])))
+        for k in range(n + 1)
+    ]
+
+
+def every_kind():
+    return [
+        ("point(7/3)", lambda: MomentOracle.point(F(7, 3))),
+        ("bernoulli(1/3)", lambda: MomentOracle.bernoulli(F(1, 3))),
+        ("binomial(7,2/3)", lambda: MomentOracle.binomial_dist(7, F(2, 3))),
+        ("uniform{-1,0,2,5/2}", lambda: MomentOracle.uniform_discrete([-1, 0, 2, F(5, 2)])),
+        ("uniform[1/2,3]", lambda: MomentOracle.uniform_continuous(F(1, 2), 3)),
+        ("poisson(3/2)", lambda: MomentOracle.poisson(F(3, 2))),
+        ("geometric(1/3)", lambda: MomentOracle.geometric(F(1, 3))),
+        ("formal", lambda: MomentOracle.from_moments([1] + [F((-1) ** k * (k * k + 1), k + 2) for k in range(1, 26)])),
+    ]
+
+
+@pytest.mark.parametrize("lam", [F(-3, 2), F(-1, 2), F(0), F(1, 3), F(2)], ids=str)
+@pytest.mark.parametrize("name,make", every_kind(), ids=[name for name, _ in every_kind()])
+def test_sum_rows_match_plain_fraction_powers(name, make, lam):
+    j_max, n_max = 40, 25
+    oracle = make()
+    expected = binomial_powers(single_copy_row(make(), lam, n_max), j_max)
+    # order by order, so every row grows one entry at a time
+    for n in range(n_max + 1):
+        for j in range(j_max + 1):
+            assert oracle.degenerate_factorial_moment(j, n, lam) == expected[j][n], (j, n)
+            if lam == 0:
+                assert oracle.sum_moment(j, n) == expected[j][n], (j, n)
+
+
+def test_deep_sum_row_matches_plain_fraction_powers():
+    lam, j, n_max = F(1, 3), 150, 30
+    oracle = MomentOracle.uniform_continuous(F(1, 2), 3)
+    expected = binomial_powers(single_copy_row(oracle, lam, n_max), j)[j]
+    # deepest entry first: the table grows to (150, 30) in one step
+    assert [oracle.degenerate_factorial_moment(j, n, lam) for n in range(n_max, -1, -1)] == expected[::-1]
