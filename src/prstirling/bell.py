@@ -1,9 +1,12 @@
 """Probabilistic degenerate r-Bell polynomials.
 
-Exact coefficients and evaluation come straight from the Stirling triangle;
-the convolution form is an independent exact route. The truncated
-Dobinski-style series is the only floating-point computation in the package
-and always reports its own convergence diagnostics.
+Exact coefficients are row n of the generating-function triangle that
+`stirling_triangle` builds (kept per context, see `stirling`), and
+evaluation is that row as a monomial `kernel.Polynomial`. The convolution
+form over the Theorem 2.1 entries and the truncated Dobinski-style series
+are witnesses that share no code with it above the kernel. The series is the
+only floating-point computation in the package and always reports its own
+convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .kernel import RationalLike, binomial
-from .stirling import StirlingContext, prob_r_stirling2, prob_stirling2
+from .kernel import Basis, Polynomial, RationalLike, binomial
+from .stirling import StirlingContext, _triangle_row, prob_stirling2
 
 DEFAULT_MAX_TERMS = 10000
 MAX_TERMS_ENV = "PRSTIRLING_MAX_TERMS"
@@ -34,22 +37,18 @@ class BellPolynomial:
     coefficients: tuple[Fraction, ...]
 
     def __call__(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return Polynomial(Basis.MONOMIAL, self.coefficients)(x)
 
 
 def bell_coeffs(ctx: StirlingContext, n: int) -> BellPolynomial:
     """Exact coefficient vector (length n + 1)."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return BellPolynomial(ctx, n, tuple(prob_r_stirling2(ctx, n, k) for k in range(n + 1)))
+    return BellPolynomial(ctx, n, _triangle_row(ctx, n))
 
 
 def bell_eval(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
-    """Exact value at rational x, by Horner evaluation of bell_coeffs."""
+    """Exact value at rational x, by evaluating bell_coeffs."""
     return bell_coeffs(ctx, n)(x)
 
 
@@ -103,7 +102,9 @@ def bell_dobinski(
     leading window where the degenerate product still has roots (at
     0, lam, ..., (n-1) lam) and terms are spuriously tiny. Accumulation is
     compensated (Kahan); each exact moment is converted to float
-    independently.
+    independently. The series stops unconverged, with a NaN value, as soon as
+    the partial sum leaves float range, and before the first term when
+    e^(-x) underflows to 0.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -115,6 +116,8 @@ def bell_dobinski(
         max_terms = int(os.environ.get(MAX_TERMS_ENV, DEFAULT_MAX_TERMS))
 
     scale = math.exp(-x)
+    if scale == 0:  # e^(-x) underflows, so no term can reach the threshold
+        return DobinskiResult(math.nan, 0, math.nan, tolerance, False)
     threshold = tolerance * scale / 8.0
     min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
 
@@ -130,6 +133,8 @@ def bell_dobinski(
         t = total + y
         comp = (t - total) - y
         total = t
+        if not math.isfinite(total):  # the partial sum left float range
+            return DobinskiResult(math.nan, k + 1, term * scale, tolerance, False)
         if abs(term) < threshold:
             small_streak += 1
         else:

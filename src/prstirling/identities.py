@@ -2,8 +2,17 @@
 
 Each checker computes both sides of one identity through independent code
 paths (disjoint above the exact kernel), so agreement is evidence rather than
-tautology. Failures are data: reports carry both sides and the full parameter
-point as witnesses.
+tautology. The production route of `table` and `bell` (the generating-function
+triangle) enters through `bell_coeffs` and `bell_eval`: T2_5 checks it against
+Theorem 2.1, T2_6 against the binomial-convolution form and T2_7 against the
+Dobinski series. Every other identity checks witnesses against each other.
+Failures are data: reports carry both sides and the full parameter point as
+witnesses.
+
+What a suite run leaves behind: the generating-function rows die with the
+contexts `run_suite` makes; the Theorem 2.1 `lru_cache` in `stirling` is
+process-global and unbounded, and grows with every point checked; the kernel
+Stirling triangles are process-global and grow to the largest n requested.
 """
 
 from __future__ import annotations
@@ -142,7 +151,8 @@ def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
 
 
 def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
-    """Bell coefficient vector equals the Stirling triangle row entrywise."""
+    """Bell coefficient vector (the generating-function triangle row) equals
+    the Theorem 2.1 row entrywise."""
     lhs = bell_coeffs(ctx, n).coefficients
     rhs = tuple(prob_r_stirling2(ctx, n, k) for k in range(n + 1))
     return _exact_report(IdentityId.T2_5, _point(ctx, n=n), lhs, rhs, vector=True)

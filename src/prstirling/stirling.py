@@ -1,26 +1,31 @@
 """Probabilistic degenerate (r-)Stirling numbers of the second kind.
 
-`prob_r_stirling2` is the explicit formula of Theorem 2.1 (one alternating
-sum over degenerate factorial moments of iid sums); it serves single entries
-and is the reference the triangle is tested against. The `_via_conv` and
-`_via_shift` variants are independent routes used for cross-checking; their
-exact agreement is the core correctness evidence for the whole library.
-
-`stirling_triangle` builds whole triangles from the generating function
-instead: with A(t) = E[e_lam^Y(t)] - 1, column k is
+The generating function is the production route: with
+A(t) = E[e_lam^Y(t)] - 1, column k of the triangle is
 sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r, so column 0 is the
 r-fold binomial convolution of the single-copy row and column k is column
-k - 1 convolved with A, divided by k. It works in exact integers over one
-denominator per column, reads only the single-copy moments E[(Y)_{n,lam}],
-and leaves the `prob_r_stirling2` cache alone.
+k - 1 convolved with A, divided by k. `_columns` builds the columns in exact
+integers over one denominator per column, reading only the single-copy
+moments E[(Y)_{n,lam}]. `stirling_triangle` (the `table` command) makes every
+row from them; `_triangle_row` (`bell`) makes one row and keeps it in the
+context, so those rows live exactly as long as their `StirlingContext`.
+
+`prob_r_stirling2` / `prob_stirling2` (the explicit alternating sum of
+Theorem 2.1 over degenerate factorial moments of iid sums) and the
+`_via_conv` and `_via_shift` routes are witnesses: `identities` checks them
+against the generating function and against each other, and none of them
+reaches `_columns`. Theorem 2.1 entries sit in one `lru_cache` that is
+process-global and unbounded; only the witnesses and direct library calls
+fill it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .kernel import RationalLike, binomial, factorial, stirling1_signed
 from .moments import MomentOracle
@@ -33,6 +38,8 @@ class StirlingContext:
     oracle: MomentOracle
     lam: Fraction
     r: int
+    # row n of the generating-function triangle, filled by `_triangle_row`
+    _rows: dict[int, tuple[Fraction, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
@@ -118,10 +125,9 @@ def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction
     return total
 
 
-def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
-    """Rows n = 0..n_max of the triangle, row n having entries k = 0..n."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]]:
+    """Columns k = 0..n_max of the triangle from the generating function,
+    each as integer numerators of orders 0..n_max over one denominator."""
     single = [ctx.oracle.degenerate_factorial_moment(1, n, ctx.lam) for n in range(n_max + 1)]
     den = math.lcm(*(v.denominator for v in single))
     # weighted[n][q] = C(n, q) a[q], where a[q] / den = E[(Y)_{q,lam}]
@@ -137,12 +143,30 @@ def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
     col, col_den = [1] + [0] * n_max, 1
     for _ in range(ctx.r):  # column 0 = (A + 1)^r, the r-fold convolution of e_0 with the single row
         col, col_den = convolve(col, 0, 0), col_den * den
-    rows: list[list[Fraction]] = [[] for _ in range(n_max + 1)]
     for k in range(n_max + 1):
         if k:  # column k = A * column (k - 1) / k, A the single row without its constant term
             col, col_den = convolve(col, 1, k - 1), col_den * den * k
         g = math.gcd(col_den, *col)
         col, col_den = [v // g for v in col], col_den // g
+        yield col, col_den
+
+
+def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
+    """Rows n = 0..n_max of the triangle, row n having entries k = 0..n."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    rows: list[list[Fraction]] = [[] for _ in range(n_max + 1)]
+    for k, (col, col_den) in enumerate(_columns(ctx, n_max)):
         for n in range(k, n_max + 1):
             rows[n].append(Fraction(col[n], col_den))
     return rows
+
+
+def _triangle_row(ctx: StirlingContext, n: int) -> tuple[Fraction, ...]:
+    """Row n of the generating-function triangle, entries k = 0..n, kept in
+    the context. Threads may share a context: two that miss at once build
+    equal rows, and the first one stored is the one both return."""
+    row = ctx._rows.get(n)
+    if row is None:
+        row = ctx._rows.setdefault(n, tuple(Fraction(col[n], col_den) for col, col_den in _columns(ctx, n)))
+    return row

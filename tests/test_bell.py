@@ -51,8 +51,19 @@ def test_bell_numbers_from_coeffs():
         assert bell_eval(ctx, n, 1) == bell_number(n)
 
 
+ROW_ORACLES = {
+    **PRESETS,
+    "geometric(1/3)": MomentOracle.geometric(F(1, 3)),
+    "uniform[1/2,3]": MomentOracle.uniform_continuous(F(1, 2), 3),
+    "binomial(6,2/3)": MomentOracle.binomial_dist(6, F(2, 3)),
+    # formal: no random variable has these moments
+    "moments[...]": MomentOracle.from_moments([1] + [F((-1) ** m * (m + 2), 3 * m + 1) for m in range(1, 13)]),
+}
+
+
 def test_coefficients_match_triangle_row():
-    for name, y in PRESETS.items():
+    """The generating-function row against the Theorem 2.1 sum."""
+    for name, y in ROW_ORACLES.items():
         ctx = StirlingContext(y, F(-1, 2), 2)
         for n in range(7):
             poly = bell_coeffs(ctx, n)

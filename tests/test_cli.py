@@ -214,6 +214,17 @@ def test_unconverged_series_is_strict_json(capsys, monkeypatch):
     assert diag["terms_used"] == 3
 
 
+@pytest.mark.parametrize("x", ["700", "800"])
+def test_series_past_float_range_is_unconverged(capsys, x):
+    # the partial sum overflows at x = 700, and e^(-x) underflows at x = 800
+    code, out, _ = run_cli(capsys, "bell", "--n", "2", "--dist", "point(1)", "--dobinski", "--x-float", x)
+    assert code == 0
+    diag = json.loads(out, parse_constant=pytest.fail)["diagnostics"]
+    assert diag["converged"] is False
+    assert diag["approximation"] is None
+    assert diag["terms_used"] < 10000
+
+
 def test_output_file_deterministic(tmp_path, capsys):
     args = [
         "table", "--n-max", "5", "--r", "2", "--lambda=-1/2", "--dist", "uniform{0,1,2}",

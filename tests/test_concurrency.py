@@ -57,7 +57,8 @@ def test_threads_sharing_one_cold_oracle_build_the_same_triangle():
 
 def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
     # rows j >= 2 of two tables: lam = 2/7 through the Bell coefficients and
-    # the Dobinski series, then lam = -1/2 read from its deepest entry down
+    # the Dobinski series, then lam = -1/2 read from its deepest entry down;
+    # then every Bell row of the shared context, deepest first
     dist, lam, r, other_lam = "uniform{0,1,2,3,5}", Fraction(2, 7), 2, Fraction(-1, 2)
 
     def work(ctx):
@@ -65,6 +66,7 @@ def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
             bell_coeffs(ctx, 12).coefficients,
             bell_dobinski(ctx, 10, 3.0, 1e-9),
             [ctx.oracle.degenerate_factorial_moment(j, n, other_lam) for j in range(20, 0, -1) for n in range(12, -1, -1)],
+            [bell_coeffs(ctx, n).coefficients for n in range(12, -1, -1)],
         )
 
     reference = work(StirlingContext(parse_dist(dist), lam, r))

@@ -22,6 +22,7 @@ CASES = {
     "table_deep_binomial_json": [
         "table", "--n-max", "30", "--r", "2", "--lambda", "1/3", "--dist", "binomial(300,1/3)",
     ],
+    "bell_exact_deep": ["bell", "--n", "60", "--r", "3", "--lambda=-3/2", "--dist", "geometric(2/5)", "--x=-1/2"],
     "bell_dobinski": [
         "bell", "--n", "4", "--r", "1", "--lambda", "1/3", "--dist", "bernoulli(1/2)",
         "--x", "2", "--dobinski", "--x-float", "2",

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from prstirling import stirling
+from prstirling.bell import bell_coeffs, bell_dobinski, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
     IdentityId,
@@ -19,7 +21,12 @@ from prstirling.identities import (
     verify_thm_2_9,
 )
 from prstirling.moments import MomentOracle
-from prstirling.stirling import StirlingContext
+from prstirling.stirling import (
+    StirlingContext,
+    prob_r_stirling2,
+    prob_r_stirling2_via_conv,
+    prob_r_stirling2_via_shift,
+)
 
 F = Fraction
 
@@ -92,6 +99,40 @@ def test_thm_2_5_and_2_6_checkers():
         assert verify_thm_2_5(ctx, n).passed
         for x in (F(-1), F(1, 2), F(2)):
             assert verify_thm_2_6(ctx, n, x).passed
+
+
+def test_witnesses_never_reach_the_generating_function(monkeypatch):
+    def refuse(ctx, n_max):
+        raise AssertionError("generating-function columns built")
+
+    monkeypatch.setattr(stirling, "_columns", refuse)
+    ctx = StirlingContext(MomentOracle.uniform_discrete([0, 1, 3]), F(2, 5), 2)
+    for n in range(5):
+        for k in range(n + 1):
+            assert prob_r_stirling2(ctx, n, k) == prob_r_stirling2_via_conv(ctx, n, k)
+            assert prob_r_stirling2(ctx, n, k) == prob_r_stirling2_via_shift(ctx, n, k)
+        bell_via_convolution(ctx, n, F(1, 2))
+        assert bell_dobinski(ctx, n, 1.5, 1e-9).converged
+    with pytest.raises(AssertionError, match="generating-function"):
+        bell_coeffs(ctx, 3)
+
+
+def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):
+    columns = stirling._columns
+
+    def perturbed(ctx, n_max):
+        for k, (col, col_den) in enumerate(columns(ctx, n_max)):
+            if k == 1:
+                col = col[:-1] + [col[-1] + 1]  # entry (n_max, 1)
+            yield col, col_den
+
+    monkeypatch.setattr(stirling, "_columns", perturbed)
+    for r in range(3):
+        ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
+        assert not verify_thm_2_5(ctx, 3).passed
+        assert not verify_thm_2_6(ctx, 3, F(1, 2)).passed
+        assert stirling.stirling_triangle(ctx, 3)[3][1] != prob_r_stirling2(ctx, 3, 1)
+        assert verify_thm_2_5(ctx, 0).passed  # no column 1 at n_max 0
 
 
 def test_thm_2_7_checker():

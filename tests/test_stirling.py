@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from prstirling.bell import bell_coeffs, bell_eval
 from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
@@ -162,6 +163,9 @@ def test_triangle_leaves_the_entry_cache_alone():
     before = _prob_r_stirling2.cache_info().currsize
     for i in range(20):
         stirling_triangle(StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, i + 2), 2), 10)
+        ctx = StirlingContext(MomentOracle.geometric(F(1, 3)), F(-1, i + 2), 1)
+        bell_coeffs(ctx, 10)
+        bell_eval(ctx, 8, F(1, 2))
     assert _prob_r_stirling2.cache_info().currsize == before
 
 
