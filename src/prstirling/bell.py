@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .kernel import Basis, Polynomial, RationalLike, binomial
-from .stirling import StirlingContext, _triangle_row, prob_stirling2
+from .stirling import StirlingContext, _triangle_row, prob_r_stirling2
 
 DEFAULT_MAX_TERMS = 10000
 MAX_TERMS_ENV = "PRSTIRLING_MAX_TERMS"
@@ -66,7 +66,7 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
         if fm == 0:
             continue
         inner = sum(
-            (prob_stirling2(ctx.oracle, ctx.lam, n - m, k) * x**k for k in range(n - m + 1)),
+            (prob_r_stirling2(ctx._r0, n - m, k) * x**k for k in range(n - m + 1)),
             Fraction(0),
         )
         total += binomial(n, m) * fm * inner
@@ -114,6 +114,8 @@ def bell_dobinski(
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if max_terms is None:
         max_terms = int(os.environ.get(MAX_TERMS_ENV, DEFAULT_MAX_TERMS))
+    if max_terms < 1:
+        raise ValueError(f"max_terms ({MAX_TERMS_ENV}) must be >= 1, got {max_terms}")
 
     scale = math.exp(-x)
     if scale == 0:  # e^(-x) underflows, so no term can reach the threshold

@@ -9,10 +9,9 @@ Dobinski series. Every other identity checks witnesses against each other.
 Failures are data: reports carry both sides and the full parameter point as
 witnesses.
 
-What a suite run leaves behind: the generating-function rows die with the
-contexts `run_suite` makes; the Theorem 2.1 `lru_cache` in `stirling` is
-process-global and unbounded, and grows with every point checked; the kernel
-Stirling triangles are process-global and grow to the largest n requested.
+A suite run leaves behind only the kernel Stirling triangles (process-global,
+grown to the largest n requested): its oracles own their moment tables and its
+contexts their triangle rows and Theorem 2.1 entries, so those die with it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .stirling import (
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
-    prob_stirling2,
 )
 
 
@@ -133,7 +131,7 @@ def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
 
     rhs_coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        c = prob_stirling2(ctx.oracle, ctx.lam, n, k)
+        c = prob_r_stirling2(ctx._r0, n, k)
         if c == 0:
             continue
         unit = Polynomial.make(Basis.FALLING_FACTORIAL, [0] * k + [1])
@@ -195,7 +193,7 @@ def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> Verification
         rhs += (
             binomial(n, l)
             * prob_r_stirling2_via_shift(ctx, l, m)
-            * prob_stirling2(ctx.oracle, ctx.lam, n - l, k)
+            * prob_r_stirling2(ctx._r0, n - l, k)
         )
     return _exact_report(IdentityId.T2_8, _point(ctx, n=n, m=m, k=k), lhs, rhs)
 
@@ -221,11 +219,11 @@ def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> Ver
     for i in range(n + 1):
         if form == "corrected":
             y_coeffs[i] = sum(
-                (stirling1_signed(j, i) * prob_stirling2(ctx.oracle, ctx.lam, n, j) for j in range(i, n + 1)),
+                (stirling1_signed(j, i) * prob_r_stirling2(ctx._r0, n, j) for j in range(i, n + 1)),
                 Fraction(0),
             )
         else:
-            s2 = prob_stirling2(ctx.oracle, ctx.lam, n, i)
+            s2 = prob_r_stirling2(ctx._r0, n, i)
             y_coeffs[i] = s2 * sum(
                 (stirling1_signed(j, i) for j in range(i, n + 1)), Fraction(0)
             )

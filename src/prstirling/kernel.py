@@ -1,9 +1,11 @@
 """Exact arithmetic kernel: combinatorial triangles and polynomial basis changes.
 
-All values are `fractions.Fraction`. The signed first-kind convention is used
-throughout: (x)_n = sum_k s1(n,k) x^k. The triangle caches are process-wide
-lists of rows, grown under one lock and appended only as full rows, so threads
-growing them at once read the same rows a single thread would.
+The integer-valued helpers (`factorial`, `binomial`, the Stirling numbers)
+return `int`, all else `Fraction`; s1 is signed: (x)_n = sum_k s1(n,k) x^k.
+The Stirling triangles are the only process-global state (oracles own their
+moment tables, contexts their triangle rows and entries): they grow to the
+largest n requested, under one lock and only by full rows, so threads growing
+them at once read the same rows a single thread would.
 """
 
 from __future__ import annotations
@@ -18,18 +20,18 @@ from typing import Callable, Iterable, Union
 RationalLike = Union[Fraction, int]
 
 
-def factorial(n: int) -> Fraction:
-    """n! as an exact rational."""
+def factorial(n: int) -> int:
+    """n!."""
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
-    return Fraction(math.factorial(n))
+    return math.factorial(n)
 
 
-def binomial(n: int, k: int) -> Fraction:
+def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"binomial requires n, k >= 0, got ({n}, {k})")
-    return Fraction(math.comb(n, k))
+    return math.comb(n, k)
 
 
 # Row i of each cache is the full triangle row [T(i, 0), ..., T(i, i)].
@@ -49,26 +51,26 @@ def _grow(rows: list[list[int]], n: int, weight: Callable[[int, int], int]) -> N
             )
 
 
-def stirling1_signed(n: int, k: int) -> Fraction:
+def stirling1_signed(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     if n < 0 or k < 0:
         raise ValueError(f"stirling1_signed requires n, k >= 0, got ({n}, {k})")
     if k > n:
-        return Fraction(0)
+        return 0
     if n >= len(_S1_ROWS):
         _grow(_S1_ROWS, n, lambda i, k: 1 - i)
-    return Fraction(_S1_ROWS[n][k])
+    return _S1_ROWS[n][k]
 
 
-def stirling2(n: int, k: int) -> Fraction:
+def stirling2(n: int, k: int) -> int:
     """Classical Stirling number of the second kind S(n, k)."""
     if n < 0 or k < 0:
         raise ValueError(f"stirling2 requires n, k >= 0, got ({n}, {k})")
     if k > n:
-        return Fraction(0)
+        return 0
     if n >= len(_S2_ROWS):
         _grow(_S2_ROWS, n, lambda i, k: k)
-    return Fraction(_S2_ROWS[n][k])
+    return _S2_ROWS[n][k]
 
 
 class Basis(Enum):

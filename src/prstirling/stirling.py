@@ -7,16 +7,16 @@ r-fold binomial convolution of the single-copy row and column k is column
 k - 1 convolved with A, divided by k. `_columns` builds the columns in exact
 integers over one denominator per column, reading only the single-copy
 moments E[(Y)_{n,lam}]. `stirling_triangle` (the `table` command) makes every
-row from them; `_triangle_row` (`bell`) makes one row and keeps it in the
-context, so those rows live exactly as long as their `StirlingContext`.
+row from them; `_triangle_row` (`bell`) makes one row and keeps it.
 
 `prob_r_stirling2` / `prob_stirling2` (the explicit alternating sum of
 Theorem 2.1 over degenerate factorial moments of iid sums) and the
 `_via_conv` and `_via_shift` routes are witnesses: `identities` checks them
 against the generating function and against each other, and none of them
-reaches `_columns`. Theorem 2.1 entries sit in one `lru_cache` that is
-process-global and unbounded; only the witnesses and direct library calls
-fill it.
+reaches `_columns`. The oracle owns its moment tables; the context owns its
+generating-function rows and Theorem 2.1 entries (r = 0 ones through the r = 0
+sibling it keeps), and each dies with its owner. The only process-global
+state is the kernel triangles, which grow only to the largest n requested.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator
 
 from .kernel import RationalLike, binomial, factorial, stirling1_signed
@@ -40,44 +40,42 @@ class StirlingContext:
     r: int
     # row n of the generating-function triangle, filled by `_triangle_row`
     _rows: dict[int, tuple[Fraction, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Theorem 2.1 entry (n, k), filled by `prob_r_stirling2`
+    _entries: dict[tuple[int, int], Fraction] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
         if self.r < 0 or not isinstance(self.r, int):
             raise ValueError(f"shift parameter r must be a nonnegative integer, got {self.r}")
 
-
-@lru_cache(maxsize=None)
-def _prob_r_stirling2(oracle: MomentOracle, lam: Fraction, r: int, n: int, k: int) -> Fraction:
-    total = Fraction(0)
-    for j in range(k + 1):
-        sign = -1 if (k - j) % 2 else 1
-        total += sign * binomial(k, j) * oracle.degenerate_factorial_moment(j + r, n, lam)
-    return total / factorial(k)
+    @cached_property
+    def _r0(self) -> "StirlingContext":
+        """The r = 0 context of (Y, lam) the witnesses read; r = 0 is its own."""
+        return self if self.r == 0 else StirlingContext(self.oracle, self.lam, 0)
 
 
 def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> Fraction:
-    """Probabilistic degenerate Stirling number of the second kind (r = 0).
-
-    (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_j)_{n,lam}]. Zero for k > n.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
-    return _prob_r_stirling2(oracle, Fraction(lam), 0, n, k)
+    """The r = 0 entry of `prob_r_stirling2`, on a context dropped after the call."""
+    return prob_r_stirling2(StirlingContext(oracle, lam, 0), n, k)
 
 
 def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The (n+r, k+r) entry of the probabilistic degenerate r-Stirling triangle.
 
-    (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+r})_{n,lam}]. Zero for k > n.
+    (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+r})_{n,lam}], kept in the context. Zero for k > n.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    return _prob_r_stirling2(ctx.oracle, ctx.lam, ctx.r, n, k)
+    entry = ctx._entries.get((n, k))
+    if entry is None:
+        total = Fraction(0)
+        for j in range(k + 1):
+            sign = -1 if (k - j) % 2 else 1
+            total += sign * binomial(k, j) * ctx.oracle.degenerate_factorial_moment(j + ctx.r, n, ctx.lam)
+        entry = ctx._entries.setdefault((n, k), total / factorial(k))
+    return entry
 
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
@@ -93,7 +91,7 @@ def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     lam = ctx.lam
     total = Fraction(0)
     for l in range(k, n + 1):
-        s2y = prob_stirling2(ctx.oracle, lam, l, k)
+        s2y = prob_r_stirling2(ctx._r0, l, k)
         if s2y == 0:
             continue
         cnl = binomial(n, l)
@@ -120,7 +118,7 @@ def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction
             binomial(m + k, m)
             * binomial(ctx.r, m)
             * factorial(m)
-            * prob_stirling2(ctx.oracle, ctx.lam, n, m + k)
+            * prob_r_stirling2(ctx._r0, n, m + k)
         )
     return total
 

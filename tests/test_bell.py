@@ -126,6 +126,9 @@ def test_dobinski_rejects_bad_inputs():
         bell_dobinski(ctx, 3, -1.0, 1e-9)
     with pytest.raises(ValueError):
         bell_dobinski(ctx, 3, 1.0, 0.0)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_terms"):
+            bell_dobinski(ctx, 3, 1.0, 1e-9, max_terms=cap)
 
 
 def test_dobinski_cap_reports_failure():

@@ -214,6 +214,14 @@ def test_unconverged_series_is_strict_json(capsys, monkeypatch):
     assert diag["terms_used"] == 3
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_term_cap_below_one_is_one_error_line(capsys, monkeypatch, cap):
+    monkeypatch.setenv("PRSTIRLING_MAX_TERMS", cap)
+    code, out, err = run_cli(capsys, "bell", "--n", "2", "--dist", "point(1)", "--dobinski", "--x-float", "1")
+    assert one_error_line(code, out, err)
+    assert f"PRSTIRLING_MAX_TERMS) must be >= 1, got {cap}" in err
+
+
 @pytest.mark.parametrize("x", ["700", "800"])
 def test_series_past_float_range_is_unconverged(capsys, x):
     # the partial sum overflows at x = 700, and e^(-x) underflows at x = 800

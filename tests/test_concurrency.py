@@ -1,8 +1,8 @@
 """Threads sharing the cached tables must read what a single thread reads.
 
-Each test empties the caches it covers, then has 8 threads start the same
-work at once under a short interpreter switch interval, so cache growth
-interleaves between threads.
+Each test starts from cold caches (a fresh oracle and context, emptied kernel
+triangles), then has 8 threads start the same work at once under a short
+interpreter switch interval, so cache growth interleaves between threads.
 """
 
 import sys
@@ -13,7 +13,7 @@ from prstirling import kernel
 from prstirling.bell import bell_coeffs, bell_dobinski
 from prstirling.distparse import parse_dist
 from prstirling.kernel import stirling1_signed, stirling2
-from prstirling.stirling import StirlingContext, _prob_r_stirling2, stirling_triangle
+from prstirling.stirling import StirlingContext, prob_r_stirling2, prob_r_stirling2_via_shift, stirling_triangle
 
 THREADS = 8
 
@@ -49,7 +49,6 @@ def empty_kernel_caches():
 def test_threads_sharing_one_cold_oracle_build_the_same_triangle():
     dist, lam, r, n_max = "uniform{0,1,2,3,5}", Fraction(2, 7), 2, 12
     reference = stirling_triangle(StirlingContext(parse_dist(dist), lam, r), n_max)
-    _prob_r_stirling2.cache_clear()
     empty_kernel_caches()
     ctx = StirlingContext(parse_dist(dist), lam, r)
     assert run_in_threads(lambda: stirling_triangle(ctx, n_max)) == [reference] * THREADS
@@ -70,7 +69,24 @@ def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
         )
 
     reference = work(StirlingContext(parse_dist(dist), lam, r))
-    _prob_r_stirling2.cache_clear()
+    empty_kernel_caches()
+    ctx = StirlingContext(parse_dist(dist), lam, r)
+    assert run_in_threads(lambda: work(ctx)) == [reference] * THREADS
+
+
+def test_threads_sharing_one_cold_context_read_the_same_entries():
+    # the Theorem 2.1 entries of the context, and through the shift route
+    # those of its r = 0 sibling, which every thread asks for at once
+    dist, lam, r, n_max = "poisson(3/2)", Fraction(-1, 3), 2, 10
+
+    def work(ctx):
+        return [
+            (prob_r_stirling2(ctx, n, k), prob_r_stirling2_via_shift(ctx, n, k))
+            for n in range(n_max, -1, -1)
+            for k in range(n + 1)
+        ]
+
+    reference = work(StirlingContext(parse_dist(dist), lam, r))
     empty_kernel_caches()
     ctx = StirlingContext(parse_dist(dist), lam, r)
     assert run_in_threads(lambda: work(ctx)) == [reference] * THREADS

@@ -1,13 +1,19 @@
+import gc
+import importlib
+import math
+import pkgutil
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from prstirling.bell import bell_coeffs, bell_eval
-from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument
+import prstirling
+from prstirling.bell import bell_coeffs, bell_eval, bell_via_convolution
+from prstirling.identities import verify_thm_2_8
+from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument, stirling2
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
     StirlingContext,
-    _prob_r_stirling2,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
@@ -113,6 +119,63 @@ def test_diagonal_is_mean_power():
                     assert prob_r_stirling2(ctx, n, n) == mean**n, (name, lam, r, n)
 
 
+# Closed forms of the r = 0 triangle for special Y, computed in the exact
+# kernel only, which no moment table reaches (Adell, "Probabilistic Stirling
+# numbers of the second kind and applications", J. Theoret. Probab. 2022).
+# S_lam(n, j) = degenerate_r_row(n, lam, 0)[j].
+CLOSED_FORM_LAMBDAS = [F(-1, 2), F(0), F(1, 3), F(2)]
+CLOSED_FORM_N = 9
+
+
+def bernoulli_closed_form(p, lam, n):
+    """E[e_lam^Y(t)] - 1 = p (e_lam(t) - 1), so S^Y_lam(n, k) = p^k S_lam(n, k)."""
+    return [p**k * s for k, s in enumerate(degenerate_r_row(n, lam, 0))]
+
+
+def poisson_closed_form(a, lam, n):
+    """A(t) = exp(a (e_lam(t) - 1)) - 1, so S^Y_lam(n, k) = sum_j S(j, k) a^j S_lam(n, j)."""
+    s_lam = degenerate_r_row(n, lam, 0)
+    return [sum((stirling2(j, k) * a**j * s_lam[j] for j in range(n + 1)), F(0)) for k in range(n + 1)]
+
+
+def lah_row(n):
+    """E[Y^m] = m! at lam = 0: the Lah numbers n!/k! C(n-1, k-1)."""
+    if n == 0:
+        return [F(1)]
+    return [F(0)] + [F(math.factorial(n), math.factorial(k)) * math.comb(n - 1, k - 1) for k in range(1, n + 1)]
+
+
+CLOSED_FORMS = [
+    (lam, MomentOracle.bernoulli(p), lambda n, p=p, lam=lam: bernoulli_closed_form(p, lam, n))
+    for p in (F(1, 2), F(2, 7))
+    for lam in CLOSED_FORM_LAMBDAS
+] + [
+    (lam, MomentOracle.poisson(a), lambda n, a=a, lam=lam: poisson_closed_form(a, lam, n))
+    for a in (F(1), F(3, 2))
+    for lam in CLOSED_FORM_LAMBDAS
+]
+
+
+@pytest.mark.parametrize(
+    "lam,oracle,closed_form", CLOSED_FORMS, ids=[f"{o.describe()}-lam={lam}" for lam, o, _ in CLOSED_FORMS]
+)
+def test_r_zero_entries_match_closed_forms(lam, oracle, closed_form):
+    rows = stirling_triangle(StirlingContext(oracle, lam, 0), CLOSED_FORM_N)
+    for n in range(CLOSED_FORM_N + 1):
+        expected = closed_form(n)
+        assert rows[n] == expected, n
+        assert [prob_stirling2(oracle, lam, n, k) for k in range(n + 1)] == expected, n
+
+
+def test_factorial_moments_give_lah_numbers():
+    n_max = 10
+    oracle = MomentOracle.from_moments([math.factorial(m) for m in range(n_max + 1)])
+    rows = stirling_triangle(StirlingContext(oracle, F(0), 0), n_max)
+    for n in range(n_max + 1):
+        assert rows[n] == lah_row(n), n
+        assert [prob_stirling2(oracle, 0, n, k) for k in range(n + 1)] == lah_row(n), n
+
+
 def test_triangle_shape():
     rows = stirling_triangle(StirlingContext(PRESETS["poisson(1)"], F(1, 3), 2), 5)
     assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6]
@@ -160,13 +223,42 @@ def test_triangle_past_the_given_moments_raises():
 
 
 def test_triangle_leaves_the_entry_cache_alone():
-    before = _prob_r_stirling2.cache_info().currsize
-    for i in range(20):
-        stirling_triangle(StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, i + 2), 2), 10)
-        ctx = StirlingContext(MomentOracle.geometric(F(1, 3)), F(-1, i + 2), 1)
+    for r in range(3):
+        ctx = StirlingContext(MomentOracle.geometric(F(1, 3)), F(-1, 2), r)
+        stirling_triangle(ctx, 10)
         bell_coeffs(ctx, 10)
         bell_eval(ctx, 8, F(1, 2))
-    assert _prob_r_stirling2.cache_info().currsize == before
+        assert ctx._entries == {} and ctx._r0._entries == {}
+
+
+def test_entries_live_in_their_context():
+    ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), 2)
+    value = prob_r_stirling2(ctx, 5, 2)
+    assert ctx._entries == {(5, 2): value}
+    prob_r_stirling2_via_shift(ctx, 5, 2)
+    assert set(ctx._r0._entries) == {(5, 2), (5, 3), (5, 4)}
+    assert ctx._r0._r0 is ctx._r0
+
+
+def test_an_oracle_dies_with_its_contexts():
+    oracle = MomentOracle.uniform_discrete([0, 1, 2])
+    ctx = StirlingContext(oracle, F(1, 3), 2)
+    prob_r_stirling2(ctx, 6, 3)
+    prob_r_stirling2_via_shift(ctx, 6, 3)
+    bell_via_convolution(ctx, 6, F(1, 2))
+    assert verify_thm_2_8(ctx, 6, 1, 2).passed
+    prob_stirling2(oracle, F(1, 3), 6, 3)
+    alive = weakref.ref(oracle)
+    del oracle, ctx
+    gc.collect()
+    assert alive() is None
+
+
+def test_no_module_holds_a_functools_cache():
+    for info in pkgutil.iter_modules(prstirling.__path__):
+        module = importlib.import_module(f"prstirling.{info.name}")
+        cached = [name for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
+        assert cached == [], module.__name__
 
 
 def test_context_validation():
