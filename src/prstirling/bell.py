@@ -59,17 +59,13 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    x = Fraction(x)
     total = Fraction(0)
     for m in range(n + 1):
         fm = ctx.oracle.degenerate_factorial_moment(ctx.r, m, ctx.lam)
         if fm == 0:
             continue
-        inner = sum(
-            (prob_r_stirling2(ctx._r0, n - m, k) * x**k for k in range(n - m + 1)),
-            Fraction(0),
-        )
-        total += binomial(n, m) * fm * inner
+        row = tuple(prob_r_stirling2(ctx._r0, n - m, k) for k in range(n - m + 1))
+        total += binomial(n, m) * fm * Polynomial(Basis.MONOMIAL, row)(x)
     return total
 
 
@@ -113,7 +109,11 @@ def bell_dobinski(
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if max_terms is None:
-        max_terms = int(os.environ.get(MAX_TERMS_ENV, DEFAULT_MAX_TERMS))
+        raw = os.environ.get(MAX_TERMS_ENV, str(DEFAULT_MAX_TERMS))
+        try:
+            max_terms = int(raw)
+        except ValueError:
+            raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
     if max_terms < 1:
         raise ValueError(f"max_terms ({MAX_TERMS_ENV}) must be >= 1, got {max_terms}")
 

@@ -9,6 +9,14 @@ Dobinski series. Every other identity checks witnesses against each other.
 Failures are data: reports carry both sides and the full parameter point as
 witnesses.
 
+Identities of one shape share one checker built on the kernel's basis
+changes. T2_4 and T2_9_corrected are one polynomial identity summed in two
+orders, so both compare the shifted triangle row in the falling basis with
+the r = 0 row's polynomial at x + r (`_shifted`; the paper form of T2_9 gives
+the printed double sum instead). ReductionY1 and ClassicalLambda0 both take
+Y = 1 and compare the row with the falling-basis coefficients of a power
+(degenerate, then ordinary) at x + r (`_expansion`).
+
 A suite run leaves behind only the kernel Stirling triangles (process-global,
 grown to the largest n requested): its oracles own their moment tables and its
 contexts their triangle rows and Theorem 2.1 entries, so those die with it.
@@ -16,7 +24,7 @@ contexts their triangle rows and Theorem 2.1 entries, so those die with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -88,22 +96,43 @@ def _vec(coeffs: Sequence[Fraction]) -> str:
     return "[" + ", ".join(str(c) for c in coeffs) + "]"
 
 
-def _point(ctx: Optional[StirlingContext] = None, **extra) -> tuple[tuple[str, str], ...]:
-    items: list[tuple[str, str]] = []
-    if ctx is not None:
-        items += [("dist", ctx.oracle.describe()), ("lambda", str(ctx.lam)), ("r", str(ctx.r))]
-    items += [(k, str(v)) for k, v in extra.items()]
-    return tuple(items)
-
-
-def _poly_equal(a: Polynomial, b: Polynomial) -> bool:
-    return a.basis == b.basis and a.coefficients == b.coefficients
+def _point(ctx: StirlingContext, **extra) -> tuple[tuple[str, str], ...]:
+    items = [("dist", ctx.oracle.describe()), ("lambda", str(ctx.lam)), ("r", str(ctx.r))]
+    return tuple(items + [(k, str(v)) for k, v in extra.items()])
 
 
 def _exact_report(identity, point, lhs, rhs, vector=False) -> VerificationReport:
     if vector:
         return VerificationReport(identity, point, list(lhs) == list(rhs), _vec(lhs), _vec(rhs))
     return VerificationReport(identity, point, lhs == rhs, str(lhs), str(rhs))
+
+
+def _row(ctx: StirlingContext, n: int) -> list[Fraction]:
+    """Row n of the Theorem 2.1 triangle."""
+    return [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
+
+
+def _falling(row: Sequence[Fraction]) -> Polynomial:
+    """sum_k row[k] (x)_k in the monomial basis."""
+    return convert_basis(Polynomial.make(Basis.FALLING_FACTORIAL, row), Basis.MONOMIAL)
+
+
+def _shifted(identity: IdentityId, ctx: StirlingContext, n: int, y: Polynomial) -> VerificationReport:
+    """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), as monomial coefficient vectors."""
+    lhs = _falling(_row(ctx, n))
+    rhs = shift_argument(y, ctx.r)
+    return _exact_report(identity, _point(ctx, n=n), lhs.coefficients, rhs.coefficients, vector=True)
+
+
+def _expansion(
+    identity: IdentityId, lam: RationalLike, r: int, n: int, power: Polynomial
+) -> VerificationReport:
+    """For Y fixed at 1, the triangle row against the falling-factorial
+    coefficients of power(x + r), computed purely in the exact kernel."""
+    ctx = StirlingContext(MomentOracle.point(1), lam, r)
+    expansion = convert_basis(shift_argument(power, r), Basis.FALLING_FACTORIAL).coefficients
+    rhs = list(expansion) + [Fraction(0)] * (n + 1 - len(expansion))
+    return _exact_report(identity, _point(ctx, n=n), _row(ctx, n), rhs, vector=True)
 
 
 # ---- individual checkers ---------------------------------------------------
@@ -124,28 +153,7 @@ def verify_formula_agreement(ctx: StirlingContext, n: int, k: int, which: Identi
 def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
     """sum_k S^(r,Y)(n+r,k+r) (x)_k == sum_k S^Y(n,k) (x+r)_k, as monomial
     coefficient vectors."""
-    lhs_falling = Polynomial.make(
-        Basis.FALLING_FACTORIAL, [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
-    )
-    lhs = convert_basis(lhs_falling, Basis.MONOMIAL)
-
-    rhs_coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        c = prob_r_stirling2(ctx._r0, n, k)
-        if c == 0:
-            continue
-        unit = Polynomial.make(Basis.FALLING_FACTORIAL, [0] * k + [1])
-        shifted = shift_argument(convert_basis(unit, Basis.MONOMIAL), ctx.r)
-        for i, ci in enumerate(shifted.coefficients):
-            rhs_coeffs[i] += c * ci
-    rhs = Polynomial.make(Basis.MONOMIAL, rhs_coeffs)
-    return VerificationReport(
-        IdentityId.T2_4,
-        _point(ctx, n=n),
-        _poly_equal(lhs, rhs),
-        _vec(lhs.coefficients),
-        _vec(rhs.coefficients),
-    )
+    return _shifted(IdentityId.T2_4, ctx, n, _falling(_row(ctx._r0, n)))
 
 
 def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
@@ -203,64 +211,28 @@ def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> Ver
     double sum over first-kind numbers and the r = 0 triangle.
 
     form='corrected' pairs s1(j,i) with the column-j entry (as the derivation
-    does); form='paper' uses the column-i entry as printed.
+    does), which is Theorem 2.4's right-hand side summed in the other order;
+    form='paper' uses the column-i entry as printed.
     """
     if form not in ("corrected", "paper"):
         raise ValueError(f"form must be 'corrected' or 'paper', got {form!r}")
-    identity = IdentityId.T2_9_corrected if form == "corrected" else IdentityId.T2_9_paper_form
-
-    lhs_falling = Polynomial.make(
-        Basis.FALLING_FACTORIAL, [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
-    )
-    lhs = convert_basis(lhs_falling, Basis.MONOMIAL)
-
-    # RHS built as a polynomial in y = x + r, then shifted back to x.
-    y_coeffs = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        if form == "corrected":
-            y_coeffs[i] = sum(
-                (stirling1_signed(j, i) * prob_r_stirling2(ctx._r0, n, j) for j in range(i, n + 1)),
-                Fraction(0),
-            )
-        else:
-            s2 = prob_r_stirling2(ctx._r0, n, i)
-            y_coeffs[i] = s2 * sum(
-                (stirling1_signed(j, i) for j in range(i, n + 1)), Fraction(0)
-            )
-    rhs = shift_argument(Polynomial.make(Basis.MONOMIAL, y_coeffs), ctx.r)
-    return VerificationReport(
-        identity,
-        _point(ctx, n=n),
-        _poly_equal(lhs, rhs),
-        _vec(lhs.coefficients),
-        _vec(rhs.coefficients),
-    )
+    row0 = _row(ctx._r0, n)
+    if form == "corrected":
+        return _shifted(IdentityId.T2_9_corrected, ctx, n, _falling(row0))
+    printed = [s2 * sum(stirling1_signed(j, i) for j in range(i, n + 1)) for i, s2 in enumerate(row0)]
+    return _shifted(IdentityId.T2_9_paper_form, ctx, n, Polynomial.make(Basis.MONOMIAL, printed))
 
 
 def verify_reduction_point_one(lam: RationalLike, r: int, n: int) -> VerificationReport:
     """For Y fixed at 1, the triangle row must match the coefficients of the
-    r-shifted degenerate falling factorial in the falling-factorial basis,
-    computed purely in the exact kernel."""
-    lam = Fraction(lam)
-    ctx = StirlingContext(MomentOracle.point(1), lam, r)
-    lhs = [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
-
-    shifted = shift_argument(degenerate_falling_coeffs(n, lam), r)
-    expansion = convert_basis(shifted, Basis.FALLING_FACTORIAL)
-    rhs = list(expansion.coefficients) + [Fraction(0)] * (n + 1 - len(expansion.coefficients))
-    return _exact_report(IdentityId.ReductionY1, _point(ctx, n=n), lhs, rhs, vector=True)
+    r-shifted degenerate falling factorial in the falling-factorial basis."""
+    return _expansion(IdentityId.ReductionY1, lam, r, n, degenerate_falling_coeffs(n, lam))
 
 
 def verify_classical_limit(r: int, n: int) -> VerificationReport:
     """lam = 0, Y = 1: the triangle row must match the falling-factorial
     expansion of the plain shifted power (x+r)^n."""
-    ctx = StirlingContext(MomentOracle.point(1), Fraction(0), r)
-    lhs = [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
-
-    power = Polynomial.make(Basis.MONOMIAL, [0] * n + [1])
-    expansion = convert_basis(shift_argument(power, r), Basis.FALLING_FACTORIAL)
-    rhs = list(expansion.coefficients) + [Fraction(0)] * (n + 1 - len(expansion.coefficients))
-    return _exact_report(IdentityId.ClassicalLambda0, _point(ctx, n=n), lhs, rhs, vector=True)
+    return _expansion(IdentityId.ClassicalLambda0, 0, r, n, Polynomial.make(Basis.MONOMIAL, [0] * n + [1]))
 
 
 # ---- suite -----------------------------------------------------------------

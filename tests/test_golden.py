@@ -1,13 +1,17 @@
 """CLI output compared byte for byte with files captured from an earlier
 version of the program, so any change to what the CLI prints shows here.
 Each case's file is tests/golden/<name>.out, the exact stdout of
-`prstirling ARGV`."""
+`prstirling ARGV`. The polynomial identity reports are pinned the same way,
+both sides of every check included, since the `verify` summary golden file
+holds only counts."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from prstirling.cli import main
+from prstirling.identities import IdentityId, SuiteGrid, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,3 +48,17 @@ CASES = {
 def test_cli_output_matches_golden(capsys, name):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_polynomial_identity_reports_match_golden():
+    grid = SuiteGrid(dists=("uniform{0,1,2}", "poisson(1)"), lambdas=("-1/2", "2"), rs=(0, 2), max_n=4)
+    ids = [
+        IdentityId.T2_4,
+        IdentityId.T2_9_corrected,
+        IdentityId.T2_9_paper_form,
+        IdentityId.ReductionY1,
+        IdentityId.ClassicalLambda0,
+    ]
+    reports, summary = run_suite(grid, ids)
+    text = json.dumps({"summary": summary, "reports": [r.to_dict() for r in reports]}, indent=2)
+    assert text.encode() == (GOLDEN / "verify_reports_polynomial.json").read_bytes()

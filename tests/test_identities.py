@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling import stirling
+from prstirling import identities, stirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
@@ -133,6 +133,31 @@ def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):
         assert not verify_thm_2_6(ctx, 3, F(1, 2)).passed
         assert stirling.stirling_triangle(ctx, 3)[3][1] != prob_r_stirling2(ctx, 3, 1)
         assert verify_thm_2_5(ctx, 0).passed  # no column 1 at n_max 0
+
+
+def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
+    def corrected(ctx, n):
+        return verify_thm_2_9(ctx, n, "corrected")
+
+    for r in (1, 2):
+        for side in ("shifted", "r = 0"):
+            ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
+            target = ctx if side == "shifted" else ctx._r0
+            target._entries[(3, 1)] = prob_r_stirling2(target, 3, 1) + 1
+            for check in (verify_thm_2_4, corrected):
+                assert not check(ctx, 3).passed, (check, r, side)
+                assert check(ctx, 2).passed, (check, r, side)
+
+    entry = identities.prob_r_stirling2
+    monkeypatch.setattr(
+        identities, "prob_r_stirling2", lambda ctx, n, k: entry(ctx, n, k) + ((n, k) == (3, 1))
+    )
+    for r in range(3):
+        for lam in (F(-1, 2), F(1, 3)):
+            assert not verify_reduction_point_one(lam, r, 3).passed
+            assert verify_reduction_point_one(lam, r, 2).passed
+        assert not verify_classical_limit(r, 3).passed
+        assert verify_classical_limit(r, 2).passed
 
 
 def test_thm_2_7_checker():
