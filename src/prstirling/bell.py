@@ -2,11 +2,13 @@
 
 Exact coefficients are row n of the generating-function triangle that
 `stirling_triangle` builds (kept per context, see `stirling`), and
-evaluation is that row as a monomial `kernel.Polynomial`. The convolution
-form over the Theorem 2.1 entries and the truncated Dobinski-style series
-are witnesses that share no code with it above the kernel. The series is the
-only floating-point computation in the package and always reports its own
-convergence diagnostics.
+evaluation is that row as a monomial `kernel.Polynomial` (Horner in ints,
+one Fraction per value). The convolution form over the Theorem 2.1 entries
+and the truncated Dobinski-style series are witnesses that share no code with
+it above the kernel. The series is the only floating-point computation in the
+package and always reports its own convergence diagnostics; each term divides
+an integer moment numerator by its denominator D_n, which rounds once, exactly
+as converting the reduced Fraction would.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def bell_dobinski(
     term = 0.0
     k = 0
     while k < max_terms:
-        term = weight * float(ctx.oracle.degenerate_factorial_moment(k + ctx.r, n, ctx.lam))
+        (moment,), den = ctx.oracle._numerators(ctx.lam, k + ctx.r, k + ctx.r, n)
+        term = weight * (moment / den)  # int / int rounds once, as float(Fraction) does
         y = term - comp
         t = total + y
         comp = (t - total) - y

@@ -2,6 +2,9 @@
 
 The integer-valued helpers (`factorial`, `binomial`, the Stirling numbers)
 return `int`, all else `Fraction`; s1 is signed: (x)_n = sum_k s1(n,k) x^k.
+`convert_basis`, `shift_argument` and monomial evaluation bring the
+coefficients over their lcm once, work in ints and build one Fraction per
+output coefficient or value.
 The Stirling triangles are the only process-global state (oracles own their
 moment tables, contexts their triangle rows and entries): they grow to the
 largest n requested, under one lock and only by full rows, so threads growing
@@ -109,10 +112,14 @@ class Polynomial:
     def __call__(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
         if self.basis is Basis.MONOMIAL:
-            acc = Fraction(0)
-            for c in reversed(self.coefficients):
-                acc = acc * x + c
-            return acc
+            # Horner in ints at x = p/q: sum_i c_i p^i q^(d-i) over den q^d
+            nums, den = _over_lcm(self.coefficients)
+            p, q = x.numerator, x.denominator
+            acc, q_power = 0, 1
+            for c in reversed(nums):
+                acc = acc * p + c * q_power
+                q_power *= q
+            return Fraction(acc * q, den * q_power)
         acc = Fraction(0)
         for k, c in enumerate(self.coefficients):
             acc += c * falling_factorial(x, k, 1)
@@ -160,14 +167,15 @@ def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
     """
     if p.basis is target:
         return p
-    tri = stirling2 if target is Basis.FALLING_FACTORIAL else stirling1_signed
-    out = [Fraction(0)] * len(p.coefficients)
-    for n, c in enumerate(p.coefficients):
-        if c == 0:
-            continue
-        for k in range(n + 1):
-            out[k] += c * tri(n, k)
-    return Polynomial.make(target, out)
+    nums, den = _over_lcm(p.coefficients)
+    tri, rows = (stirling2, _S2_ROWS) if target is Basis.FALLING_FACTORIAL else (stirling1_signed, _S1_ROWS)
+    tri(max(len(nums) - 1, 0), 0)  # grow the triangle to the top row
+    out = [0] * len(nums)
+    for n, c in enumerate(nums):
+        if c:
+            for k, t in enumerate(rows[n]):
+                out[k] += c * t
+    return _from_ints(target, out, den)
 
 
 def shift_argument(p: Polynomial, r: int) -> Polynomial:
@@ -178,13 +186,31 @@ def shift_argument(p: Polynomial, r: int) -> Polynomial:
         raise ValueError(f"shift_argument requires r >= 0, got {r}")
     if r == 0:
         return p
-    out = [Fraction(0)] * len(p.coefficients)
-    for n, c in enumerate(p.coefficients):
-        if c == 0:
-            continue
-        # (x + r)^n = sum_k C(n,k) r^(n-k) x^k
-        power = Fraction(1)
-        for k in range(n, -1, -1):
-            out[k] += c * binomial(n, k) * power
-            power *= r
-    return Polynomial.make(Basis.MONOMIAL, out)
+    nums, den = _over_lcm(p.coefficients)
+    powers = [r**i for i in range(len(nums))]
+    out = [0] * len(nums)
+    for n, c in enumerate(nums):
+        if c:
+            # (x + r)^n = sum_k C(n,k) r^(n-k) x^k
+            for k in range(n + 1):
+                out[k] += c * math.comb(n, k) * powers[n - k]
+    return _from_ints(Basis.MONOMIAL, out, den)
+
+
+# The two helpers below build tuples from lists, not generators: a tuple
+# filled from a generator is over-allocated and resized, which measurably
+# raised peak memory in `verify`.
+
+
+def _over_lcm(coeffs: tuple[RationalLike, ...]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(basis: Basis, nums: list[int], den: int) -> Polynomial:
+    """The canonical polynomial with coefficients nums[k] / den, one reduced
+    Fraction each."""
+    while len(nums) > 1 and nums[-1] == 0:
+        nums.pop()
+    return Polynomial(basis, tuple([Fraction(v, den) for v in nums]) or (Fraction(0),))

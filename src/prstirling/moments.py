@@ -8,9 +8,12 @@ E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
 type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
 one table per lam whose row j is the binomial convolution of row j - 1 with
 the single-copy row; the lam = 0 table holds the raw sum moments E[S_j^m].
-The rows are Python ints over one denominator per order n, shared by every
-row, so growing them runs no gcd; an entry becomes a reduced Fraction when
-it is read.
+The rows are Python ints over one denominator D_n per order n, shared by
+every row, so growing them runs no gcd. The public reads
+(`degenerate_factorial_moment`, `sum_moment`) return one reduced Fraction per
+entry; the private `_numerators` hands out the integer numerators of a run of
+rows at one order over D_n, from which the Theorem 2.1 sum (`stirling`) builds
+one Fraction per entry and the Dobinski series (`bell`) one float per term.
 """
 
 from __future__ import annotations
@@ -210,14 +213,29 @@ class MomentOracle:
         """E[(S_j)_{n,lam}] from the lam table, grown to (j, n) if needed."""
         if j == 0:  # S_0 = 0
             return Fraction(1 if n == 0 else 0)
+        table = self._table(lam, j, n)
+        if j == 1:
+            return table.single[n]
+        return Fraction(table.rows[j][n], table.den[n])
+
+    def _numerators(self, lam: Fraction, first: int, last: int, n: int) -> tuple[list[int], int]:
+        """E[(S_j)_{n,lam}] for j = first..last (0 <= first <= last) as the
+        unreduced integer numerators over D_n, and D_n: one table lookup and
+        one growth check for the whole run, and no gcd. The table grows to
+        row 2 at least, as D_n and row 1's numerators are built with it."""
+        table = self._table(lam, max(last, 2), n)
+        den = table.den[n]
+        # S_0 = 0, so E[(S_0)_{n,lam}] is 1 at n = 0 (where D_0 = 1) and 0 after
+        return [table.rows[j][n] if j else den * (n == 0) for j in range(first, last + 1)], den
+
+    def _table(self, lam: Fraction, j: int, n: int) -> _SumTable:
+        """The lam table, grown to hold E[(S_j)_{n,lam}] (j >= 1)."""
         table = self._tables.get(lam)
         if table is None or not table.holds(j, n):
             with self._lock:
                 table = self._tables.setdefault(lam, _SumTable(lam))
                 table.grow(self, j, n)
-        if j == 1:
-            return table.single[n]
-        return Fraction(table.rows[j][n], table.den[n])
+        return table
 
 
 class _SumTable:

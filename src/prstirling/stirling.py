@@ -10,13 +10,16 @@ moments E[(Y)_{n,lam}]. `stirling_triangle` (the `table` command) makes every
 row from them; `_triangle_row` (`bell`) makes one row and keeps it.
 
 `prob_r_stirling2` / `prob_stirling2` (the explicit alternating sum of
-Theorem 2.1 over degenerate factorial moments of iid sums) and the
-`_via_conv` and `_via_shift` routes are witnesses: `identities` checks them
-against the generating function and against each other, and none of them
-reaches `_columns`. The oracle owns its moment tables; the context owns its
-generating-function rows and Theorem 2.1 entries (r = 0 ones through the r = 0
-sibling it keeps), and each dies with its owner. The only process-global
-state is the kernel triangles, which grow only to the largest n requested.
+Theorem 2.1 over degenerate factorial moments of iid sums, summed in integers
+over the order's moment denominator D_n and made one Fraction) and the
+`_via_conv` and `_via_shift` routes (plain Fraction arithmetic) are
+witnesses: `identities` checks them against the generating function and
+against each other, and none of them reaches `_columns`. The oracle owns its
+moment tables; the context owns its generating-function rows and Theorem 2.1
+entries (an r > 0 context reads r = 0 ones through the r = 0 sibling it
+keeps; an r = 0 context is its own and does not keep itself), and each dies
+with its owner by reference counting. The only process-global state is the
+kernel triangles, which grow only to the largest n requested.
 """
 
 from __future__ import annotations
@@ -45,13 +48,19 @@ class StirlingContext:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.r < 0 or not isinstance(self.r, int):
-            raise ValueError(f"shift parameter r must be a nonnegative integer, got {self.r}")
+        if not isinstance(self.r, int) or self.r < 0:
+            raise ValueError(f"shift parameter r must be a nonnegative integer, got {self.r!r}")
+
+    @property
+    def _r0(self) -> "StirlingContext":
+        """The r = 0 context of (Y, lam) the witnesses read. An r = 0 context
+        is its own and is not stored, so no context refers to itself and each
+        dies by reference counting."""
+        return self if self.r == 0 else self._sibling
 
     @cached_property
-    def _r0(self) -> "StirlingContext":
-        """The r = 0 context of (Y, lam) the witnesses read; r = 0 is its own."""
-        return self if self.r == 0 else StirlingContext(self.oracle, self.lam, 0)
+    def _sibling(self) -> "StirlingContext":
+        return StirlingContext(self.oracle, self.lam, 0)
 
 
 def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> Fraction:
@@ -70,11 +79,9 @@ def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
         return Fraction(0)
     entry = ctx._entries.get((n, k))
     if entry is None:
-        total = Fraction(0)
-        for j in range(k + 1):
-            sign = -1 if (k - j) % 2 else 1
-            total += sign * binomial(k, j) * ctx.oracle.degenerate_factorial_moment(j + ctx.r, n, ctx.lam)
-        entry = ctx._entries.setdefault((n, k), total / factorial(k))
+        moments, den = ctx.oracle._numerators(ctx.lam, ctx.r, ctx.r + k, n)
+        total = sum((-1) ** (k - j) * math.comb(k, j) * v for j, v in enumerate(moments))
+        entry = ctx._entries.setdefault((n, k), Fraction(total, den * factorial(k)))
     return entry
 
 

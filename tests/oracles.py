@@ -74,3 +74,40 @@ def binomial_powers(single, j):
             for k in range(len(single))
         ])
     return rows
+
+
+def falling_to_monomial(coeffs):
+    """Monomial coefficients of sum_k coeffs[k] (x)_k, each (x)_k expanded
+    as the product (x - 0)(x - 1)...(x - (k-1))."""
+    out = [Fraction(0)] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        for i, e in enumerate(expand_product(range(k))):
+            out[i] += c * e
+    return out
+
+
+def monomial_to_falling(coeffs):
+    """Falling-factorial coefficients of sum_k coeffs[k] x^k, by peeling off
+    the top degree: (x)_d is monic of degree d."""
+    rest = [Fraction(c) for c in coeffs]
+    out = [Fraction(0)] * len(rest)
+    for d in range(len(rest) - 1, -1, -1):
+        out[d] = rest[d]
+        for i, e in enumerate(expand_product(range(d))):
+            rest[i] -= out[d] * e
+    return out
+
+
+def shift_reference(coeffs, r):
+    """Monomial coefficients of sum_n coeffs[n] (x + r)^n, each power
+    expanded as a product of n factors (x + r)."""
+    out = [Fraction(0)] * len(coeffs)
+    for n, c in enumerate(coeffs):
+        for i, e in enumerate(expand_product([-r] * n)):
+            out[i] += c * e
+    return out
+
+
+def evaluate(coeffs, x):
+    """sum_i coeffs[i] x^i, term by term."""
+    return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(coeffs)), Fraction(0))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling.bell import DobinskiResult, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling.moments import MomentOracle
 from prstirling.stirling import StirlingContext, prob_r_stirling2
 
@@ -145,3 +145,54 @@ def test_dobinski_env_cap(monkeypatch):
     result = bell_dobinski(ctx, 4, 3.0, 1e-9)
     assert not result.converged
     assert result.terms_used == 4
+
+
+def reference_dobinski(ctx, n, x, tolerance, max_terms=10000):
+    """The series loop of `bell_dobinski`, each term read as
+    float(Fraction) from the public moment read."""
+    scale = math.exp(-x)
+    if scale == 0:
+        return DobinskiResult(math.nan, 0, math.nan, tolerance, False)
+    threshold = tolerance * scale / 8.0
+    min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
+    total, comp, weight, streak, term = 0.0, 0.0, 1.0, 0, 0.0
+    for k in range(max_terms):
+        term = weight * float(ctx.oracle.degenerate_factorial_moment(k + ctx.r, n, ctx.lam))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if not math.isfinite(total):
+            return DobinskiResult(math.nan, k + 1, term * scale, tolerance, False)
+        streak = streak + 1 if abs(term) < threshold else 0
+        if k > min_k and streak >= 3:
+            return DobinskiResult(total * scale, k + 1, term * scale, tolerance, True)
+        weight *= x / (k + 1)
+    return DobinskiResult(math.nan, max_terms, term * scale, tolerance, False)
+
+
+DOBINSKI_CASES = [
+    (MomentOracle.bernoulli(F(1, 2)), F(1, 3), 1, 4, 2.0, None),
+    (MomentOracle.poisson(1), F(-1, 2), 0, 6, 4.0, None),
+    (MomentOracle.geometric(F(2, 5)), F(-3, 2), 3, 8, 1.5, None),
+    (MomentOracle.uniform_continuous(F(1, 2), 3), F(-3, 2), 2, 12, 3.0, None),
+    (MomentOracle.uniform_discrete([0, 1, 4, 6]), F(2), 1, 20, 5.0, None),
+    (MomentOracle.point(1), F(0), 0, 2, 700.0, None),  # the partial sum leaves float range
+    (MomentOracle.point(1), F(0), 0, 4, 3.0, 5),  # stopped by the term cap
+]
+
+
+@pytest.mark.parametrize("oracle, lam, r, n, x, cap", DOBINSKI_CASES)
+def test_dobinski_terms_match_float_of_each_moment(oracle, lam, r, n, x, cap):
+    got = bell_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9, cap)
+    want = reference_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9, cap or 10000)
+    assert repr(got) == repr(want)  # every float bit for bit, NaN included
+
+
+def test_dobinski_term_past_float_range_raises_as_float_of_the_moment():
+    huge = MomentOracle.point(10**400)
+    with pytest.raises(OverflowError) as want:
+        reference_dobinski(StirlingContext(huge, F(0), 0), 1, 1.0, 1e-9)
+    with pytest.raises(OverflowError) as got:
+        bell_dobinski(StirlingContext(huge, F(0), 0), 1, 1.0, 1e-9)
+    assert str(got.value) == str(want.value)

@@ -1,9 +1,9 @@
 """CLI output compared byte for byte with files captured from an earlier
 version of the program, so any change to what the CLI prints shows here.
 Each case's file is tests/golden/<name>.out, the exact stdout of
-`prstirling ARGV`. The polynomial identity reports are pinned the same way,
-both sides of every check included, since the `verify` summary golden file
-holds only counts."""
+`prstirling ARGV`. The `verify` reports of every identity are pinned the same
+way on one small grid, both sides of every check included, since the `verify`
+summary golden file holds only counts."""
 
 import json
 from pathlib import Path
@@ -50,8 +50,15 @@ def test_cli_output_matches_golden(capsys, name):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+SMALL_GRID = SuiteGrid(dists=("uniform{0,1,2}", "poisson(1)"), lambdas=("-1/2", "2"), rs=(0, 2), max_n=4)
+
+
+def _reports_json(ids):
+    reports, summary = run_suite(SMALL_GRID, ids)
+    return json.dumps({"summary": summary, "reports": [r.to_dict() for r in reports]}, indent=2).encode()
+
+
 def test_polynomial_identity_reports_match_golden():
-    grid = SuiteGrid(dists=("uniform{0,1,2}", "poisson(1)"), lambdas=("-1/2", "2"), rs=(0, 2), max_n=4)
     ids = [
         IdentityId.T2_4,
         IdentityId.T2_9_corrected,
@@ -59,6 +66,18 @@ def test_polynomial_identity_reports_match_golden():
         IdentityId.ReductionY1,
         IdentityId.ClassicalLambda0,
     ]
-    reports, summary = run_suite(grid, ids)
-    text = json.dumps({"summary": summary, "reports": [r.to_dict() for r in reports]}, indent=2)
-    assert text.encode() == (GOLDEN / "verify_reports_polynomial.json").read_bytes()
+    assert _reports_json(ids) == (GOLDEN / "verify_reports_polynomial.json").read_bytes()
+
+
+def test_moment_identity_reports_match_golden():
+    """The Theorem 2.1 witnesses, the Bell routes and the Dobinski series
+    (whose lhs is the repr of the float sum, so its bits are pinned too)."""
+    ids = [
+        IdentityId.T2_1_vs_T2_2,
+        IdentityId.T2_1_vs_T2_3,
+        IdentityId.T2_5,
+        IdentityId.T2_6,
+        IdentityId.T2_7,
+        IdentityId.T2_8,
+    ]
+    assert _reports_json(ids) == (GOLDEN / "verify_reports_moment.json").read_bytes()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from prstirling import identities, stirling
-from prstirling.bell import bell_coeffs, bell_dobinski, bell_via_convolution
+from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
     IdentityId,
@@ -115,6 +115,32 @@ def test_witnesses_never_reach_the_generating_function(monkeypatch):
         assert bell_dobinski(ctx, n, 1.5, 1e-9).converged
     with pytest.raises(AssertionError, match="generating-function"):
         bell_coeffs(ctx, 3)
+
+
+def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch):
+    def refuse(self, lam, first, last, n):
+        raise AssertionError("integer moment numerators read")
+
+    monkeypatch.setattr(MomentOracle, "_numerators", refuse)
+    for r in range(3):
+        ctx = StirlingContext(MomentOracle.uniform_discrete([0, 1, 3]), F(2, 5), r)
+        rows = stirling.stirling_triangle(ctx, 6)
+        assert bell_coeffs(ctx, 6).coefficients == tuple(rows[6])
+        assert bell_eval(ctx, 5, F(-1, 2)) == bell_coeffs(ctx, 5)(F(-1, 2))
+    with pytest.raises(AssertionError, match="integer moment numerators"):
+        prob_r_stirling2(ctx, 3, 2)
+
+
+def test_a_perturbed_moment_numerator_fails_thm_2_5():
+    lam = F(1, 3)
+    for r in range(3):
+        oracle = MomentOracle.poisson(F(1, 2))
+        assert verify_thm_2_5(StirlingContext(oracle, lam, r), 3).passed
+        oracle._numerators(lam, 2, 2, 3)  # grow row j = 2 to order 3
+        oracle._tables[lam].rows[2][3] += 1  # E[(S_2)_{3,lam}] off by 1 / D_3
+        ctx = StirlingContext(oracle, lam, r)
+        assert verify_thm_2_5(ctx, 2).passed
+        assert not verify_thm_2_5(ctx, 3).passed, r
 
 
 def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):

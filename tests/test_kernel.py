@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prstirling.kernel import (
@@ -17,7 +17,14 @@ from prstirling.kernel import (
     stirling2,
 )
 
-from oracles import expand_product, partition_count
+from oracles import (
+    evaluate,
+    expand_product,
+    falling_to_monomial,
+    monomial_to_falling,
+    partition_count,
+    shift_reference,
+)
 
 F = Fraction
 
@@ -154,3 +161,55 @@ def test_shift_rejects_falling_basis():
     p = Polynomial.make(Basis.FALLING_FACTORIAL, [0, 1])
     with pytest.raises(ValueError):
         shift_argument(p, 1)
+
+
+# Coefficient lists as callers build them directly (as `BellPolynomial` does),
+# so trailing zeros are kept and the zero polynomial may have several.
+stored_coeffs = st.tuples(
+    st.lists(small_rationals, min_size=1, max_size=9), st.integers(0, 3)
+).map(lambda t: t[0] + [F(0)] * t[1])
+
+ZERO_LISTS = ([F(0)], [F(0), F(0), F(0)])
+
+
+def _all_fractions(p):
+    return all(type(c) is Fraction for c in p.coefficients)
+
+
+@settings(deadline=None, max_examples=150)
+@given(stored_coeffs, st.sampled_from(Basis))
+@example(ZERO_LISTS[0], Basis.MONOMIAL)
+@example(ZERO_LISTS[1], Basis.FALLING_FACTORIAL)
+@example([F(-1, 2), F(3), F(0), F(0)], Basis.MONOMIAL)
+def test_convert_basis_matches_reference(coeffs, source):
+    if source is Basis.MONOMIAL:
+        target, expected = Basis.FALLING_FACTORIAL, monomial_to_falling(coeffs)
+    else:
+        target, expected = Basis.MONOMIAL, falling_to_monomial(coeffs)
+    got = convert_basis(Polynomial(source, tuple(coeffs)), target)
+    assert got == Polynomial.make(target, expected)
+    assert _all_fractions(got)
+
+
+@settings(deadline=None, max_examples=100)
+@given(stored_coeffs, st.integers(1, 5))
+@example(ZERO_LISTS[1], 2)
+@example([F(2, 3), F(0), F(-5, 4), F(0)], 3)
+def test_shift_argument_matches_reference(coeffs, r):
+    p = Polynomial(Basis.MONOMIAL, tuple(coeffs))
+    got = shift_argument(p, r)
+    assert got == Polynomial.make(Basis.MONOMIAL, shift_reference(coeffs, r))
+    assert _all_fractions(got)
+    assert shift_argument(p, 0) is p
+
+
+@settings(deadline=None, max_examples=150)
+@given(stored_coeffs, small_rationals)
+@example(ZERO_LISTS[0], F(-7, 3))
+@example(ZERO_LISTS[1], F(5, 2))
+@example([F(1, 6), F(-2), F(0), F(0)], F(-3, 4))
+@example([F(4, 9), F(1, 2), F(3)], F(0))
+def test_monomial_evaluation_matches_reference(coeffs, x):
+    value = Polynomial(Basis.MONOMIAL, tuple(coeffs))(x)
+    assert type(value) is Fraction
+    assert value == evaluate(coeffs, x)

@@ -241,17 +241,21 @@ def test_entries_live_in_their_context():
 
 
 def test_an_oracle_dies_with_its_contexts():
-    oracle = MomentOracle.uniform_discrete([0, 1, 2])
-    ctx = StirlingContext(oracle, F(1, 3), 2)
-    prob_r_stirling2(ctx, 6, 3)
-    prob_r_stirling2_via_shift(ctx, 6, 3)
-    bell_via_convolution(ctx, 6, F(1, 2))
-    assert verify_thm_2_8(ctx, 6, 1, 2).passed
-    prob_stirling2(oracle, F(1, 3), 6, 3)
-    alive = weakref.ref(oracle)
-    del oracle, ctx
-    gc.collect()
-    assert alive() is None
+    gc.disable()  # by reference counting: no reference cycle may hold it
+    try:
+        for r in (0, 2):
+            oracle = MomentOracle.uniform_discrete([0, 1, 2])
+            ctx = StirlingContext(oracle, F(1, 3), r)
+            prob_r_stirling2(ctx, 6, 3)
+            prob_r_stirling2_via_shift(ctx, 6, 3)
+            bell_via_convolution(ctx, 6, F(1, 2))
+            assert verify_thm_2_8(ctx, 6, 1, 2).passed
+            prob_stirling2(oracle, F(1, 3), 6, 3)
+            alive = weakref.ref(oracle)
+            del oracle, ctx
+            assert alive() is None, r
+    finally:
+        gc.enable()
 
 
 def test_no_module_holds_a_functools_cache():
@@ -264,3 +268,9 @@ def test_no_module_holds_a_functools_cache():
 def test_context_validation():
     with pytest.raises(ValueError):
         StirlingContext(MomentOracle.point(1), F(1, 3), -1)
+
+
+@pytest.mark.parametrize("r", ["1", None, 1.5])
+def test_context_rejects_a_non_integer_r(r):
+    with pytest.raises(ValueError, match="shift parameter r must be a nonnegative integer"):
+        StirlingContext(MomentOracle.point(1), 0, r)
