@@ -3,7 +3,9 @@ version of the program, so any change to what the CLI prints shows here.
 Each case's file is tests/golden/<name>.out, the exact stdout of
 `prstirling ARGV`. The `verify` reports of every identity are pinned the same
 way on one small grid, both sides of every check included, since the `verify`
-summary golden file holds only counts."""
+summary golden file holds only counts. The distribution parser is pinned on
+every family and every kind of syntax and domain error: what each expression
+parses to, or the error it raises with its message and position."""
 
 import json
 from pathlib import Path
@@ -11,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from prstirling.cli import main
+from prstirling.distparse import ParseError, parse_dist
 from prstirling.identities import IdentityId, SuiteGrid, run_suite
+from prstirling.moments import DistributionError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +44,9 @@ CASES = {
         "--x", "41/4", "--dobinski", "--x-float", "10.25",
     ],
     "moments_sum": ["moments", "--dist", "uniform{0,1,2,3,5}", "--sum", "3", "--upto", "6"],
+    # custom moment sequences add the formal_moments key to the context
+    "table_formal_json": ["table", "--dist", "moments[1,1,2,5,14]", "--n-max", "3", "--r", "1", "--lambda=-1/2"],
+    "moments_formal_sum": ["moments", "--dist", "moments[1,1,2,5]", "--sum", "2", "--upto", "3"],
     "verify_summary": ["verify", "--suite", "all", "--max-n", "3"],
 }
 
@@ -81,3 +88,44 @@ def test_moment_identity_reports_match_golden():
         IdentityId.T2_8,
     ]
     assert _reports_json(ids) == (GOLDEN / "verify_reports_moment.json").read_bytes()
+
+
+PARSE_CASES = (
+    # every family, canonical and with whitespace, signs and unreduced rationals
+    "point(1)", "point(-3/2)", "point(2/4)", "  point ( 0 )  ", "\tpoisson(\n2)\n",
+    "bernoulli(1/2)", "bernoulli(0)", "binomial(3,1/2)", "binomial( +3 , 1/2 )", "binomial(0,1)",
+    "uniform{0,1,2}", "uniform{ 1/2 , -3 , 4 }", "uniform{5}", "uniform[0,1]", "uniform [ -1/2 , 2 ]",
+    "poisson(1)", "poisson(3/4)", "geometric(1/3)", "geometric(1)",
+    "moments[1,1,2,5,14]", "moments[ 1 ]", "moments[1,-1/2,6/4]",
+    # syntax errors
+    "", "   ", "uniform(0,1)", "bernoulli[1/2]", "uniform", "point", "moments(1)",
+    "foo(1)", "  normal(0,1)", "Point(1)", "(1)", "123",
+    "point(1", "point()", "point(1,2)", "point(1/0)", "point(1/-2)", "point(1/)", "point(--1)",
+    "point(1/2/3)", "point(1) x", "geometric(1/2))",
+    "binomial(1/2,1/2)", "binomial(3)", "uniform{}", "uniform{1,}", "uniform{1,2", "uniform[1]",
+    "uniform[1,2,3]", "moments[]",
+    # domain errors
+    "bernoulli(3/2)", "binomial(-1,1/2)", "binomial(3,2)", "uniform[1,1]", "poisson(-1)", "geometric(0)",
+    "moments[2,1]",
+)
+
+
+def _parse_record(expr):
+    try:
+        oracle = parse_dist(expr)
+    except ParseError as exc:
+        return {"expr": expr, "error": "ParseError", "message": str(exc), "position": exc.position}
+    except DistributionError as exc:
+        return {"expr": expr, "error": "DistributionError", "message": str(exc)}
+    return {
+        "expr": expr,
+        "describe": oracle.describe(),
+        "kind": oracle.kind,
+        "params": [str(v) for v in oracle.params],
+        "formal": oracle.formal,
+    }
+
+
+def test_parser_matches_golden():
+    records = [_parse_record(expr) for expr in PARSE_CASES]
+    assert (json.dumps(records, indent=1) + "\n").encode() == (GOLDEN / "parse_dist.json").read_bytes()
