@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import tempfile
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bell import bell_coeffs, bell_dobinski
@@ -45,8 +44,9 @@ def _record(command: str, context: Optional[dict], payload, diagnostics: Optiona
     return rec
 
 
-def _context_dict(oracle: MomentOracle, lam: Fraction, r: int) -> dict:
-    ctx = {"dist": oracle.describe(), "lambda": str(lam), "r": r}
+def _context_dict(oracle: MomentOracle, fields: dict) -> dict:
+    """The record context: the distribution, then `fields`."""
+    ctx = {"dist": oracle.describe(), **fields}
     if oracle.formal:
         # custom moment sequences are taken at face value; identities hold
         # as formal moment identities
@@ -100,7 +100,7 @@ def cmd_table(args) -> int:
     ctx = StirlingContext(oracle, lam, args.r)
     rows = stirling_triangle(ctx, args.n_max)
     payload = {"rows": [[str(v) for v in row] for row in rows]}
-    _emit(_record("table", _context_dict(oracle, lam, args.r), payload), args.format, args.out)
+    _emit(_record("table", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), payload), args.format, args.out)
     return 0
 
 
@@ -127,7 +127,7 @@ def cmd_bell(args) -> int:
             "converged": result.converged,
         }
     _emit(
-        _record("bell", _context_dict(oracle, lam, args.r), payload, diagnostics),
+        _record("bell", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), payload, diagnostics),
         "json",
         args.out,
     )
@@ -167,9 +167,7 @@ def cmd_moments(args) -> int:
         values = [oracle.sum_moment(args.sum, m) for m in range(args.upto + 1)]
     else:
         values = [oracle.moment(m) for m in range(args.upto + 1)]
-    context = {"dist": oracle.describe()}
-    if oracle.formal:
-        context["formal_moments"] = True
+    context = _context_dict(oracle, {})
     if args.sum is not None:
         context["sum"] = args.sum
     payload = {"rows": [[str(v) for v in values]], "upto": args.upto}

@@ -1,20 +1,20 @@
 """Recursive-descent parser for the distribution expression grammar.
 
-    dist := "point(" rat ")" | "bernoulli(" rat ")" | "binomial(" int "," rat ")"
-          | "uniform{" rat ("," rat)* "}" | "uniform[" rat "," rat "]"
-          | "poisson(" rat ")" | "geometric(" rat ")" | "moments[" rat ("," rat)* "]"
+    dist := name opening arg ("," arg)* closing
     rat  := integer | integer "/" positive-integer
 
-The same rational syntax is used for the CLI's lambda flag. Semantic errors
-(parameters outside their domain) surface as DistributionError from the
-oracle constructors.
+with one production per family of `moments.GRAMMAR`, which fixes each
+family's name, brackets, argument types (int or rat, or a nonempty rat list)
+and constructor. The same rational syntax is used for the CLI's lambda flag.
+Semantic errors (parameters outside their domain) surface as
+DistributionError from the oracle constructors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .moments import MomentOracle
+from .moments import GRAMMAR, Family, MomentOracle
 
 
 class ParseError(ValueError):
@@ -76,63 +76,40 @@ class _Parser:
             raise ParseError("expected a distribution name", start)
         return self.text[start:self.pos]
 
-    def parse_rat_list(self, closing: str) -> list[Fraction]:
-        values = [self.parse_rational()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            values.append(self.parse_rational())
-            self.skip_ws()
-        self.expect(closing)
-        return values
-
     def parse_dist(self) -> MomentOracle:
         name = self.parse_name()
         name_pos = self.pos - len(name)
-        if name == "point":
-            self.expect("(")
-            c = self.parse_rational()
-            self.expect(")")
-            return MomentOracle.point(c)
-        if name == "bernoulli":
-            self.expect("(")
-            p = self.parse_rational()
-            self.expect(")")
-            return MomentOracle.bernoulli(p)
-        if name == "binomial":
-            self.expect("(")
-            n = self.parse_integer()
-            self.expect(",")
-            p = self.parse_rational()
-            self.expect(")")
-            return MomentOracle.binomial_dist(n, p)
-        if name == "uniform":
+        families = [f for f in GRAMMAR.values() if f.name == name]
+        if not families:
+            raise ParseError(f"unknown distribution {name!r}", name_pos)
+        self.skip_ws()
+        for family in families:
+            if self.peek() == family.opening:
+                self.pos += 1
+                return family.make(*self.parse_args(family))
+        if len(families) == 1:
+            raise ParseError(f"expected {families[0].opening!r}", self.pos)
+        openings = " or ".join(repr(f.opening) for f in families)
+        raise ParseError(f"expected {openings} after {name!r}", self.pos)
+
+    def parse_args(self, family: Family) -> list:
+        """The arguments after the opening bracket, through the closing one."""
+        if family.args == (Fraction, ...):
+            values = [self.parse_rational()]
             self.skip_ws()
-            if self.peek() == "{":
+            while self.peek() == ",":
                 self.pos += 1
-                return MomentOracle.uniform_discrete(self.parse_rat_list("}"))
-            if self.peek() == "[":
-                self.pos += 1
-                a = self.parse_rational()
+                values.append(self.parse_rational())
+                self.skip_ws()
+            self.expect(family.closing)
+            return [values]
+        values = []
+        for i, kind in enumerate(family.args):
+            if i:
                 self.expect(",")
-                b = self.parse_rational()
-                self.expect("]")
-                return MomentOracle.uniform_continuous(a, b)
-            raise ParseError("expected '{' or '[' after 'uniform'", self.pos)
-        if name == "poisson":
-            self.expect("(")
-            mu = self.parse_rational()
-            self.expect(")")
-            return MomentOracle.poisson(mu)
-        if name == "geometric":
-            self.expect("(")
-            p = self.parse_rational()
-            self.expect(")")
-            return MomentOracle.geometric(p)
-        if name == "moments":
-            self.expect("[")
-            return MomentOracle.from_moments(self.parse_rat_list("]"))
-        raise ParseError(f"unknown distribution {name!r}", name_pos)
+            values.append(self.parse_integer() if kind is int else self.parse_rational())
+        self.expect(family.closing)
+        return values
 
     def expect_end(self) -> None:
         self.skip_ws()

@@ -160,8 +160,7 @@ def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
     """Bell coefficient vector (the generating-function triangle row) equals
     the Theorem 2.1 row entrywise."""
     lhs = bell_coeffs(ctx, n).coefficients
-    rhs = tuple(prob_r_stirling2(ctx, n, k) for k in range(n + 1))
-    return _exact_report(IdentityId.T2_5, _point(ctx, n=n), lhs, rhs, vector=True)
+    return _exact_report(IdentityId.T2_5, _point(ctx, n=n), lhs, _row(ctx, n), vector=True)
 
 
 def verify_thm_2_6(ctx: StirlingContext, n: int, x: RationalLike) -> VerificationReport:

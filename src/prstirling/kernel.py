@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -101,10 +101,6 @@ class Polynomial:
         if not cs:
             cs = [Fraction(0)]
         return Polynomial(basis, tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def is_zero(self) -> bool:
         return len(self.coefficients) == 1 and self.coefficients[0] == 0
@@ -202,7 +198,7 @@ def shift_argument(p: Polynomial, r: int) -> Polynomial:
 # raised peak memory in `verify`.
 
 
-def _over_lcm(coeffs: tuple[RationalLike, ...]) -> tuple[list[int], int]:
+def _over_lcm(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators of coeffs over the lcm of their denominators, and that lcm."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den

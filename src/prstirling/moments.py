@@ -3,7 +3,10 @@
 A random variable is represented purely by its raw moment sequence. Presets
 keep all moments rational; a custom oracle accepts any raw moment sequence, in
 which case results are formal moment identities (no positive-definiteness
-check). Every downstream formula consumes the degenerate factorial moments
+check). `GRAMMAR` is the distribution grammar, one row per family: the parser
+(`distparse`) walks it and `MomentOracle.describe` prints through it.
+
+Every downstream formula consumes the degenerate factorial moments
 E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
 type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
 one table per lam whose row j is the binomial convolution of row j - 1 with
@@ -22,7 +25,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .kernel import RationalLike, factorial, stirling1_signed, stirling2
 
@@ -41,10 +44,9 @@ class MomentOracle:
     threads sharing one oracle read the same values a single thread would.
     """
 
-    def __init__(self, kind: str, params: tuple[Fraction, ...], *, formal: bool = False):
+    def __init__(self, kind: str, params: tuple[Fraction, ...]):
         self.kind = kind
         self.params = params
-        self.formal = formal
         self._moments: list[Fraction] = [Fraction(1)]
         # _tables[lam] holds E[(S_j)_{n,lam}] for j >= 1; lam = 0 holds E[S_j^n].
         self._tables: dict[Fraction, _SumTable] = {}
@@ -114,7 +116,7 @@ class MomentOracle:
             raise DistributionError("custom moment sequence must be nonempty")
         if ms[0] != 1:
             raise DistributionError(f"moment of order 0 must equal 1, got {ms[0]}")
-        return MomentOracle("moments", ms, formal=True)
+        return MomentOracle("moments", ms)
 
     # ---- identity -----------------------------------------------------
 
@@ -129,24 +131,15 @@ class MomentOracle:
     def __repr__(self) -> str:
         return f"MomentOracle({self.describe()!r})"
 
+    @property
+    def formal(self) -> bool:
+        """Whether the moments are a custom sequence taken at face value."""
+        return self.kind == "moments"
+
     def describe(self) -> str:
         """Canonical expression in the distribution grammar."""
-        k, ps = self.kind, self.params
-        if k == "point":
-            return f"point({ps[0]})"
-        if k == "bernoulli":
-            return f"bernoulli({ps[0]})"
-        if k == "binomial":
-            return f"binomial({ps[0].numerator},{ps[1]})"
-        if k == "uniform_discrete":
-            return "uniform{" + ",".join(str(v) for v in ps) + "}"
-        if k == "uniform_continuous":
-            return f"uniform[{ps[0]},{ps[1]}]"
-        if k == "poisson":
-            return f"poisson({ps[0]})"
-        if k == "geometric":
-            return f"geometric({ps[0]})"
-        return "moments[" + ",".join(str(v) for v in ps) + "]"
+        family = GRAMMAR[self.kind]
+        return family.name + family.opening + ",".join(map(str, self.params)) + family.closing
 
     # ---- moments ------------------------------------------------------
 
@@ -236,6 +229,32 @@ class MomentOracle:
                 table = self._tables.setdefault(lam, _SumTable(lam))
                 table.grow(self, j, n)
         return table
+
+
+class Family(NamedTuple):
+    """One production of the distribution grammar,
+    `name opening arg "," arg ... closing`. `args` holds the type of each
+    argument, int or Fraction; (Fraction, ...) is a nonempty list of
+    rationals, passed to `make` as one sequence."""
+
+    name: str
+    opening: str
+    closing: str
+    args: tuple
+    make: Callable[..., MomentOracle]
+
+
+# kind -> family; two kinds may share a name if their openings differ
+GRAMMAR: dict[str, Family] = {
+    "point": Family("point", "(", ")", (Fraction,), MomentOracle.point),
+    "bernoulli": Family("bernoulli", "(", ")", (Fraction,), MomentOracle.bernoulli),
+    "binomial": Family("binomial", "(", ")", (int, Fraction), MomentOracle.binomial_dist),
+    "uniform_discrete": Family("uniform", "{", "}", (Fraction, ...), MomentOracle.uniform_discrete),
+    "uniform_continuous": Family("uniform", "[", "]", (Fraction, Fraction), MomentOracle.uniform_continuous),
+    "poisson": Family("poisson", "(", ")", (Fraction,), MomentOracle.poisson),
+    "geometric": Family("geometric", "(", ")", (Fraction,), MomentOracle.geometric),
+    "moments": Family("moments", "[", "]", (Fraction, ...), MomentOracle.from_moments),
+}
 
 
 class _SumTable:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .kernel import RationalLike, binomial, factorial, stirling1_signed
+from .kernel import RationalLike, _over_lcm, binomial, factorial, stirling1_signed
 from .moments import MomentOracle
 
 
@@ -133,10 +133,8 @@ def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction
 def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]]:
     """Columns k = 0..n_max of the triangle from the generating function,
     each as integer numerators of orders 0..n_max over one denominator."""
-    single = [ctx.oracle.degenerate_factorial_moment(1, n, ctx.lam) for n in range(n_max + 1)]
-    den = math.lcm(*(v.denominator for v in single))
+    a, den = _over_lcm([ctx.oracle.degenerate_factorial_moment(1, n, ctx.lam) for n in range(n_max + 1)])
     # weighted[n][q] = C(n, q) a[q], where a[q] / den = E[(Y)_{q,lam}]
-    a = [v.numerator * (den // v.denominator) for v in single]
     weighted = [[math.comb(n, q) * a[q] for q in range(n + 1)] for n in range(n_max + 1)]
 
     def convolve(col: list[int], first: int, low: int) -> list[int]:

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from prstirling.moments import DistributionError, MomentOracle
+from prstirling.moments import GRAMMAR, DistributionError, MomentOracle
 
 from oracles import bell_number, binomial_powers, enumerate_sum_moment, expand_product
 
@@ -177,20 +177,46 @@ def test_oracle_identity():
     assert a != MomentOracle.bernoulli(F(1, 3))
 
 
+# one sample oracle per row of the grammar table
+GRAMMAR_SAMPLES = {
+    "point": MomentOracle.point(F(-3, 2)),
+    "bernoulli": MomentOracle.bernoulli(F(1, 2)),
+    "binomial": MomentOracle.binomial_dist(4, F(2, 7)),
+    "uniform_discrete": MomentOracle.uniform_discrete([0, 1, 2]),
+    "uniform_continuous": MomentOracle.uniform_continuous(F(-1, 2), 2),
+    "poisson": MomentOracle.poisson(F(3, 4)),
+    "geometric": MomentOracle.geometric(F(1, 3)),
+    "moments": MomentOracle.from_moments([1, 1, 2]),
+}
+
+
 def test_describe_round_trips_through_grammar():
     from prstirling.distparse import parse_dist
 
-    for oracle in (
-        MomentOracle.point(F(-3, 2)),
-        MomentOracle.bernoulli(F(1, 2)),
-        MomentOracle.binomial_dist(4, F(2, 7)),
-        MomentOracle.uniform_discrete([0, 1, 2]),
-        MomentOracle.uniform_continuous(F(-1, 2), 2),
-        MomentOracle.poisson(F(3, 4)),
-        MomentOracle.geometric(F(1, 3)),
-        MomentOracle.from_moments([1, 1, 2]),
-    ):
-        assert parse_dist(oracle.describe()) == oracle
+    assert sorted(GRAMMAR_SAMPLES) == sorted(GRAMMAR)
+    for kind, family in GRAMMAR.items():
+        oracle = GRAMMAR_SAMPLES[kind]
+        assert oracle.kind == kind
+        text = oracle.describe()
+        assert text.startswith(family.name + family.opening) and text.endswith(family.closing)
+        assert parse_dist(text) == oracle
+        assert oracle.formal == (kind == "moments")
+
+
+def test_every_public_constructor_has_a_grammar_row():
+    """A new family cannot be added without a row, so the parser and
+    `describe` know it."""
+    constructors = {
+        name for name, member in vars(MomentOracle).items()
+        if isinstance(member, staticmethod) and not name.startswith("_")
+    }
+    assert constructors == {family.make.__name__ for family in GRAMMAR.values()}
+
+
+def test_formal_follows_from_the_kind():
+    assert not MomentOracle.point(1).formal
+    with pytest.raises(TypeError):
+        MomentOracle("point", (F(1),), formal=True)
 
 
 def single_copy_row(oracle, lam, n):
