@@ -2,9 +2,9 @@
 
 The integer-valued helpers (`factorial`, `binomial`, the Stirling numbers)
 return `int`, all else `Fraction`; s1 is signed: (x)_n = sum_k s1(n,k) x^k.
-`convert_basis`, `shift_argument` and monomial evaluation bring the
-coefficients over their lcm once, work in ints and build one Fraction per
-output coefficient or value.
+`convert_basis`, `shift_argument` and evaluation (a falling-basis polynomial
+through `convert_basis`) bring the coefficients over their lcm once, work in
+ints and build one Fraction per output coefficient or value.
 The Stirling triangles are the only process-global state (oracles own their
 moment tables, contexts their triangle rows and entries): they grow to the
 largest n requested, under one lock and only by full rows, so threads growing
@@ -86,8 +86,10 @@ class Polynomial:
     """Dense exact polynomial in a declared basis.
 
     coefficients[k] multiplies x^k (monomial basis) or (x)_k (falling-factorial
-    basis). Canonical form: no trailing zeros except the zero polynomial,
-    which is the single coefficient [0].
+    basis). `make`, `convert_basis` and `shift_argument` return canonical
+    form: no trailing zeros except the zero polynomial, which is the single
+    coefficient [0]. Evaluation accepts any coefficient tuple, trailing zeros
+    included; equality compares the tuples.
     """
 
     basis: Basis
@@ -102,37 +104,18 @@ class Polynomial:
             cs = [Fraction(0)]
         return Polynomial(basis, tuple(cs))
 
-    def is_zero(self) -> bool:
-        return len(self.coefficients) == 1 and self.coefficients[0] == 0
-
     def __call__(self, x: RationalLike) -> Fraction:
+        if self.basis is not Basis.MONOMIAL:
+            return convert_basis(self, Basis.MONOMIAL)(x)
+        # Horner in ints at x = p/q: sum_i c_i p^i q^(d-i) over den q^d
         x = Fraction(x)
-        if self.basis is Basis.MONOMIAL:
-            # Horner in ints at x = p/q: sum_i c_i p^i q^(d-i) over den q^d
-            nums, den = _over_lcm(self.coefficients)
-            p, q = x.numerator, x.denominator
-            acc, q_power = 0, 1
-            for c in reversed(nums):
-                acc = acc * p + c * q_power
-                q_power *= q
-            return Fraction(acc * q, den * q_power)
-        acc = Fraction(0)
-        for k, c in enumerate(self.coefficients):
-            acc += c * falling_factorial(x, k, 1)
-        return acc
-
-
-def falling_factorial(x: RationalLike, n: int, lam: RationalLike = 0) -> Fraction:
-    """(x)_{n,lam} = x (x - lam) ... (x - (n-1) lam); lam=1 is the ordinary
-    falling factorial and lam=0 gives x^n."""
-    if n < 0:
-        raise ValueError(f"falling_factorial requires n >= 0, got {n}")
-    x = Fraction(x)
-    lam = Fraction(lam)
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= x - i * lam
-    return acc
+        nums, den = _over_lcm(self.coefficients)
+        p, q = x.numerator, x.denominator
+        acc, q_power = 0, 1
+        for c in reversed(nums):
+            acc = acc * p + c * q_power
+            q_power *= q
+        return Fraction(acc * q, den * q_power)
 
 
 def degenerate_falling_coeffs(n: int, lam: RationalLike) -> Polynomial:

@@ -9,14 +9,16 @@ check). `GRAMMAR` is the distribution grammar, one row per family: the parser
 Every downstream formula consumes the degenerate factorial moments
 E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
 type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
-one table per lam whose row j is the binomial convolution of row j - 1 with
-the single-copy row; the lam = 0 table holds the raw sum moments E[S_j^m].
-The rows are Python ints over one denominator D_n per order n, shared by
-every row, so growing them runs no gcd. The public reads
-(`degenerate_factorial_moment`, `sum_moment`) return one reduced Fraction per
-entry; the private `_numerators` hands out the integer numerators of a run of
-rows at one order over D_n, from which the Theorem 2.1 sum (`stirling`) builds
-one Fraction per entry and the Dobinski series (`bell`) one float per term.
+one table per lam whose row 0 is the series 1 and whose row j >= 1 is the
+binomial convolution of row j - 1 with the single-copy row; the lam = 0 table
+holds the raw sum moments E[S_j^m]. The rows are Python ints over one
+denominator D_n per order n, shared by every row, so growing them runs no
+gcd; each new order adds the single-copy entry, D_n and the convolution
+weights in one step. The public reads (`degenerate_factorial_moment`,
+`sum_moment`) return one reduced Fraction per entry; the private
+`_numerators` hands out the integer numerators of a run of rows at one order
+over D_n, from which the Theorem 2.1 sum (`stirling`) builds one Fraction per
+entry and the Dobinski series (`bell`) one float per term.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class MomentOracle:
         self.kind = kind
         self.params = params
         self._moments: list[Fraction] = [Fraction(1)]
-        # _tables[lam] holds E[(S_j)_{n,lam}] for j >= 1; lam = 0 holds E[S_j^n].
-        self._tables: dict[Fraction, _SumTable] = {}
+        # _tables[num, den of lam] holds E[(S_j)_{n,lam}]; lam = 0 holds E[S_j^n].
+        self._tables: dict[tuple[int, int], _SumTable] = {}
         self._lock = threading.RLock()
 
     # ---- constructors -------------------------------------------------
@@ -204,29 +206,29 @@ class MomentOracle:
 
     def _entry(self, lam: Fraction, j: int, n: int) -> Fraction:
         """E[(S_j)_{n,lam}] from the lam table, grown to (j, n) if needed."""
-        if j == 0:  # S_0 = 0
+        if j == 0:  # S_0 = 0, which needs no moment of Y
             return Fraction(1 if n == 0 else 0)
         table = self._table(lam, j, n)
-        if j == 1:
+        if j == 1:  # not rows[1], which is built through the weights
             return table.single[n]
         return Fraction(table.rows[j][n], table.den[n])
 
     def _numerators(self, lam: Fraction, first: int, last: int, n: int) -> tuple[list[int], int]:
         """E[(S_j)_{n,lam}] for j = first..last (0 <= first <= last) as the
         unreduced integer numerators over D_n, and D_n: one table lookup and
-        one growth check for the whole run, and no gcd. The table grows to
-        row 2 at least, as D_n and row 1's numerators are built with it."""
-        table = self._table(lam, max(last, 2), n)
-        den = table.den[n]
-        # S_0 = 0, so E[(S_0)_{n,lam}] is 1 at n = 0 (where D_0 = 1) and 0 after
-        return [table.rows[j][n] if j else den * (n == 0) for j in range(first, last + 1)], den
+        one growth check for the whole run, and no gcd."""
+        table = self._table(lam, last, n)
+        return [row[n] for row in table.rows[first : last + 1]], table.den[n]
 
     def _table(self, lam: Fraction, j: int, n: int) -> _SumTable:
-        """The lam table, grown to hold E[(S_j)_{n,lam}] (j >= 1)."""
-        table = self._tables.get(lam)
+        """The lam table, grown to hold E[(S_j)_{n,lam}]."""
+        # keyed by two ints, not the Fraction: the Dobinski series looks a
+        # table up once per term, and Fraction.__hash__ is pure Python
+        key = (lam.numerator, lam.denominator)
+        table = self._tables.get(key)
         if table is None or not table.holds(j, n):
             with self._lock:
-                table = self._tables.setdefault(lam, _SumTable(lam))
+                table = self._tables.setdefault(key, _SumTable(lam))
                 table.grow(self, j, n)
         return table
 
@@ -258,67 +260,55 @@ GRAMMAR: dict[str, Family] = {
 
 
 class _SumTable:
-    """E[(S_j)_{k,lam}] for j >= 1, as integers over one denominator per order.
+    """E[(S_j)_{k,lam}] for j >= 0, as integers over one denominator per order.
 
     single[k] = E[(Y)_{k,lam}] has reduced denominator d_k. The order
     denominators are D_0 = 1 and D_k = lcm(d_k, d_q D_{k-q} for 0 < q < k):
     every order-k entry of every row is a sum of products of single-copy
     entries whose orders add up to k, so rows[j][k] = D_k E[(S_j)_{k,lam}] is
-    an integer for every j. Row 1 is single[k] D_k; row j >= 2 is the
-    binomial convolution of row j - 1 with the single-copy row, through the
-    integer weights C(k,q) num(single[q]) D_k / (d_q D_{k-q}). D_k, rows[1]
-    and the weights are built to order k only when a row j >= 2 first needs
-    it, so reading row 1 costs no more than the single-copy row. rows[0]
-    stays empty: row 0 is never stored, as it needs no moment of Y.
+    an integer for every j. Row 0 is the series 1 (S_0 = 0), and row j >= 1 is
+    the binomial convolution of row j - 1 with the single-copy row, through
+    the integer weights C(k,q) num(single[q]) D_k / (d_q D_{k-q}); so row 1 is
+    single[k] D_k.
 
-    Growth runs under the owning oracle's lock and only appends, D_k before
-    any order-k entry, so a reader that sees an entry without the lock also
-    sees its denominator.
+    Growth runs under the owning oracle's lock and only appends: single[k],
+    D_k and the order-k weights come before any order-k entry of a row, so a
+    reader that sees an entry without the lock also sees its denominator.
     """
 
     def __init__(self, lam: Fraction):
         self.lam = lam
         self.single: list[Fraction] = [Fraction(1)]  # E[(Y)_{0,lam}] = 1
-        self.den: list[int] = []
-        self.rows: list[list[int]] = [[], []]
+        self.den: list[int] = [1]
+        self.rows: list[list[int]] = [[1]]
         # weights[k][i] is the weight of rows[j - 1][i] in rows[j][k]
-        self.weights: list[list[int]] = []
+        self.weights: list[list[int]] = [[1]]
 
     def holds(self, j: int, n: int) -> bool:
-        """Whether E[(S_j)_{n,lam}] (j >= 1) is in the table."""
-        if j == 1:
-            return n < len(self.single)
+        """Whether E[(S_j)_{n,lam}] is in the table."""
         return j < len(self.rows) and n < len(self.rows[j])
 
     def grow(self, oracle: MomentOracle, j: int, n: int) -> None:
-        """Hold rows 1..j to at least order n."""
-        lam, single, den, row1 = self.lam, self.single, self.den, self.rows[1]
+        """Hold rows 0..j to at least order n."""
+        lam, single, den, weights, rows = self.lam, self.single, self.den, self.weights, self.rows
         for k in range(len(single), n + 1):
-            single.append(sum(stirling1_signed(k, q) * lam ** (k - q) * oracle.moment(q) for q in range(k + 1)))
-        if j == 1:
-            return
-        for k in range(len(row1), n + 1):
-            f = single[k]
+            f = sum(stirling1_signed(k, q) * lam ** (k - q) * oracle.moment(q) for q in range(k + 1))
             d = math.lcm(f.denominator, *(single[q].denominator * den[k - q] for q in range(1, k)))
+            single.append(f)
             den.append(d)
-            row1.append(f.numerator * (d // f.denominator))
-        while len(self.rows) <= j:
-            self.rows.append([])
+            weights.append([
+                math.comb(k, q) * single[q].numerator * (d // (single[q].denominator * den[k - q]))
+                for q in range(k, -1, -1)
+            ])
+            rows[0].append(0)
+        while len(rows) <= j:
+            rows.append([])
         # row lengths never increase with j, so the rows short of order n
         # are rows[first..j]
-        first = max(j, 2)
-        while first > 2 and len(self.rows[first - 1]) <= n:
+        first = j + 1
+        while first > 1 and len(rows[first - 1]) <= n:
             first -= 1
         for i in range(first, j + 1):
-            prev, row = self.rows[i - 1], self.rows[i]
+            prev, row = rows[i - 1], rows[i]
             for k in range(len(row), n + 1):
-                row.append(sum(map(operator.mul, self._weights(k), prev)))
-
-    def _weights(self, k: int) -> list[int]:
-        weights, single, den = self.weights, self.single, self.den
-        for m in range(len(weights), k + 1):
-            weights.append([
-                math.comb(m, q) * single[q].numerator * (den[m] // (single[q].denominator * den[m - q]))
-                for q in range(m, -1, -1)
-            ])
-        return weights[k]
+                row.append(sum(map(operator.mul, weights[k], prev)))

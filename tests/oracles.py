@@ -76,6 +76,14 @@ def binomial_powers(single, j):
     return rows
 
 
+def falling_factorial(x, n):
+    """(x)_n = x (x - 1) ... (x - (n-1)), multiplied out factor by factor."""
+    acc = Fraction(1)
+    for i in range(n):
+        acc *= Fraction(x) - i
+    return acc
+
+
 def falling_to_monomial(coeffs):
     """Monomial coefficients of sum_k coeffs[k] (x)_k, each (x)_k expanded
     as the product (x - 0)(x - 1)...(x - (k-1))."""

@@ -13,7 +13,13 @@ from prstirling import kernel
 from prstirling.bell import bell_coeffs, bell_dobinski
 from prstirling.distparse import parse_dist
 from prstirling.kernel import stirling1_signed, stirling2
-from prstirling.stirling import StirlingContext, prob_r_stirling2, prob_r_stirling2_via_shift, stirling_triangle
+from prstirling.stirling import (
+    StirlingContext,
+    prob_r_stirling2,
+    prob_r_stirling2_via_shift,
+    prob_stirling2,
+    stirling_triangle,
+)
 
 THREADS = 8
 
@@ -55,13 +61,15 @@ def test_threads_sharing_one_cold_oracle_build_the_same_triangle():
 
 
 def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
-    # rows j >= 2 of two tables: lam = 2/7 through the Bell coefficients and
-    # the Dobinski series, then lam = -1/2 read from its deepest entry down;
-    # then every Bell row of the shared context, deepest first
+    # rows j >= 0 of two tables: lam = 2/7 through r = 0 Theorem 2.1 entries
+    # (row 0 first), the Bell coefficients and the Dobinski series, then
+    # lam = -1/2 read from its deepest entry down; then every Bell row of the
+    # shared context, deepest first
     dist, lam, r, other_lam = "uniform{0,1,2,3,5}", Fraction(2, 7), 2, Fraction(-1, 2)
 
     def work(ctx):
         return (
+            [prob_stirling2(ctx.oracle, lam, 12, k) for k in range(13)],
             bell_coeffs(ctx, 12).coefficients,
             bell_dobinski(ctx, 10, 3.0, 1e-9),
             [ctx.oracle.degenerate_factorial_moment(j, n, other_lam) for j in range(20, 0, -1) for n in range(12, -1, -1)],

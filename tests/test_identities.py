@@ -137,10 +137,24 @@ def test_a_perturbed_moment_numerator_fails_thm_2_5():
         oracle = MomentOracle.poisson(F(1, 2))
         assert verify_thm_2_5(StirlingContext(oracle, lam, r), 3).passed
         oracle._numerators(lam, 2, 2, 3)  # grow row j = 2 to order 3
-        oracle._tables[lam].rows[2][3] += 1  # E[(S_2)_{3,lam}] off by 1 / D_3
+        oracle._tables[lam.numerator, lam.denominator].rows[2][3] += 1  # E[(S_2)_{3,lam}] off by 1 / D_3
         ctx = StirlingContext(oracle, lam, r)
         assert verify_thm_2_5(ctx, 2).passed
         assert not verify_thm_2_5(ctx, 3).passed, r
+
+
+def test_the_generating_function_never_reads_the_sum_weights():
+    oracle, lam = MomentOracle.uniform_discrete([0, 1, 3]), F(2, 5)
+    reference = stirling.stirling_triangle(StirlingContext(oracle, lam, 0), 6)
+    # the triangle grew the lam table, weights included, to order 6; the
+    # order-3 weight of row j - 1's order-0 entry (which is 1) feeds every
+    # E[(S_j)_{3,lam}] with j >= 2, and none of them is built yet
+    oracle._tables[lam.numerator, lam.denominator].weights[3][0] += 1
+    for r in range(3):
+        ctx = StirlingContext(oracle, lam, r)
+        assert verify_thm_2_5(ctx, 2).passed, r
+        assert not verify_thm_2_5(ctx, 3).passed, r
+    assert stirling.stirling_triangle(StirlingContext(oracle, lam, 0), 6) == reference
 
 
 def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prstirling.moments import GRAMMAR, DistributionError, MomentOracle
 
@@ -261,3 +264,45 @@ def test_deep_sum_row_matches_plain_fraction_powers():
     expected = binomial_powers(single_copy_row(oracle, lam, n_max), j)[j]
     # deepest entry first: the table grows to (150, 30) in one step
     assert [oracle.degenerate_factorial_moment(j, n, lam) for n in range(n_max, -1, -1)] == expected[::-1]
+
+
+GROWTH_KINDS = {name: make for name, make in every_kind() if name in ("poisson(3/2)", "formal")}
+GROWTH_J, GROWTH_N = 6, 8
+
+
+@lru_cache(maxsize=None)
+def growth_expected(name, lam):
+    return binomial_powers(single_copy_row(GROWTH_KINDS[name](), lam, GROWTH_N), GROWTH_J)
+
+
+orders = st.integers(0, GROWTH_N)
+summands = st.integers(0, GROWTH_J)
+table_reads = st.one_of(
+    st.tuples(st.just("numerators"), summands, summands, orders),
+    st.tuples(st.just("factorial moment"), summands, orders),
+    st.tuples(st.just("sum moment"), summands, orders),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(sorted(GROWTH_KINDS)),
+    st.sampled_from([F(-1, 2), F(0), F(1, 3)]),
+    st.lists(table_reads, min_size=1, max_size=12),
+)
+def test_sum_table_values_do_not_depend_on_growth_order(name, lam, reads):
+    # one cold oracle per example; runs from first = 0 read the stored row 0
+    oracle = GROWTH_KINDS[name]()
+    expected = growth_expected(name, lam)
+    for read in reads:
+        if read[0] == "numerators":
+            first, last = sorted(read[1:3])
+            n = read[3]
+            nums, den = oracle._numerators(lam, first, last, n)
+            assert [F(v, den) for v in nums] == [expected[j][n] for j in range(first, last + 1)], read
+        elif read[0] == "factorial moment":
+            j, n = read[1:]
+            assert oracle.degenerate_factorial_moment(j, n, lam) == expected[j][n], read
+        else:
+            j, n = read[1:]
+            assert oracle.sum_moment(j, n) == growth_expected(name, F(0))[j][n], read
