@@ -25,7 +25,7 @@ from .stirling import (
     prob_stirling2,
     stirling_triangle,
 )
-from .bell import BellPolynomial, DobinskiResult, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from .bell import DobinskiResult, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from .distparse import ParseError, parse_dist, parse_rational
 from .identities import IdentityId, VerificationReport, run_suite
 
@@ -47,7 +47,6 @@ __all__ = [
     "prob_r_stirling2_via_conv",
     "prob_r_stirling2_via_shift",
     "stirling_triangle",
-    "BellPolynomial",
     "DobinskiResult",
     "bell_coeffs",
     "bell_dobinski",

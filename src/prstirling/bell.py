@@ -1,14 +1,14 @@
 """Probabilistic degenerate r-Bell polynomials.
 
-Exact coefficients are row n of the generating-function triangle that
-`stirling_triangle` builds (kept per context, see `stirling`), and
-evaluation is that row as a monomial `kernel.Polynomial` (Horner in ints,
-one Fraction per value). The convolution form over the Theorem 2.1 entries
-and the truncated Dobinski-style series are witnesses that share no code with
-it above the kernel. The series is the only floating-point computation in the
-package and always reports its own convergence diagnostics; each term divides
-an integer moment numerator by its denominator D_n, which rounds once, exactly
-as converting the reduced Fraction would.
+`bell_coeffs` returns row n of the generating-function triangle that
+`stirling_triangle` builds (kept per context, see `stirling`) as a monomial
+`kernel.Polynomial`, and evaluation calls it (Horner in ints, one Fraction
+per value). The convolution form over the r = 0 Theorem 2.1 rows of the same
+context and the truncated Dobinski-style series are witnesses that share no
+code with it above the kernel. The series is the only floating-point
+computation in the package and always reports its own convergence
+diagnostics; each term divides an integer moment numerator by its denominator
+D_n, which rounds once, exactly as converting the reduced Fraction would.
 """
 
 from __future__ import annotations
@@ -20,33 +20,19 @@ from fractions import Fraction
 from typing import Optional
 
 from .kernel import Basis, Polynomial, RationalLike, binomial
-from .stirling import StirlingContext, _triangle_row, prob_r_stirling2
+from .stirling import StirlingContext, _row, _triangle_row
 
 DEFAULT_MAX_TERMS = 10000
 MAX_TERMS_ENV = "PRSTIRLING_MAX_TERMS"
 
 
-@dataclass(frozen=True)
-class BellPolynomial:
-    """Coefficient vector of the degree-n Bell polynomial for one context.
-
-    coefficients[k] is the (n+r, k+r) Stirling entry; the constant term is the
-    degenerate factorial moment E[(S_r)_{n,lam}].
-    """
-
-    context: StirlingContext
-    n: int
-    coefficients: tuple[Fraction, ...]
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        return Polynomial(Basis.MONOMIAL, self.coefficients)(x)
-
-
-def bell_coeffs(ctx: StirlingContext, n: int) -> BellPolynomial:
-    """Exact coefficient vector (length n + 1)."""
+def bell_coeffs(ctx: StirlingContext, n: int) -> Polynomial:
+    """Exact coefficients (length n + 1) as a monomial polynomial: coefficient
+    k is the (n+r, k+r) Stirling entry, and the constant term is the
+    degenerate factorial moment E[(S_r)_{n,lam}]."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return BellPolynomial(ctx, n, _triangle_row(ctx, n))
+    return Polynomial(Basis.MONOMIAL, _triangle_row(ctx, n))
 
 
 def bell_eval(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
@@ -66,8 +52,7 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
         fm = ctx.oracle.degenerate_factorial_moment(ctx.r, m, ctx.lam)
         if fm == 0:
             continue
-        row = tuple(prob_r_stirling2(ctx._r0, n - m, k) for k in range(n - m + 1))
-        total += binomial(n, m) * fm * Polynomial(Basis.MONOMIAL, row)(x)
+        total += binomial(n, m) * fm * Polynomial(Basis.MONOMIAL, _row(ctx, 0, n - m))(x)
     return total
 
 

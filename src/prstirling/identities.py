@@ -44,6 +44,8 @@ from .distparse import parse_dist, parse_rational
 from .moments import MomentOracle
 from .stirling import (
     StirlingContext,
+    _row,
+    _theorem_2_1,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
@@ -107,11 +109,6 @@ def _exact_report(identity, point, lhs, rhs, vector=False) -> VerificationReport
     return VerificationReport(identity, point, lhs == rhs, str(lhs), str(rhs))
 
 
-def _row(ctx: StirlingContext, n: int) -> list[Fraction]:
-    """Row n of the Theorem 2.1 triangle."""
-    return [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
-
-
 def _falling(row: Sequence[Fraction]) -> Polynomial:
     """sum_k row[k] (x)_k in the monomial basis."""
     return convert_basis(Polynomial.make(Basis.FALLING_FACTORIAL, row), Basis.MONOMIAL)
@@ -119,7 +116,7 @@ def _falling(row: Sequence[Fraction]) -> Polynomial:
 
 def _shifted(identity: IdentityId, ctx: StirlingContext, n: int, y: Polynomial) -> VerificationReport:
     """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), as monomial coefficient vectors."""
-    lhs = _falling(_row(ctx, n))
+    lhs = _falling(_row(ctx, ctx.r, n))
     rhs = shift_argument(y, ctx.r)
     return _exact_report(identity, _point(ctx, n=n), lhs.coefficients, rhs.coefficients, vector=True)
 
@@ -132,7 +129,7 @@ def _expansion(
     ctx = StirlingContext(MomentOracle.point(1), lam, r)
     expansion = convert_basis(shift_argument(power, r), Basis.FALLING_FACTORIAL).coefficients
     rhs = list(expansion) + [Fraction(0)] * (n + 1 - len(expansion))
-    return _exact_report(identity, _point(ctx, n=n), _row(ctx, n), rhs, vector=True)
+    return _exact_report(identity, _point(ctx, n=n), _row(ctx, r, n), rhs, vector=True)
 
 
 # ---- individual checkers ---------------------------------------------------
@@ -153,14 +150,14 @@ def verify_formula_agreement(ctx: StirlingContext, n: int, k: int, which: Identi
 def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
     """sum_k S^(r,Y)(n+r,k+r) (x)_k == sum_k S^Y(n,k) (x+r)_k, as monomial
     coefficient vectors."""
-    return _shifted(IdentityId.T2_4, ctx, n, _falling(_row(ctx._r0, n)))
+    return _shifted(IdentityId.T2_4, ctx, n, _falling(_row(ctx, 0, n)))
 
 
 def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
     """Bell coefficient vector (the generating-function triangle row) equals
     the Theorem 2.1 row entrywise."""
     lhs = bell_coeffs(ctx, n).coefficients
-    return _exact_report(IdentityId.T2_5, _point(ctx, n=n), lhs, _row(ctx, n), vector=True)
+    return _exact_report(IdentityId.T2_5, _point(ctx, n=n), lhs, _row(ctx, ctx.r, n), vector=True)
 
 
 def verify_thm_2_6(ctx: StirlingContext, n: int, x: RationalLike) -> VerificationReport:
@@ -200,7 +197,7 @@ def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> Verification
         rhs += (
             binomial(n, l)
             * prob_r_stirling2_via_shift(ctx, l, m)
-            * prob_r_stirling2(ctx._r0, n - l, k)
+            * _theorem_2_1(ctx, 0, n - l, k)
         )
     return _exact_report(IdentityId.T2_8, _point(ctx, n=n, m=m, k=k), lhs, rhs)
 
@@ -215,7 +212,7 @@ def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> Ver
     """
     if form not in ("corrected", "paper"):
         raise ValueError(f"form must be 'corrected' or 'paper', got {form!r}")
-    row0 = _row(ctx._r0, n)
+    row0 = _row(ctx, 0, n)
     if form == "corrected":
         return _shifted(IdentityId.T2_9_corrected, ctx, n, _falling(row0))
     printed = [s2 * sum(stirling1_signed(j, i) for j in range(i, n + 1)) for i, s2 in enumerate(row0)]

@@ -71,6 +71,8 @@ class MomentOracle:
     @staticmethod
     def binomial_dist(n: int, p: RationalLike) -> "MomentOracle":
         p = Fraction(p)
+        if not isinstance(n, int):
+            raise DistributionError(f"binomial count must be an integer, got {n!r}")
         if n < 0:
             raise DistributionError(f"binomial count must be >= 0, got {n}")
         if not 0 <= p <= 1:

@@ -14,12 +14,14 @@ Theorem 2.1 over degenerate factorial moments of iid sums, summed in integers
 over the order's moment denominator D_n and made one Fraction) and the
 `_via_conv` and `_via_shift` routes (plain Fraction arithmetic) are
 witnesses: `identities` checks them against the generating function and
-against each other, and none of them reaches `_columns`. The oracle owns its
-moment tables; the context owns its generating-function rows and Theorem 2.1
-entries (an r > 0 context reads r = 0 ones through the r = 0 sibling it
-keeps; an r = 0 context is its own and does not keep itself), and each dies
-with its owner by reference counting. The only process-global state is the
-kernel triangles, which grow only to the largest n requested.
+against each other, and none of them reaches `_columns`. Theorem 2.1 at shift
+s gives S^(s,Y)(n+s, k+s) from the same iid-sum table for every s, so one
+context serves both the r-shifted entries and the r = 0 entries S^Y(n, k)
+the witnesses read (`_theorem_2_1`, `_row`). The oracle owns its moment
+tables; the context owns its generating-function rows and Theorem 2.1
+entries, and each dies with its owner by reference counting. The only
+process-global state is the kernel triangles, which grow only to the largest
+n requested.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 from .kernel import RationalLike, _over_lcm, binomial, factorial, stirling1_signed
@@ -43,24 +44,13 @@ class StirlingContext:
     r: int
     # row n of the generating-function triangle, filled by `_triangle_row`
     _rows: dict[int, tuple[Fraction, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
-    # Theorem 2.1 entry (n, k), filled by `prob_r_stirling2`
-    _entries: dict[tuple[int, int], Fraction] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Theorem 2.1 entry (shift, n, k) with shift r or 0, filled by `_theorem_2_1`
+    _entries: dict[tuple[int, int, int], Fraction] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
         if not isinstance(self.r, int) or self.r < 0:
             raise ValueError(f"shift parameter r must be a nonnegative integer, got {self.r!r}")
-
-    @property
-    def _r0(self) -> "StirlingContext":
-        """The r = 0 context of (Y, lam) the witnesses read. An r = 0 context
-        is its own and is not stored, so no context refers to itself and each
-        dies by reference counting."""
-        return self if self.r == 0 else self._sibling
-
-    @cached_property
-    def _sibling(self) -> "StirlingContext":
-        return StirlingContext(self.oracle, self.lam, 0)
 
 
 def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> Fraction:
@@ -69,20 +59,30 @@ def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> F
 
 
 def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
-    """The (n+r, k+r) entry of the probabilistic degenerate r-Stirling triangle.
+    """The (n+r, k+r) entry of the probabilistic degenerate r-Stirling triangle
+    by Theorem 2.1, kept in the context. Zero for k > n."""
+    return _theorem_2_1(ctx, ctx.r, n, k)
 
-    (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+r})_{n,lam}], kept in the context. Zero for k > n.
-    """
+
+def _theorem_2_1(ctx: StirlingContext, shift: int, n: int, k: int) -> Fraction:
+    """S^(shift,Y)(n+shift, k+shift) = (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+shift})_{n,lam}]
+    for shift r or 0, kept in the context. Zero for k > n, without growing the
+    table. Threads sharing a context all return the first entry stored."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    entry = ctx._entries.get((n, k))
+    entry = ctx._entries.get((shift, n, k))
     if entry is None:
-        moments, den = ctx.oracle._numerators(ctx.lam, ctx.r, ctx.r + k, n)
+        moments, den = ctx.oracle._numerators(ctx.lam, shift, shift + k, n)
         total = sum((-1) ** (k - j) * math.comb(k, j) * v for j, v in enumerate(moments))
-        entry = ctx._entries.setdefault((n, k), Fraction(total, den * factorial(k)))
+        entry = ctx._entries.setdefault((shift, n, k), Fraction(total, den * factorial(k)))
     return entry
+
+
+def _row(ctx: StirlingContext, shift: int, n: int) -> tuple[Fraction, ...]:
+    """Row n of the Theorem 2.1 triangle at the given shift, entries k = 0..n."""
+    return tuple([_theorem_2_1(ctx, shift, n, k) for k in range(n + 1)])
 
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
@@ -93,12 +93,10 @@ def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
     lam = ctx.lam
     total = Fraction(0)
     for l in range(k, n + 1):
-        s2y = prob_r_stirling2(ctx._r0, l, k)
+        s2y = _theorem_2_1(ctx, 0, l, k)
         if s2y == 0:
             continue
         cnl = binomial(n, l)
@@ -117,15 +115,13 @@ def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
     total = Fraction(0)
     for m in range(min(n - k, ctx.r) + 1):
         total += (
             binomial(m + k, m)
             * binomial(ctx.r, m)
             * factorial(m)
-            * prob_r_stirling2(ctx._r0, n, m + k)
+            * _theorem_2_1(ctx, 0, n, m + k)
         )
     return total
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prstirling.bell import DobinskiResult, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling.kernel import Basis, Polynomial
 from prstirling.moments import MomentOracle
 from prstirling.stirling import StirlingContext, prob_r_stirling2
 
@@ -25,6 +26,14 @@ def test_coeff_examples():
     assert bell_coeffs(ctx, 1).coefficients == (F(1), F(1))
     ctx13 = StirlingContext(MomentOracle.point(1), F(1, 3), 1)
     assert bell_coeffs(ctx13, 2).coefficients == (F(2, 3), F(8, 3), F(1))
+
+
+def test_coeffs_are_a_monomial_polynomial():
+    ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), 2)
+    poly = bell_coeffs(ctx, 4)
+    assert type(poly) is Polynomial and poly.basis is Basis.MONOMIAL
+    assert len(poly.coefficients) == 5
+    assert poly(F(3, 2)) == bell_eval(ctx, 4, F(3, 2))
 
 
 def test_constant_term_is_factorial_moment():

@@ -83,8 +83,8 @@ def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
 
 
 def test_threads_sharing_one_cold_context_read_the_same_entries():
-    # the Theorem 2.1 entries of the context, and through the shift route
-    # those of its r = 0 sibling, which every thread asks for at once
+    # the Theorem 2.1 entries of the context at shift r, and through the
+    # shift route those at shift 0, which every thread asks for at once
     dist, lam, r, n_max = "poisson(3/2)", Fraction(-1, 3), 2, 10
 
     def work(ctx):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling import identities, stirling
+from prstirling import stirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
@@ -180,17 +180,16 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
         return verify_thm_2_9(ctx, n, "corrected")
 
     for r in (1, 2):
-        for side in ("shifted", "r = 0"):
+        for shift in (r, 0):
             ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
-            target = ctx if side == "shifted" else ctx._r0
-            target._entries[(3, 1)] = prob_r_stirling2(target, 3, 1) + 1
+            ctx._entries[(shift, 3, 1)] = stirling._theorem_2_1(ctx, shift, 3, 1) + 1
             for check in (verify_thm_2_4, corrected):
-                assert not check(ctx, 3).passed, (check, r, side)
-                assert check(ctx, 2).passed, (check, r, side)
+                assert not check(ctx, 3).passed, (check, r, shift)
+                assert check(ctx, 2).passed, (check, r, shift)
 
-    entry = identities.prob_r_stirling2
+    entry = stirling._theorem_2_1
     monkeypatch.setattr(
-        identities, "prob_r_stirling2", lambda ctx, n, k: entry(ctx, n, k) + ((n, k) == (3, 1))
+        stirling, "_theorem_2_1", lambda ctx, shift, n, k: entry(ctx, shift, n, k) + ((n, k) == (3, 1))
     )
     for r in range(3):
         for lam in (F(-1, 2), F(1, 3)):

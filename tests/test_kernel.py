@@ -164,7 +164,7 @@ def test_shift_rejects_falling_basis():
         shift_argument(p, 1)
 
 
-# Coefficient lists as callers build them directly (as `BellPolynomial` does),
+# Coefficient lists as callers build them directly (as `bell_coeffs` does),
 # so trailing zeros are kept and the zero polynomial may have several.
 stored_coeffs = st.tuples(
     st.lists(small_rationals, min_size=1, max_size=9), st.integers(0, 3)

@@ -128,6 +128,14 @@ def test_invalid_parameters():
         MomentOracle.from_moments([2, 1])
 
 
+@pytest.mark.parametrize("count", [F(3, 2), 2.5, F(3), "3"])
+def test_binomial_count_must_be_an_int(count):
+    """A non-integer count once described itself as given but took the
+    moments of another count (binomial(3/2,1/2) had mean 3/2)."""
+    with pytest.raises(DistributionError, match="binomial count must be an integer"):
+        MomentOracle.binomial_dist(count, F(1, 2))
+
+
 def test_sum_moment_base_cases():
     y = MomentOracle.bernoulli(F(1, 2))
     assert y.sum_moment(0, 0) == 1

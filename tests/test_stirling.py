@@ -8,8 +8,17 @@ from fractions import Fraction
 import pytest
 
 import prstirling
-from prstirling.bell import bell_coeffs, bell_eval, bell_via_convolution
-from prstirling.identities import verify_thm_2_8
+from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling.identities import (
+    IdentityId,
+    verify_formula_agreement,
+    verify_thm_2_4,
+    verify_thm_2_5,
+    verify_thm_2_6,
+    verify_thm_2_7,
+    verify_thm_2_8,
+    verify_thm_2_9,
+)
 from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument, stirling2
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
@@ -85,7 +94,7 @@ def test_three_way_agreement_small_grid(name):
         for r in range(3):
             ctx = StirlingContext(y, lam, r)
             for n in range(6):
-                for k in range(n + 1):
+                for k in range(n + 3):  # k > n: all three are zero
                     a = prob_r_stirling2(ctx, n, k)
                     assert prob_r_stirling2_via_conv(ctx, n, k) == a
                     assert prob_r_stirling2_via_shift(ctx, n, k) == a
@@ -228,16 +237,41 @@ def test_triangle_leaves_the_entry_cache_alone():
         stirling_triangle(ctx, 10)
         bell_coeffs(ctx, 10)
         bell_eval(ctx, 8, F(1, 2))
-        assert ctx._entries == {} and ctx._r0._entries == {}
+        assert ctx._entries == {}
 
 
 def test_entries_live_in_their_context():
     ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), 2)
     value = prob_r_stirling2(ctx, 5, 2)
-    assert ctx._entries == {(5, 2): value}
+    assert ctx._entries == {(2, 5, 2): value}
     prob_r_stirling2_via_shift(ctx, 5, 2)
-    assert set(ctx._r0._entries) == {(5, 2), (5, 3), (5, 4)}
-    assert ctx._r0._r0 is ctx._r0
+    assert set(ctx._entries) == {(2, 5, 2), (0, 5, 2), (0, 5, 3), (0, 5, 4)}
+
+
+@pytest.mark.parametrize("r", range(3))
+def test_a_context_holds_no_other_context(r):
+    """Every witness and checker reads the r = 0 entries from the context
+    itself, so no context keeps another one alive."""
+    ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
+    n = 4
+    for k in range(n + 1):
+        verify_formula_agreement(ctx, n, k, IdentityId.T2_1_vs_T2_2)
+        verify_formula_agreement(ctx, n, k, IdentityId.T2_1_vs_T2_3)
+    for check in (verify_thm_2_4, verify_thm_2_5, verify_thm_2_9):
+        check(ctx, n)
+    verify_thm_2_9(ctx, n, "paper")
+    verify_thm_2_6(ctx, n, F(1, 2))
+    verify_thm_2_7(ctx, n, 1.0, 1e-9)
+    verify_thm_2_8(ctx, n, 1, 2)
+    bell_coeffs(ctx, n)
+    bell_via_convolution(ctx, n, F(1, 2))
+    bell_dobinski(ctx, n, 1.0, 1e-9)
+    stirling_triangle(ctx, n)
+    assert ctx._entries and ctx._rows
+    for name, value in vars(ctx).items():
+        assert not isinstance(value, StirlingContext), name
+        if isinstance(value, dict):
+            assert not any(isinstance(v, StirlingContext) for v in value.values()), name
 
 
 def test_an_oracle_dies_with_its_contexts():
