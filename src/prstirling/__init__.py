@@ -3,61 +3,58 @@
 Everything is arbitrary-precision rational arithmetic (`fractions.Fraction`)
 except the truncated Dobinski-style series, which is the single float surface
 and carries its own diagnostics.
+
+Importing the package loads none of its modules: each public name is
+imported from its defining module on first use (PEP 562) and kept here, so
+a caller pays only for the modules it reaches.
 """
 
-from .kernel import (
-    Basis,
-    Polynomial,
-    binomial,
-    convert_basis,
-    degenerate_falling_coeffs,
-    factorial,
-    shift_argument,
-    stirling1_signed,
-    stirling2,
-)
-from .moments import DistributionError, MomentOracle
-from .stirling import (
-    StirlingContext,
-    prob_r_stirling2,
-    prob_r_stirling2_via_conv,
-    prob_r_stirling2_via_shift,
-    prob_stirling2,
-    stirling_triangle,
-)
-from .bell import DobinskiResult, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
-from .distparse import ParseError, parse_dist, parse_rational
-from .identities import IdentityId, VerificationReport, run_suite
+import importlib
 
-__all__ = [
-    "Basis",
-    "Polynomial",
-    "binomial",
-    "convert_basis",
-    "degenerate_falling_coeffs",
-    "factorial",
-    "shift_argument",
-    "stirling1_signed",
-    "stirling2",
-    "DistributionError",
-    "MomentOracle",
-    "StirlingContext",
-    "prob_stirling2",
-    "prob_r_stirling2",
-    "prob_r_stirling2_via_conv",
-    "prob_r_stirling2_via_shift",
-    "stirling_triangle",
-    "DobinskiResult",
-    "bell_coeffs",
-    "bell_dobinski",
-    "bell_eval",
-    "bell_via_convolution",
-    "ParseError",
-    "parse_dist",
-    "parse_rational",
-    "IdentityId",
-    "VerificationReport",
-    "run_suite",
-]
+# public name -> defining module
+_EXPORTS = {
+    "Basis": "kernel",
+    "Polynomial": "kernel",
+    "binomial": "kernel",
+    "convert_basis": "kernel",
+    "degenerate_falling_coeffs": "kernel",
+    "factorial": "kernel",
+    "shift_argument": "kernel",
+    "stirling1_signed": "kernel",
+    "stirling2": "kernel",
+    "DistributionError": "moments",
+    "MomentOracle": "moments",
+    "StirlingContext": "stirling",
+    "prob_stirling2": "stirling",
+    "prob_r_stirling2": "stirling",
+    "prob_r_stirling2_via_conv": "stirling",
+    "prob_r_stirling2_via_shift": "stirling",
+    "stirling_triangle": "stirling",
+    "DobinskiResult": "bell",
+    "bell_coeffs": "bell",
+    "bell_dobinski": "bell",
+    "bell_eval": "bell",
+    "bell_via_convolution": "bell",
+    "ParseError": "distparse",
+    "parse_dist": "distparse",
+    "parse_rational": "distparse",
+    "IdentityId": "identities",
+    "VerificationReport": "identities",
+    "run_suite": "identities",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import Basis, Polynomial, RationalLike, binomial
 from .stirling import StirlingContext, _row, _triangle_row
@@ -56,8 +56,7 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
     return total
 
 
-@dataclass(frozen=True)
-class DobinskiResult:
+class DobinskiResult(NamedTuple):
     """Outcome of the truncated series evaluation."""
 
     value: float
@@ -85,9 +84,13 @@ def bell_dobinski(
     leading window where the degenerate product still has roots (at
     0, lam, ..., (n-1) lam) and terms are spuriously tiny. Accumulation is
     compensated (Kahan); each exact moment is converted to float
-    independently. The series stops unconverged, with a NaN value, as soon as
-    the partial sum leaves float range, and before the first term when
-    e^(-x) underflows to 0.
+    independently. The weights are x^k / k! by running product and the sum is
+    scaled by e^(-x) at the end, except where e^(-x) is not a normal float
+    (x past about 708) or that partial sum leaves float range: there the
+    series runs with e^(-x) folded into each weight in log space,
+    exp(k ln x - lgamma(k+1) - x), and each term compared with tolerance / 8.
+    It stops unconverged, with a NaN value, only if even that partial sum
+    leaves float range.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -104,19 +107,31 @@ def bell_dobinski(
     if max_terms < 1:
         raise ValueError(f"max_terms ({MAX_TERMS_ENV}) must be >= 1, got {max_terms}")
 
-    scale = math.exp(-x)
-    if scale == 0:  # e^(-x) underflows, so no term can reach the threshold
-        return DobinskiResult(math.nan, 0, math.nan, tolerance, False)
+    plain = math.exp(-x) >= sys.float_info.min
+    result = _series(ctx, n, x, tolerance, max_terms, folded=False) if plain else None
+    if result is None:
+        result = _series(ctx, n, x, tolerance, max_terms, folded=True)
+    return result
+
+
+def _series(
+    ctx: StirlingContext, n: int, x: float, tolerance: float, max_terms: int, folded: bool
+) -> Optional[DobinskiResult]:
+    """The partial sums of `bell_dobinski`, with e^(-x) folded into each
+    weight or applied to the sum; None if the unfolded sum leaves float range."""
+    scale = 1.0 if folded else math.exp(-x)
+    log_x = math.log(x) if folded else 0.0
     threshold = tolerance * scale / 8.0
     min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
 
     total = 0.0
     comp = 0.0  # Kahan compensation
-    weight = 1.0  # x^k / k!
+    weight = 1.0  # x^k / k!, or e^(-x) x^k / k! when folded
     small_streak = 0
     term = 0.0
-    k = 0
-    while k < max_terms:
+    for k in range(max_terms):
+        if folded:
+            weight = math.exp(k * log_x - math.lgamma(k + 1) - x)
         (moment,), den = ctx.oracle._numerators(ctx.lam, k + ctx.r, k + ctx.r, n)
         term = weight * (moment / den)  # int / int rounds once, as float(Fraction) does
         y = term - comp
@@ -124,13 +139,12 @@ def bell_dobinski(
         comp = (t - total) - y
         total = t
         if not math.isfinite(total):  # the partial sum left float range
-            return DobinskiResult(math.nan, k + 1, term * scale, tolerance, False)
+            return DobinskiResult(math.nan, k + 1, term * scale, tolerance, False) if folded else None
         if abs(term) < threshold:
             small_streak += 1
         else:
             small_streak = 0
         if k > min_k and small_streak >= 3:
             return DobinskiResult(total * scale, k + 1, term * scale, tolerance, True)
-        k += 1
-        weight *= x / k
+        weight *= x / (k + 1)
     return DobinskiResult(math.nan, max_terms, term * scale, tolerance, False)

@@ -5,6 +5,10 @@ Exact values always serialize as reduced fraction strings ("p" or "p/q");
 the only float fields are the Dobinski approximation and its diagnostics,
 which carry the tolerance they were computed at. Output is byte-for-byte
 deterministic for identical invocations.
+
+`table` and `moments` load only `distparse`, `moments`, `kernel` and
+`stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
+each imported inside its subcommand.
 """
 
 from __future__ import annotations
@@ -20,14 +24,7 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-from .bell import bell_coeffs, bell_dobinski
 from .distparse import ParseError, parse_dist, parse_rational
-from .identities import (
-    OPT_IN_IDENTITIES,
-    IdentityId,
-    default_grid,
-    run_suite,
-)
 from .moments import DistributionError, MomentOracle
 from .stirling import StirlingContext, stirling_triangle
 
@@ -105,6 +102,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_bell(args) -> int:
+    from .bell import bell_coeffs, bell_dobinski
+
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
@@ -135,6 +134,8 @@ def cmd_bell(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .identities import OPT_IN_IDENTITIES, IdentityId, default_grid, run_suite
+
     if args.suite == "all":
         wanted = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
     else:
@@ -163,6 +164,8 @@ def cmd_moments(args) -> int:
     oracle = parse_dist(args.dist)
     if args.upto < 0:
         raise ValueError(f"--upto must be >= 0, got {args.upto}")
+    if args.sum is not None and args.sum < 0:
+        raise ValueError(f"--sum must be >= 0, got {args.sum}")
     if args.sum is not None:
         values = [oracle.sum_moment(args.sum, m) for m in range(args.upto + 1)]
     else:

@@ -24,10 +24,9 @@ contexts their triangle rows and Theorem 2.1 entries, so those die with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from .kernel import (
@@ -72,8 +71,7 @@ class IdentityId(str, Enum):
 OPT_IN_IDENTITIES = frozenset({IdentityId.T2_9_paper_form})
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: IdentityId
     point: tuple[tuple[str, str], ...]
     passed: bool
@@ -234,8 +232,7 @@ def verify_classical_limit(r: int, n: int) -> VerificationReport:
 # ---- suite -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteGrid:
+class SuiteGrid(NamedTuple):
     """Deterministic parameter grid the suite runs over."""
 
     dists: tuple[str, ...] = ("point(1)", "bernoulli(1/2)", "uniform{0,1,2}", "poisson(1)")

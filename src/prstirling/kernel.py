@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -81,8 +80,7 @@ class Basis(Enum):
     FALLING_FACTORIAL = "falling"
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Dense exact polynomial in a declared basis.
 
     coefficients[k] multiplies x^k (monomial basis) or (x)_k (falling-factorial

@@ -27,7 +27,6 @@ n requested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -35,22 +34,35 @@ from .kernel import RationalLike, _over_lcm, binomial, factorial, stirling1_sign
 from .moments import MomentOracle
 
 
-@dataclass(frozen=True)
 class StirlingContext:
-    """The parameter triple (Y, lam, r) every triangle is indexed by."""
+    """The parameter triple (Y, lam, r) every triangle is indexed by.
 
-    oracle: MomentOracle
-    lam: Fraction
-    r: int
-    # row n of the generating-function triangle, filled by `_triangle_row`
-    _rows: dict[int, tuple[Fraction, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
-    # Theorem 2.1 entry (shift, n, k) with shift r or 0, filled by `_theorem_2_1`
-    _entries: dict[tuple[int, int, int], Fraction] = field(default_factory=dict, init=False, compare=False, repr=False)
+    Instances compare and hash by (oracle, lam, r); the generating-function
+    rows and Theorem 2.1 entries are derived data kept for the life of the
+    context.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if not isinstance(self.r, int) or self.r < 0:
-            raise ValueError(f"shift parameter r must be a nonnegative integer, got {self.r!r}")
+    def __init__(self, oracle: MomentOracle, lam: RationalLike, r: int):
+        self.oracle = oracle
+        self.lam = Fraction(lam)
+        if not isinstance(r, int) or r < 0:
+            raise ValueError(f"shift parameter r must be a nonnegative integer, got {r!r}")
+        self.r = r
+        # row n of the generating-function triangle, filled by `_triangle_row`
+        self._rows: dict[int, tuple[Fraction, ...]] = {}
+        # Theorem 2.1 entry (shift, n, k) with shift r or 0, filled by `_theorem_2_1`
+        self._entries: dict[tuple[int, int, int], Fraction] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StirlingContext):
+            return NotImplemented
+        return (self.oracle, self.lam, self.r) == (other.oracle, other.lam, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.oracle, self.lam, self.r))
+
+    def __repr__(self) -> str:
+        return f"StirlingContext(oracle={self.oracle!r}, lam={self.lam!r}, r={self.r!r})"
 
 
 def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> Fraction:

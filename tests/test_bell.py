@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,27 +158,36 @@ def test_dobinski_env_cap(monkeypatch):
 
 
 def reference_dobinski(ctx, n, x, tolerance, max_terms=10000):
-    """The series loop of `bell_dobinski`, each term read as
-    float(Fraction) from the public moment read."""
-    scale = math.exp(-x)
-    if scale == 0:
-        return DobinskiResult(math.nan, 0, math.nan, tolerance, False)
-    threshold = tolerance * scale / 8.0
-    min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
-    total, comp, weight, streak, term = 0.0, 0.0, 1.0, 0, 0.0
-    for k in range(max_terms):
-        term = weight * float(ctx.oracle.degenerate_factorial_moment(k + ctx.r, n, ctx.lam))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if not math.isfinite(total):
-            return DobinskiResult(math.nan, k + 1, term * scale, tolerance, False)
-        streak = streak + 1 if abs(term) < threshold else 0
-        if k > min_k and streak >= 3:
-            return DobinskiResult(total * scale, k + 1, term * scale, tolerance, True)
-        weight *= x / (k + 1)
-    return DobinskiResult(math.nan, max_terms, term * scale, tolerance, False)
+    """The series loops of `bell_dobinski`, each term read as
+    float(Fraction) from the public moment read: weights by running product
+    and the sum scaled by e^(-x), or, where e^(-x) is not a normal float or
+    that sum leaves float range, e^(-x) folded into each weight in log
+    space."""
+    for folded in (False, True):
+        scale = 1.0 if folded else math.exp(-x)
+        if scale < sys.float_info.min:
+            continue
+        threshold = tolerance * scale / 8.0
+        min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
+        total, comp, weight, streak, term = 0.0, 0.0, 1.0, 0, 0.0
+        for k in range(max_terms):
+            if folded:
+                weight = math.exp(k * math.log(x) - math.lgamma(k + 1) - x)
+            term = weight * float(ctx.oracle.degenerate_factorial_moment(k + ctx.r, n, ctx.lam))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if not math.isfinite(total):
+                if folded:
+                    return DobinskiResult(math.nan, k + 1, term * scale, tolerance, False)
+                break
+            streak = streak + 1 if abs(term) < threshold else 0
+            if k > min_k and streak >= 3:
+                return DobinskiResult(total * scale, k + 1, term * scale, tolerance, True)
+            weight *= x / (k + 1)
+        else:
+            return DobinskiResult(math.nan, max_terms, term * scale, tolerance, False)
 
 
 DOBINSKI_CASES = [
@@ -186,8 +196,11 @@ DOBINSKI_CASES = [
     (MomentOracle.geometric(F(2, 5)), F(-3, 2), 3, 8, 1.5, None),
     (MomentOracle.uniform_continuous(F(1, 2), 3), F(-3, 2), 2, 12, 3.0, None),
     (MomentOracle.uniform_discrete([0, 1, 4, 6]), F(2), 1, 20, 5.0, None),
-    (MomentOracle.point(1), F(0), 0, 2, 700.0, None),  # the partial sum leaves float range
+    (MomentOracle.point(1), F(0), 0, 2, 700.0, None),  # the plain partial sum leaves float range
     (MomentOracle.point(1), F(0), 0, 4, 3.0, 5),  # stopped by the term cap
+    (MomentOracle.point(1), F(0), 0, 2, 800.0, None),  # e^(-x) underflows
+    (MomentOracle.point(2), F(1, 2), 1, 3, 800.0, 40),  # the term cap in the folded series
+    (MomentOracle.poisson(F(1, 3)), F(-1, 2), 2, 4, 710.0, None),  # e^(-x) is subnormal
 ]
 
 

@@ -190,6 +190,12 @@ def test_negative_sizes_are_one_error_line(capsys, argv):
     assert one_error_line(*run_cli(capsys, *argv))
 
 
+def test_negative_sum_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "moments", "--dist", "point(1)", "--sum", "-1", "--upto", "0")
+    assert one_error_line(code, out, err)
+    assert err == "error: --sum must be >= 0, got -1\n"
+
+
 def test_out_into_missing_directory_is_one_error_line(capsys, tmp_path):
     target = tmp_path / "missing" / "t.json"
     code, out, err = run_cli(capsys, "table", "--n-max", "2", "--dist", "point(1)", "--out", str(target))
@@ -231,13 +237,15 @@ def test_term_cap_not_an_integer_is_one_error_line(capsys, monkeypatch, cap):
 
 
 @pytest.mark.parametrize("x", ["700", "800"])
-def test_series_past_float_range_is_unconverged(capsys, x):
-    # the partial sum overflows at x = 700, and e^(-x) underflows at x = 800
+def test_series_past_float_range_converges(capsys, x):
+    # the plain partial sum overflows at x = 700, and e^(-x) underflows at
+    # x = 800; Bel_2(x) = x^2 + x for Y = 1, lam = 0, r = 0
     code, out, _ = run_cli(capsys, "bell", "--n", "2", "--dist", "point(1)", "--dobinski", "--x-float", x)
     assert code == 0
     diag = json.loads(out, parse_constant=pytest.fail)["diagnostics"]
-    assert diag["converged"] is False
-    assert diag["approximation"] is None
+    exact = float(x) ** 2 + float(x)
+    assert diag["converged"] is True
+    assert abs(diag["approximation"] - exact) <= diag["tolerance"] * exact
     assert diag["terms_used"] < 10000
 
 
