@@ -30,6 +30,20 @@ CASES = {
     "table_deep_binomial_json": [
         "table", "--n-max", "30", "--r", "2", "--lambda", "1/3", "--dist", "binomial(300,1/3)",
     ],
+    "table_deep_poisson_json": [
+        "table", "--n-max", "55", "--r", "3", "--lambda=-1/2", "--dist", "poisson(5/2)",
+    ],
+    "table_deep_geometric_csv": [
+        "table", "--n-max", "55", "--r", "1", "--lambda", "2", "--dist", "geometric(3/5)", "--format", "csv",
+    ],
+    # raw moments to order 40, one instance of each preset family
+    "moments_deep_point": ["moments", "--dist", "point(-3/2)", "--upto", "40"],
+    "moments_deep_bernoulli": ["moments", "--dist", "bernoulli(2/7)", "--upto", "40"],
+    "moments_deep_binomial": ["moments", "--dist", "binomial(300,1/3)", "--upto", "40"],
+    "moments_deep_uniform_discrete": ["moments", "--dist", "uniform{-5/2,0,1/3,4}", "--upto", "40"],
+    "moments_deep_uniform_continuous": ["moments", "--dist", "uniform[-1/3,5/2]", "--upto", "40"],
+    "moments_deep_poisson": ["moments", "--dist", "poisson(5/2)", "--upto", "40"],
+    "moments_deep_geometric": ["moments", "--dist", "geometric(2/5)", "--upto", "40"],
     "bell_exact_deep": ["bell", "--n", "60", "--r", "3", "--lambda=-3/2", "--dist", "geometric(2/5)", "--x=-1/2"],
     "bell_dobinski": [
         "bell", "--n", "4", "--r", "1", "--lambda", "1/3", "--dist", "bernoulli(1/2)",
