@@ -4,8 +4,9 @@
 `stirling_triangle` builds (kept per context, see `stirling`) as a monomial
 `kernel.Polynomial`, and evaluation calls it (Horner in ints, one Fraction
 per value). The convolution form over the r = 0 Theorem 2.1 rows of the same
-context and the truncated Dobinski-style series are witnesses that share no
-code with it above the kernel. The series is the only floating-point
+context (an integer sum, one Fraction per value) and the truncated
+Dobinski-style series are witnesses that share no code with it above the
+kernel. The series is the only floating-point
 computation in the package and always reports its own convergence
 diagnostics; each term divides an integer moment numerator by its denominator
 D_n, which rounds once, exactly as converting the reduced Fraction would.
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .kernel import Basis, Polynomial, RationalLike, binomial
+from .kernel import Basis, Polynomial, RationalLike, _over_lcm, binomial
 from .stirling import StirlingContext, _row, _triangle_row
 
 DEFAULT_MAX_TERMS = 10000
@@ -44,16 +45,26 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
     """Same value through the binomial convolution with the r = 0 polynomials:
 
     sum_{m=0}^{n} C(n,m) E[(S_r)_{m,lam}] Bel^Y_{n-m}(x)
+
+    summed in integers: with x = p/q, the moments over the lcm F of their
+    denominators and the coefficients of every Bel^Y_{n-m} used over theirs,
+    S, the sum over F S q^n.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    total = Fraction(0)
-    for m in range(n + 1):
-        fm = ctx.oracle.degenerate_factorial_moment(ctx.r, m, ctx.lam)
-        if fm == 0:
-            continue
-        total += binomial(n, m) * fm * Polynomial(Basis.MONOMIAL, _row(ctx, 0, n - m))(x)
-    return total
+    x = Fraction(x)
+    moments, moments_den = _over_lcm(
+        [ctx.oracle.degenerate_factorial_moment(ctx.r, m, ctx.lam) for m in range(n + 1)]
+    )
+    rows = {m: _row(ctx, 0, n - m) for m, v in enumerate(moments) if v}
+    s_den = math.lcm(*[s.denominator for row in rows.values() for s in row])
+    # x^i q^n = p^i q^(n-i)
+    powers = [x.numerator**i * x.denominator ** (n - i) for i in range(n + 1)]
+    total = 0
+    for m, row in rows.items():
+        value = sum(s.numerator * (s_den // s.denominator) * w for s, w in zip(row, powers))
+        total += binomial(n, m) * moments[m] * value
+    return Fraction(total, moments_den * s_den * x.denominator**n)
 
 
 class DobinskiResult(NamedTuple):

@@ -91,7 +91,17 @@ def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
 # ---- subcommands -----------------------------------------------------------
 
 
+def _check_sizes(args, *names: str) -> None:
+    """Reject a negative value of each named integer flag, naming the flag,
+    before any computation; a flag not given (None) passes."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def cmd_table(args) -> int:
+    _check_sizes(args, "n_max", "r")
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
@@ -104,6 +114,13 @@ def cmd_table(args) -> int:
 def cmd_bell(args) -> int:
     from .bell import bell_coeffs, bell_dobinski
 
+    _check_sizes(args, "n", "r")
+    if args.x_float is not None and not (math.isfinite(args.x_float) and args.x_float >= 0):
+        raise ValueError(f"--x-float must be a finite x >= 0, got {args.x_float}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol: tolerance must be finite and > 0, got {args.tol}")
+    if args.dobinski and args.x_float is None:
+        raise ValueError("--dobinski requires --x-float")
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
@@ -114,8 +131,6 @@ def cmd_bell(args) -> int:
         payload["x"] = str(parse_rational(args.x))
         payload["value"] = str(poly(parse_rational(args.x)))
     if args.dobinski:
-        if args.x_float is None:
-            raise ValueError("--dobinski requires --x-float")
         result = bell_dobinski(ctx, args.n, args.x_float, args.tol)
         diagnostics = {
             "x_float": args.x_float,
@@ -136,6 +151,7 @@ def cmd_bell(args) -> int:
 def cmd_verify(args) -> int:
     from .identities import OPT_IN_IDENTITIES, IdentityId, default_grid, run_suite
 
+    _check_sizes(args, "max_n")
     if args.suite == "all":
         wanted = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
     else:
@@ -161,11 +177,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    _check_sizes(args, "upto", "sum")
     oracle = parse_dist(args.dist)
-    if args.upto < 0:
-        raise ValueError(f"--upto must be >= 0, got {args.upto}")
-    if args.sum is not None and args.sum < 0:
-        raise ValueError(f"--sum must be >= 0, got {args.sum}")
     if args.sum is not None:
         values = [oracle.sum_moment(args.sum, m) for m in range(args.upto + 1)]
     else:

@@ -33,6 +33,7 @@ from .kernel import (
     Basis,
     Polynomial,
     RationalLike,
+    _over_lcm,
     binomial,
     convert_basis,
     degenerate_falling_coeffs,
@@ -190,13 +191,12 @@ def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> Verification
     if n < m + k:
         raise ValueError(f"requires n >= m + k, got n={n}, m={m}, k={k}")
     lhs = binomial(m + k, m) * prob_r_stirling2(ctx, n, m + k)
-    rhs = Fraction(0)
-    for l in range(m, n - k + 1):
-        rhs += (
-            binomial(n, l)
-            * prob_r_stirling2_via_shift(ctx, l, m)
-            * _theorem_2_1(ctx, 0, n - l, k)
-        )
+    # sum in integers, each factor's values over the lcm of their denominators
+    ls = range(m, n - k + 1)
+    shifted, shifted_den = _over_lcm([prob_r_stirling2_via_shift(ctx, l, m) for l in ls])
+    s2y, s2y_den = _over_lcm([_theorem_2_1(ctx, 0, n - l, k) for l in ls])
+    total = sum(binomial(n, l) * a * b for l, a, b in zip(ls, shifted, s2y))
+    rhs = Fraction(total, shifted_den * s2y_den)
     return _exact_report(IdentityId.T2_8, _point(ctx, n=n, m=m, k=k), lhs, rhs)
 
 

@@ -4,7 +4,10 @@ A random variable is represented purely by its raw moment sequence. Presets
 keep all moments rational; a custom oracle accepts any raw moment sequence, in
 which case results are formal moment identities (no positive-definiteness
 check). `GRAMMAR` is the distribution grammar, one row per family: the parser
-(`distparse`) walks it and `MomentOracle.describe` prints through it.
+(`distparse`) walks it and `MomentOracle.describe` prints through it. Each
+preset's raw moment of order m is one integer sum over one denominator (b^m
+for a binomial or Poisson parameter a/b, a^m for a geometric one, L^m over the
+common denominator L of a uniform's points), made one Fraction.
 
 Every downstream formula consumes the degenerate factorial moments
 E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
@@ -13,8 +16,9 @@ one table per lam whose row 0 is the series 1 and whose row j >= 1 is the
 binomial convolution of row j - 1 with the single-copy row; the lam = 0 table
 holds the raw sum moments E[S_j^m]. The rows are Python ints over one
 denominator D_n per order n, shared by every row, so growing them runs no
-gcd; each new order adds the single-copy entry, D_n and the convolution
-weights in one step. The public reads (`degenerate_factorial_moment`,
+gcd; each new order adds the single-copy entry (an integer sum over the lcm of
+the moment denominators, one Fraction), D_n and the convolution weights in
+one step. The public reads (`degenerate_factorial_moment`,
 `sum_moment`) return one reduced Fraction per entry; the private
 `_numerators` hands out the integer numerators of a run of rows at one order
 over D_n, from which the Theorem 2.1 sum (`stirling`) builds one Fraction per
@@ -29,7 +33,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .kernel import RationalLike, factorial, stirling1_signed, stirling2
+from .kernel import RationalLike, _over_lcm, factorial, stirling1_signed, stirling2
 
 
 class DistributionError(ValueError):
@@ -158,6 +162,8 @@ class MomentOracle:
         return self._moments[m]
 
     def _compute_moment(self, m: int) -> Fraction:
+        """E[Y^m] for m >= 1 as one integer sum over one denominator, made
+        one Fraction."""
         k, ps = self.kind, self.params
         if k == "point":
             return ps[0] ** m
@@ -165,25 +171,31 @@ class MomentOracle:
             return ps[0]
         if k == "binomial":
             # E[(X)_j] = (n)_j p^j, converted through the second-kind triangle
-            # to raw moments; (n)_j = 0 for j > n.
-            n, p = ps[0].numerator, ps[1]
-            return sum((stirling2(m, j) * math.perm(n, j) * p**j for j in range(min(m, n) + 1)), Fraction(0))
+            # to raw moments; (n)_j = 0 for j > n. With p = a/b the sum is
+            # sum_j S2(m,j) (n)_j a^j b^(m-j) over b^m.
+            n, a, b = ps[0].numerator, ps[1].numerator, ps[1].denominator
+            coeffs = [stirling2(m, j) * math.perm(n, j) for j in range(m + 1)]
+            return Fraction(_homogeneous(coeffs, a, b), b**m)
         if k == "uniform_discrete":
-            return sum((v**m for v in ps), Fraction(0)) / len(ps)
+            # support points v / L over their common denominator L
+            vs, den = _over_lcm(ps)
+            return Fraction(sum([v**m for v in vs]), den**m * len(vs))
         if k == "uniform_continuous":
-            a, b = ps
-            return (b ** (m + 1) - a ** (m + 1)) / ((m + 1) * (b - a))
+            # [A/L, B/L]: (B^(m+1) - A^(m+1)) over (m+1) (B - A) L^m
+            (a, b), den = _over_lcm(ps)
+            return Fraction(b ** (m + 1) - a ** (m + 1), (m + 1) * (b - a) * den**m)
         if k == "poisson":
+            # E[(X)_j] = mu^j; with mu = a/b, sum_j S2(m,j) a^j b^(m-j) over b^m
             mu = ps[0]
-            return sum((stirling2(m, j) * mu**j for j in range(m + 1)), Fraction(0))
+            coeffs = [stirling2(m, j) for j in range(m + 1)]
+            return Fraction(_homogeneous(coeffs, mu.numerator, mu.denominator), mu.denominator**m)
         if k == "geometric":
             # E[(X)_j] = j! (1-p)^(j-1) / p^j for j >= 1, converted through
-            # the second-kind triangle to raw moments.
-            p = ps[0]
-            return sum(
-                (stirling2(m, j) * factorial(j) * (1 - p) ** (j - 1) / p**j for j in range(1, m + 1)),
-                Fraction(0),
-            )
+            # the second-kind triangle to raw moments; with p = a/b the sum
+            # is b sum_{j>=1} S2(m,j) j! (b-a)^(j-1) a^(m-j) over a^m.
+            a, b = ps[0].numerator, ps[0].denominator
+            coeffs = [stirling2(m, j) * factorial(j) for j in range(1, m + 1)]
+            return Fraction(b * _homogeneous(coeffs, b - a, a), a**m)
         # custom sequence
         if m >= len(ps):
             raise DistributionError(
@@ -264,9 +276,11 @@ GRAMMAR: dict[str, Family] = {
 class _SumTable:
     """E[(S_j)_{k,lam}] for j >= 0, as integers over one denominator per order.
 
-    single[k] = E[(Y)_{k,lam}] has reduced denominator d_k. The order
-    denominators are D_0 = 1 and D_k = lcm(d_k, d_q D_{k-q} for 0 < q < k):
-    every order-k entry of every row is a sum of products of single-copy
+    single[k] = E[(Y)_{k,lam}] has reduced denominator d_k. With lam = p/c and
+    M_k the lcm of the denominators of E[Y^0..k], it is the integer sum
+    sum_q s1(k,q) p^(k-q) c^q (M_k E[Y^q]) over c^k M_k, one Fraction per
+    order. The order denominators are D_0 = 1 and
+    D_k = lcm(d_k, d_q D_{k-q} for 0 < q < k): every order-k entry of every row is a sum of products of single-copy
     entries whose orders add up to k, so rows[j][k] = D_k E[(S_j)_{k,lam}] is
     an integer for every j. Row 0 is the series 1 (S_0 = 0), and row j >= 1 is
     the binomial convolution of row j - 1 with the single-copy row, through
@@ -293,8 +307,13 @@ class _SumTable:
     def grow(self, oracle: MomentOracle, j: int, n: int) -> None:
         """Hold rows 0..j to at least order n."""
         lam, single, den, weights, rows = self.lam, self.single, self.den, self.weights, self.rows
+        # lam = p/c: E[(Y)_{k,lam}] = sum_q s1(k,q) p^(k-q) c^q (M_k E[Y^q])
+        # over c^k M_k, M_k the lcm of the moment denominators to order k
+        p, c = lam.numerator, lam.denominator
         for k in range(len(single), n + 1):
-            f = sum(stirling1_signed(k, q) * lam ** (k - q) * oracle.moment(q) for q in range(k + 1))
+            moments, m_den = _over_lcm([oracle.moment(q) for q in range(k + 1)])
+            coeffs = [stirling1_signed(k, q) * v for q, v in enumerate(moments)]
+            f = Fraction(_homogeneous(coeffs, c, p), c**k * m_den)
             d = math.lcm(f.denominator, *(single[q].denominator * den[k - q] for q in range(1, k)))
             single.append(f)
             den.append(d)
@@ -314,3 +333,13 @@ class _SumTable:
             prev, row = rows[i - 1], rows[i]
             for k in range(len(row), n + 1):
                 row.append(sum(map(operator.mul, weights[k], prev)))
+
+
+def _homogeneous(coeffs: list[int], a: int, b: int) -> int:
+    """sum_j coeffs[j] a^j b^(d-j), d = len(coeffs) - 1, by Horner in ints
+    (so 0^0 = 1)."""
+    acc, b_power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return acc

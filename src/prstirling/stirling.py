@@ -12,8 +12,8 @@ row from them; `_triangle_row` (`bell`) makes one row and keeps it.
 `prob_r_stirling2` / `prob_stirling2` (the explicit alternating sum of
 Theorem 2.1 over degenerate factorial moments of iid sums, summed in integers
 over the order's moment denominator D_n and made one Fraction) and the
-`_via_conv` and `_via_shift` routes (plain Fraction arithmetic) are
-witnesses: `identities` checks them against the generating function and
+`_via_conv` and `_via_shift` routes (integer sums over the lcm of their
+inputs' denominators, one Fraction each) are witnesses: `identities` checks them against the generating function and
 against each other, and none of them reaches `_columns`. Theorem 2.1 at shift
 s gives S^(s,Y)(n+s, k+s) from the same iid-sum table for every s, so one
 context serves both the r-shifted entries and the r = 0 entries S^Y(n, k)
@@ -102,40 +102,40 @@ def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     moments of S_r:
 
     sum_{l=k}^{n} sum_{m=0}^{n-l} C(n,l) lam^(n-m-l) s1(n-l,m) S^Y(l,k) E[S_r^m]
+
+    summed in integers: with lam = p/c, S^Y(l,k) over the lcm D of its
+    denominators and E[S_r^m] over theirs, E, the sum over c^(n-k) D E.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    lam = ctx.lam
-    total = Fraction(0)
-    for l in range(k, n + 1):
-        s2y = _theorem_2_1(ctx, 0, l, k)
-        if s2y == 0:
+    if k > n:
+        return Fraction(0)
+    p, c = ctx.lam.numerator, ctx.lam.denominator
+    s2y, s2y_den = _over_lcm([_theorem_2_1(ctx, 0, l, k) for l in range(k, n + 1)])
+    sums, sums_den = _over_lcm([ctx.oracle.sum_moment(ctx.r, m) for m in range(n - k + 1)])
+    total = 0
+    for l, s in enumerate(s2y, k):
+        if s == 0:
             continue
-        cnl = binomial(n, l)
-        for m in range(n - l + 1):
-            s1 = stirling1_signed(n - l, m)
-            if s1 == 0:
-                continue
-            total += cnl * lam ** (n - m - l) * s1 * s2y * ctx.oracle.sum_moment(ctx.r, m)
-    return total
+        # c^(n-k) lam^(n-m-l) = p^(n-m-l) c^(m+l-k)
+        total += binomial(n, l) * s * sum(
+            stirling1_signed(n - l, m) * p ** (n - m - l) * c ** (m + l - k) * sums[m] for m in range(n - l + 1)
+        )
+    return Fraction(total, c ** (n - k) * s2y_den * sums_den)
 
 
 def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """Same value by shifting the column of the r = 0 triangle:
 
     sum_{m=0}^{min(n-k, r)} C(m+k,m) C(r,m) m! S^Y(n, m+k)
+
+    summed in integers over the lcm of the S^Y(n, m+k) denominators.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    total = Fraction(0)
-    for m in range(min(n - k, ctx.r) + 1):
-        total += (
-            binomial(m + k, m)
-            * binomial(ctx.r, m)
-            * factorial(m)
-            * _theorem_2_1(ctx, 0, n, m + k)
-        )
-    return total
+    s2y, den = _over_lcm([_theorem_2_1(ctx, 0, n, m + k) for m in range(min(n - k, ctx.r) + 1)])
+    total = sum(binomial(m + k, m) * binomial(ctx.r, m) * factorial(m) * s for m, s in enumerate(s2y))
+    return Fraction(total, den)
 
 
 def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]]:

@@ -119,3 +119,43 @@ def shift_reference(coeffs, r):
 def evaluate(coeffs, x):
     """sum_i coeffs[i] x^i, term by term."""
     return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+# Raw moment references, each to order `upto`: a pmf sum, a support sum, a
+# recurrence or a closed form, none through the second-kind triangle.
+
+
+def binomial_moments(n, p, upto):
+    """E[Y^m] = sum_y C(n,y) p^y (1-p)^(n-y) y^m, over the pmf."""
+    p = Fraction(p)
+    pmf = [comb(n, y) * p**y * (1 - p) ** (n - y) for y in range(n + 1)]
+    return [sum((w * y**m for y, w in enumerate(pmf)), Fraction(0)) for m in range(upto + 1)]
+
+
+def uniform_discrete_moments(support, upto):
+    """E[Y^m] as the mean of v^m over the support."""
+    return [sum((Fraction(v) ** m for v in support), Fraction(0)) / len(support) for m in range(upto + 1)]
+
+
+def poisson_moments(mu, upto):
+    """E[Y^(m+1)] = mu sum_k C(m,k) E[Y^k]."""
+    out = [Fraction(1)]
+    for m in range(upto):
+        out.append(Fraction(mu) * sum(comb(m, k) * out[k] for k in range(m + 1)))
+    return out
+
+
+def geometric_moments(p, upto):
+    """Y on {1, 2, ...}: Y = 1 with probability p, else 1 + Y', so
+    p E[Y^m] = p + (1-p) sum_{k<m} C(m,k) E[Y^k]."""
+    p = Fraction(p)
+    out = [Fraction(1)]
+    for m in range(1, upto + 1):
+        out.append((p + (1 - p) * sum(comb(m, k) * out[k] for k in range(m))) / p)
+    return out
+
+
+def uniform_continuous_moments(a, b, upto):
+    """E[Y^m] = (b^(m+1) - a^(m+1)) / ((m+1) (b-a))."""
+    a, b = Fraction(a), Fraction(b)
+    return [(b ** (m + 1) - a ** (m + 1)) / ((m + 1) * (b - a)) for m in range(upto + 1)]

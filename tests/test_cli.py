@@ -196,6 +196,27 @@ def test_negative_sum_is_one_error_line(capsys):
     assert err == "error: --sum must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["table", "--n-max", "-1", "--dist", "point(1)"], "--n-max must be >= 0, got -1"),
+        (["table", "--n-max", "2", "--r", "-1", "--dist", "point(1)"], "--r must be >= 0, got -1"),
+        (["bell", "--n", "-1", "--dist", "point(1)"], "--n must be >= 0, got -1"),
+        (["bell", "--n", "2", "--r", "-3", "--dist", "point(1)"], "--r must be >= 0, got -3"),
+        (["verify", "--max-n", "-2"], "--max-n must be >= 0, got -2"),
+        (["bell", "--n", "2", "--dist", "point(1)", "--tol", "-1"],
+         "--tol: tolerance must be finite and > 0, got -1.0"),
+        (["bell", "--n", "2", "--dist", "point(1)", "--x-float", "-1"],
+         "--x-float must be a finite x >= 0, got -1.0"),
+    ],
+    ids=["table-n-max", "table-r", "bell-n", "bell-r", "verify-max-n", "bell-tol", "bell-x-float"],
+)
+def test_flag_domain_error_names_the_flag(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert one_error_line(code, out, err)
+    assert err == f"error: {line}\n"
+
+
 def test_out_into_missing_directory_is_one_error_line(capsys, tmp_path):
     target = tmp_path / "missing" / "t.json"
     code, out, err = run_cli(capsys, "table", "--n-max", "2", "--dist", "point(1)", "--out", str(target))

@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prstirling.kernel import degenerate_falling_coeffs
 from prstirling.moments import GRAMMAR, DistributionError, MomentOracle
 
-from oracles import bell_number, binomial_powers, enumerate_sum_moment, expand_product
+from oracles import (
+    bell_number,
+    binomial_moments,
+    binomial_powers,
+    enumerate_sum_moment,
+    expand_product,
+    geometric_moments,
+    poisson_moments,
+    uniform_continuous_moments,
+    uniform_discrete_moments,
+)
 
 F = Fraction
 
@@ -314,3 +325,108 @@ def test_sum_table_values_do_not_depend_on_growth_order(name, lam, reads):
         else:
             j, n = read[1:]
             assert oracle.sum_moment(j, n) == growth_expected(name, F(0))[j][n], read
+
+
+DEEP = 40
+
+
+def deep_moment_cases():
+    """(id, oracle factory, reference factory) for every preset, the
+    references computed to order DEEP without the second-kind triangle."""
+    cases = [
+        ("point(-3/2)", lambda: MomentOracle.point(F(-3, 2)), lambda: [F(-3, 2) ** m for m in range(DEEP + 1)]),
+        ("bernoulli(2/7)", lambda: MomentOracle.bernoulli(F(2, 7)), lambda: [F(1)] + [F(2, 7)] * DEEP),
+    ]
+    for n in (0, 1, 300):
+        for p in (F(0), F(1, 3), F(1)):
+            cases.append((
+                f"binomial({n},{p})",
+                lambda n=n, p=p: MomentOracle.binomial_dist(n, p),
+                lambda n=n, p=p: binomial_moments(n, p, DEEP),
+            ))
+    for support in ([F(-5, 2), 0, F(1, 3), 4], [7], [-1, 1]):
+        cases.append((
+            "uniform{" + ",".join(map(str, support)) + "}",
+            lambda support=support: MomentOracle.uniform_discrete(support),
+            lambda support=support: uniform_discrete_moments(support, DEEP),
+        ))
+    for a, b in ((F(-1, 3), F(5, 2)), (0, 1), (F(1, 2), 3)):
+        cases.append((
+            f"uniform[{a},{b}]",
+            lambda a=a, b=b: MomentOracle.uniform_continuous(a, b),
+            lambda a=a, b=b: uniform_continuous_moments(a, b, DEEP),
+        ))
+    for mu in (F(5, 2), F(0), F(3)):
+        cases.append((
+            f"poisson({mu})", lambda mu=mu: MomentOracle.poisson(mu), lambda mu=mu: poisson_moments(mu, DEEP)
+        ))
+    for p in (F(2, 5), F(1), F(1, 7)):
+        cases.append((
+            f"geometric({p})", lambda p=p: MomentOracle.geometric(p), lambda p=p: geometric_moments(p, DEEP)
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("name,make,reference", deep_moment_cases(), ids=[c[0] for c in deep_moment_cases()])
+def test_deep_raw_moments_match_references(name, make, reference):
+    oracle = make()
+    assert [oracle.moment(m) for m in range(DEEP + 1)] == reference()
+
+
+PRESETS = [(name, make) for name, make in every_kind() if name != "formal"]
+LAMBDAS = [F(-3, 2), F(-1, 2), F(0), F(1, 3), F(2)]
+
+
+@lru_cache(maxsize=None)
+def falling_coeffs(k, lam):
+    return degenerate_falling_coeffs(k, lam).coefficients
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+@pytest.mark.parametrize("name,make", PRESETS, ids=[name for name, _ in PRESETS])
+def test_single_copy_entry_matches_falling_coefficients(name, make, lam):
+    # lam = 0 puts p = 0 in lam = p/c, where 0**0 = 1 must hold
+    oracle, moments = make(), make()
+    for k in range(DEEP + 1):
+        expected = sum(c * moments.moment(q) for q, c in enumerate(falling_coeffs(k, lam)))
+        assert oracle.degenerate_factorial_moment(1, k, lam) == expected, k
+
+
+def count_fractions(monkeypatch):
+    """A one-item list that counts every Fraction built from here on."""
+    counter = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        counter[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Fraction):  # Python 3.12+: arithmetic results skip __new__
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, numerator, denominator):
+            counter[0] += 1
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return counter
+
+
+def test_fraction_counter_sees_arithmetic(monkeypatch):
+    counter = count_fractions(monkeypatch)
+    total = sum((F(1, k) for k in range(1, 11)), F(0))
+    assert total == F(7381, 2520)
+    assert counter[0] >= 20  # ten built, ten sums
+
+
+@pytest.mark.parametrize("name,make", PRESETS, ids=[name for name, _ in PRESETS])
+def test_growing_a_table_builds_few_fractions(name, make, monkeypatch):
+    """Raw moments, the single-copy entry and the iid-sum rows are integer
+    sums: growing the lam = -3/2 table of a fresh oracle to order 40 builds
+    at most three Fractions per order."""
+    oracle, lam = make(), F(-3, 2)
+    counter = count_fractions(monkeypatch)
+    oracle.degenerate_factorial_moment(1, DEEP, lam)
+    oracle.degenerate_factorial_moment(5, DEEP, lam)
+    assert counter[0] <= 3 * (DEEP + 1)
