@@ -105,15 +105,11 @@ class Polynomial(NamedTuple):
     def __call__(self, x: RationalLike) -> Fraction:
         if self.basis is not Basis.MONOMIAL:
             return convert_basis(self, Basis.MONOMIAL)(x)
-        # Horner in ints at x = p/q: sum_i c_i p^i q^(d-i) over den q^d
+        # at x = p/q: sum_i c_i p^i q^(d-i) over den q^d, d = len - 1
         x = Fraction(x)
         nums, den = _over_lcm(self.coefficients)
-        p, q = x.numerator, x.denominator
-        acc, q_power = 0, 1
-        for c in reversed(nums):
-            acc = acc * p + c * q_power
-            q_power *= q
-        return Fraction(acc * q, den * q_power)
+        q = x.denominator
+        return Fraction(_homogeneous(nums, x.numerator, q) * q, den * q ** len(nums))
 
 
 def degenerate_falling_coeffs(n: int, lam: RationalLike) -> Polynomial:
@@ -183,6 +179,16 @@ def _over_lcm(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators of coeffs over the lcm of their denominators, and that lcm."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
+    """sum_j coeffs[j] a^j b^(d-j), d = len(coeffs) - 1, by Horner in ints
+    (so 0^0 = 1)."""
+    acc, b_power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return acc
 
 
 def _from_ints(basis: Basis, nums: list[int], den: int) -> Polynomial:

@@ -33,7 +33,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .kernel import RationalLike, _over_lcm, factorial, stirling1_signed, stirling2
+from .kernel import RationalLike, _homogeneous, _over_lcm, factorial, stirling1_signed, stirling2
 
 
 class DistributionError(ValueError):
@@ -334,12 +334,3 @@ class _SumTable:
             for k in range(len(row), n + 1):
                 row.append(sum(map(operator.mul, weights[k], prev)))
 
-
-def _homogeneous(coeffs: list[int], a: int, b: int) -> int:
-    """sum_j coeffs[j] a^j b^(d-j), d = len(coeffs) - 1, by Horner in ints
-    (so 0^0 = 1)."""
-    acc, b_power = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * b_power
-        b_power *= b
-    return acc

@@ -13,15 +13,15 @@ row from them; `_triangle_row` (`bell`) makes one row and keeps it.
 Theorem 2.1 over degenerate factorial moments of iid sums, summed in integers
 over the order's moment denominator D_n and made one Fraction) and the
 `_via_conv` and `_via_shift` routes (integer sums over the lcm of their
-inputs' denominators, one Fraction each) are witnesses: `identities` checks them against the generating function and
-against each other, and none of them reaches `_columns`. Theorem 2.1 at shift
-s gives S^(s,Y)(n+s, k+s) from the same iid-sum table for every s, so one
-context serves both the r-shifted entries and the r = 0 entries S^Y(n, k)
-the witnesses read (`_theorem_2_1`, `_row`). The oracle owns its moment
-tables; the context owns its generating-function rows and Theorem 2.1
-entries, and each dies with its owner by reference counting. The only
-process-global state is the kernel triangles, which grow only to the largest
-n requested.
+inputs' denominators, one Fraction each) are witnesses: `identities` checks
+them against the generating function and against each other, and none of
+them reaches `_columns`. Theorem 2.1 at shift s gives S^(s,Y)(n+s, k+s)
+from the same iid-sum table for every s, so one context serves both the
+r-shifted entries and the r = 0 entries S^Y(n, k) the witnesses read
+(`_theorem_2_1`, `_row`). The oracle owns its moment tables; the context
+owns its generating-function rows and Theorem 2.1 entries, and each dies
+with its owner by reference counting. The only process-global state is the
+kernel triangles, which grow only to the largest n requested.
 """
 
 from __future__ import annotations
