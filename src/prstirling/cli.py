@@ -8,15 +8,14 @@ deterministic for identical invocations.
 
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
 `stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
-each imported inside its subcommand.
+each imported inside its subcommand. Each output format imports only its
+own serializer (`json` or `csv`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import re
@@ -75,9 +74,13 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
+        import json
+
         _write_output(json.dumps(record, indent=2, sort_keys=False, allow_nan=False) + "\n", out)
         return
     # CSV: context metadata as comment lines, then ragged value rows.
+    import csv
+
     buf = io.StringIO()
     ctx = record.get("context", {})
     for key, value in ctx.items():

@@ -3,23 +3,22 @@
 Each checker computes both sides of one identity through independent code
 paths (disjoint above the exact kernel), so agreement is evidence rather than
 tautology. The production route of `table` and `bell` (the generating-function
-triangle) enters through `bell_coeffs` and `bell_eval`: T2_5 checks it against
-Theorem 2.1, T2_6 against the binomial-convolution form and T2_7 against the
-Dobinski series. Every other identity checks witnesses against each other.
-Failures are data: reports carry both sides and the full parameter point as
-witnesses.
+triangle) enters through `bell_coeffs`: T2_5 checks it against Theorem 2.1,
+T2_6 against the binomial-convolution form and T2_7 against the Dobinski
+series. Every other identity checks witnesses against each other. Failures
+are data: reports carry both sides and the full parameter point.
 
-Identities of one shape share one checker built on the kernel's basis
-changes. T2_4 and T2_9_corrected are one polynomial identity summed in two
-orders, so both compare the shifted triangle row in the falling basis with
-the r = 0 row's polynomial at x + r (`_shifted`; the paper form of T2_9 gives
-the printed double sum instead). ReductionY1 and ClassicalLambda0 both take
-Y = 1 and compare the row with the falling-basis coefficients of a power
-(degenerate, then ordinary) at x + r (`_expansion`).
+T2_6, T2_7 and T2_8 hold for one row n at many points; `run_suite` runs
+each through a row checker (`_thm_2_6/7/8`) that reads the row's shared
+inputs once, so a point costs only its own work. The public
+`verify_thm_2_6/7/8` are the one-point case.
 
-A suite run leaves behind only the kernel Stirling triangles (process-global,
-grown to the largest n requested): its oracles own their moment tables and its
-contexts their triangle rows and Theorem 2.1 entries, so those die with it.
+Identities of one shape share one checker: T2_4 and T2_9_corrected are one
+polynomial identity summed in two orders (`_shifted`; the paper form of T2_9
+gives the printed double sum instead), and ReductionY1 and ClassicalLambda0
+take Y = 1 and compare the row with the falling-basis coefficients of a
+power at x + r (`_expansion`). A suite run leaves behind only the kernel
+Stirling triangles.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from .bell import _dobinski, _via_convolution, bell_coeffs
 from .kernel import (
     Basis,
     Polynomial,
@@ -161,43 +160,59 @@ def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
 
 def verify_thm_2_6(ctx: StirlingContext, n: int, x: RationalLike) -> VerificationReport:
     """Direct evaluation vs. the binomial-convolution form."""
-    lhs = bell_eval(ctx, n, x)
-    rhs = bell_via_convolution(ctx, n, x)
-    return _exact_report(IdentityId.T2_6, _point(ctx, n=n, x=Fraction(x)), lhs, rhs)
+    return _thm_2_6(ctx, n, [x])[0]
+
+
+def _thm_2_6(ctx: StirlingContext, n: int, xs: Sequence[RationalLike]) -> list[VerificationReport]:
+    """T2_6 at each x of row n, reading the row's inputs once."""
+    poly, head = bell_coeffs(ctx, n), _point(ctx, n=n)
+    xs = [Fraction(x) for x in xs]
+    return [
+        _exact_report(IdentityId.T2_6, head + (("x", str(x)),), poly(x), rhs)
+        for x, rhs in zip(xs, _via_convolution(ctx, n, xs))
+    ]
 
 
 def verify_thm_2_7(ctx: StirlingContext, n: int, x: float, tolerance: float) -> VerificationReport:
     """Truncated series vs. exact evaluation, within relative tolerance."""
-    exact = float(bell_eval(ctx, n, Fraction(x)))
-    result = bell_dobinski(ctx, n, x, tolerance)
-    if not result.converged:
-        passed = False
-    elif exact != 0:
-        passed = abs(result.value - exact) <= tolerance * abs(exact)
-    else:
-        passed = abs(result.value) <= tolerance
-    return VerificationReport(
-        IdentityId.T2_7,
-        _point(ctx, n=n, x=x, terms=result.terms_used),
-        passed,
-        repr(result.value),
-        repr(exact),
-        tolerance=tolerance,
-    )
+    return _thm_2_7(ctx, n, [x], tolerance)[0]
+
+
+def _thm_2_7(ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: float) -> list[VerificationReport]:
+    """T2_7 at each x of row n, reading the row's inputs once."""
+    poly, head = bell_coeffs(ctx, n), _point(ctx, n=n)
+    reports = []
+    for x, result in zip(xs, _dobinski(ctx, n, xs, tolerance)):
+        exact = float(poly(Fraction(x)))
+        passed = result.converged and abs(result.value - exact) <= tolerance * (abs(exact) or 1.0)
+        point = head + (("x", str(x)), ("terms", str(result.terms_used)))
+        reports.append(
+            VerificationReport(IdentityId.T2_7, point, passed, repr(result.value), repr(exact), tolerance=tolerance)
+        )
+    return reports
 
 
 def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> VerificationReport:
     """C(m+k,m) S^(r,Y)(n+r,m+k+r) == sum_{l=m}^{n-k} C(n,l) S^(r,Y)(l+r,m+r) S^Y(n-l,k)."""
     if n < m + k:
         raise ValueError(f"requires n >= m + k, got n={n}, m={m}, k={k}")
-    lhs = binomial(m + k, m) * prob_r_stirling2(ctx, n, m + k)
-    # sum in integers, each factor's values over the lcm of their denominators
-    ls = range(m, n - k + 1)
+    return _thm_2_8(ctx, n, m, [k])[0]
+
+
+def _thm_2_8(ctx: StirlingContext, n: int, m: int, ks: Sequence[int]) -> list[VerificationReport]:
+    """T2_8 at each k of (n, m), n >= m + k, in integers: C(n, l) times the
+    via-shift entries for l = m..n - min(ks), over their lcm, are read once."""
+    ls = range(m, n - min(ks) + 1)
     shifted, shifted_den = _over_lcm([prob_r_stirling2_via_shift(ctx, l, m) for l in ls])
-    s2y, s2y_den = _over_lcm([_theorem_2_1(ctx, 0, n - l, k) for l in ls])
-    total = sum(binomial(n, l) * a * b for l, a, b in zip(ls, shifted, s2y))
-    rhs = Fraction(total, shifted_den * s2y_den)
-    return _exact_report(IdentityId.T2_8, _point(ctx, n=n, m=m, k=k), lhs, rhs)
+    weighted = [binomial(n, l) * a for l, a in zip(ls, shifted)]
+    head = _point(ctx, n=n, m=m)
+    reports = []
+    for k in ks:
+        lhs = binomial(m + k, m) * prob_r_stirling2(ctx, n, m + k)
+        s2y, s2y_den = _over_lcm([_theorem_2_1(ctx, 0, n - l, k) for l in range(m, n - k + 1)])
+        rhs = Fraction(sum([a * b for a, b in zip(weighted, s2y)]), shifted_den * s2y_den)
+        reports.append(_exact_report(IdentityId.T2_8, head + (("k", str(k)),), lhs, rhs))
+    return reports
 
 
 def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> VerificationReport:
@@ -268,40 +283,32 @@ def run_suite(
     contexts = [StirlingContext(o, lam, r) for o in oracles for lam in lambdas for r in grid.rs]
     rows = [(ctx, n) for ctx in contexts for n in ns]
 
-    # identity -> (checker, argument tuples in report order); generators, so
-    # only the selected identities build their points
+    # identity -> its reports in order; generators, so only the selected
+    # identities run, and T2_6, T2_7 and T2_8 check one row per call
     suite = {
-        IdentityId.ClassicalLambda0: (verify_classical_limit, ((r, n) for r in grid.rs for n in ns)),
+        IdentityId.ClassicalLambda0: (verify_classical_limit(r, n) for r in grid.rs for n in ns),
         IdentityId.ReductionY1: (
-            verify_reduction_point_one,
-            ((lam, r, n) for lam in lambdas for r in grid.rs for n in ns),
+            verify_reduction_point_one(lam, r, n) for lam in lambdas for r in grid.rs for n in ns
         ),
         IdentityId.T2_1_vs_T2_2: (
-            verify_formula_agreement,
-            ((c, n, k, IdentityId.T2_1_vs_T2_2) for c, n in rows for k in range(n + 1)),
+            verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_2) for c, n in rows for k in range(n + 1)
         ),
         IdentityId.T2_1_vs_T2_3: (
-            verify_formula_agreement,
-            ((c, n, k, IdentityId.T2_1_vs_T2_3) for c, n in rows for k in range(n + 1)),
+            verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_3) for c, n in rows for k in range(n + 1)
         ),
-        IdentityId.T2_4: (verify_thm_2_4, rows),
-        IdentityId.T2_5: (verify_thm_2_5, rows),
-        IdentityId.T2_6: (verify_thm_2_6, ((c, n, x) for c, n in rows for x in xs)),
-        IdentityId.T2_7: (
-            verify_thm_2_7,
-            ((c, n, x, grid.dobinski_tol) for c, n in rows for x in grid.dobinski_xs),
-        ),
+        IdentityId.T2_4: (verify_thm_2_4(c, n) for c, n in rows),
+        IdentityId.T2_5: (verify_thm_2_5(c, n) for c, n in rows),
+        IdentityId.T2_6: (rep for c, n in rows for rep in _thm_2_6(c, n, xs)),
+        IdentityId.T2_7: (rep for c, n in rows for rep in _thm_2_7(c, n, grid.dobinski_xs, grid.dobinski_tol)),
         IdentityId.T2_8: (
-            verify_thm_2_8,
-            ((c, n, m, k) for c, n in rows for m in range(n + 1) for k in range(n - m + 1)),
+            rep for c, n in rows for m in range(n + 1) for rep in _thm_2_8(c, n, m, range(n - m + 1))
         ),
-        IdentityId.T2_9_corrected: (verify_thm_2_9, ((c, n, "corrected") for c, n in rows)),
-        IdentityId.T2_9_paper_form: (verify_thm_2_9, ((c, n, "paper") for c, n in rows)),
+        IdentityId.T2_9_corrected: (verify_thm_2_9(c, n, "corrected") for c, n in rows),
+        IdentityId.T2_9_paper_form: (verify_thm_2_9(c, n, "paper") for c, n in rows),
     }
     reports: list[VerificationReport] = []
     for identity in wanted:
-        checker, points = suite[identity]
-        reports.extend(checker(*point) for point in points)
+        reports.extend(suite[identity])
 
     summary: dict[str, dict[str, int]] = {}
     for rep in reports:

@@ -5,8 +5,7 @@ return `int`, all else `Fraction`; s1 is signed: (x)_n = sum_k s1(n,k) x^k.
 `convert_basis`, `shift_argument` and evaluation (a falling-basis polynomial
 through `convert_basis`) bring the coefficients over their lcm once, work in
 ints and build one Fraction per output coefficient or value.
-The Stirling triangles are the only process-global state (oracles own their
-moment tables, contexts their triangle rows and entries): they grow to the
+The Stirling triangles are the only process-global state: they grow to the
 largest n requested, under one lock and only by full rows, so threads growing
 them at once read the same rows a single thread would.
 """

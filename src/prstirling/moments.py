@@ -14,11 +14,8 @@ E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
 type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
 one table per lam whose row 0 is the series 1 and whose row j >= 1 is the
 binomial convolution of row j - 1 with the single-copy row; the lam = 0 table
-holds the raw sum moments E[S_j^m]. The rows are Python ints over one
-denominator D_n per order n, shared by every row, so growing them runs no
-gcd; each new order adds the single-copy entry (an integer sum over the lcm of
-the moment denominators, one Fraction), D_n and the convolution weights in
-one step. The public reads (`degenerate_factorial_moment`,
+holds the raw sum moments E[S_j^m]. The rows are ints over one denominator
+D_n per order n (`_SumTable`). The public reads (`degenerate_factorial_moment`,
 `sum_moment`) return one reduced Fraction per entry; the private
 `_numerators` hands out the integer numerators of a run of rows at one order
 over D_n, from which the Theorem 2.1 sum (`stirling`) builds one Fraction per
@@ -276,16 +273,14 @@ GRAMMAR: dict[str, Family] = {
 class _SumTable:
     """E[(S_j)_{k,lam}] for j >= 0, as integers over one denominator per order.
 
-    single[k] = E[(Y)_{k,lam}] has reduced denominator d_k. With lam = p/c and
-    M_k the lcm of the denominators of E[Y^0..k], it is the integer sum
-    sum_q s1(k,q) p^(k-q) c^q (M_k E[Y^q]) over c^k M_k, one Fraction per
-    order. The order denominators are D_0 = 1 and
-    D_k = lcm(d_k, d_q D_{k-q} for 0 < q < k): every order-k entry of every row is a sum of products of single-copy
-    entries whose orders add up to k, so rows[j][k] = D_k E[(S_j)_{k,lam}] is
-    an integer for every j. Row 0 is the series 1 (S_0 = 0), and row j >= 1 is
-    the binomial convolution of row j - 1 with the single-copy row, through
-    the integer weights C(k,q) num(single[q]) D_k / (d_q D_{k-q}); so row 1 is
-    single[k] D_k.
+    single[k] = E[(Y)_{k,lam}], of reduced denominator d_k, is one integer
+    sum made one Fraction (see `grow`). The order denominators are D_0 = 1
+    and D_k = lcm(d_k, d_q D_{k-q} for 0 < q < k): an order-k entry of any row
+    is a sum of products of single-copy entries whose orders add up to k, so
+    rows[j][k] = D_k E[(S_j)_{k,lam}] is an integer. Row 0 is the series 1
+    (S_0 = 0), and row j >= 1 is the binomial convolution of row j - 1 with
+    the single-copy row through the integer weights
+    C(k,q) num(single[q]) D_k / (d_q D_{k-q}); so row 1 is single[k] D_k.
 
     Growth runs under the owning oracle's lock and only appends: single[k],
     D_k and the order-k weights come before any order-k entry of a row, so a

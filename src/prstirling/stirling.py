@@ -2,26 +2,19 @@
 
 The generating function is the production route: with
 A(t) = E[e_lam^Y(t)] - 1, column k of the triangle is
-sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r, so column 0 is the
-r-fold binomial convolution of the single-copy row and column k is column
-k - 1 convolved with A, divided by k. `_columns` builds the columns in exact
-integers over one denominator per column, reading only the single-copy
-moments E[(Y)_{n,lam}]. `stirling_triangle` (the `table` command) makes every
-row from them; `_triangle_row` (`bell`) makes one row and keeps it.
+sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r. `_columns` builds
+the columns in exact integers over one denominator per column, reading only
+the single-copy moments E[(Y)_{n,lam}]; `stirling_triangle` (`table`) makes
+every row from them and `_triangle_row` (`bell`) one row, kept in the context.
 
-`prob_r_stirling2` / `prob_stirling2` (the explicit alternating sum of
-Theorem 2.1 over degenerate factorial moments of iid sums, summed in integers
-over the order's moment denominator D_n and made one Fraction) and the
-`_via_conv` and `_via_shift` routes (integer sums over the lcm of their
-inputs' denominators, one Fraction each) are witnesses: `identities` checks
-them against the generating function and against each other, and none of
-them reaches `_columns`. Theorem 2.1 at shift s gives S^(s,Y)(n+s, k+s)
-from the same iid-sum table for every s, so one context serves both the
-r-shifted entries and the r = 0 entries S^Y(n, k) the witnesses read
-(`_theorem_2_1`, `_row`). The oracle owns its moment tables; the context
-owns its generating-function rows and Theorem 2.1 entries, and each dies
-with its owner by reference counting. The only process-global state is the
-kernel triangles, which grow only to the largest n requested.
+Theorem 2.1 (`prob_r_stirling2`, `_theorem_2_1`) and the `_via_conv` and
+`_via_shift` routes are witnesses, each an integer sum made one Fraction:
+`identities` checks them against the generating function and each other, and
+none reaches `_columns`. Theorem 2.1 at shift s reads the same iid-sum table
+for every s, so one context serves both its r-shifted entries and the r = 0
+entries S^Y(n, k) the witnesses read. The oracle owns its moment tables and
+the context its rows and entries; the only process-global state is the
+kernel triangles.
 """
 
 from __future__ import annotations
@@ -151,14 +144,22 @@ def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]
         below order low)."""
         return [sum(w[q] * col[n - q] for q in range(first, n - low + 1)) for n, w in enumerate(weighted)]
 
-    col, col_den = [1] + [0] * n_max, 1
-    for _ in range(ctx.r):  # column 0 = (A + 1)^r, the r-fold convolution of e_0 with the single row
-        col, col_den = convolve(col, 0, 0), col_den * den
+    def reduced(col: list[int], col_den: int) -> tuple[list[int], int]:
+        g = math.gcd(col_den, *col)
+        return [v // g for v in col], col_den // g
+
+    # column 0 = (A + 1)^r, the r-th convolution power of the single row, by
+    # square and multiply over the bits of r: about log2 r convolutions
+    col, col_den = ([1] + [0] * n_max, 1) if ctx.r == 0 else (a, den)
+    for bit in f"{ctx.r:b}"[1:]:
+        square = [sum(math.comb(n, q) * col[q] * col[n - q] for q in range(n + 1)) for n in range(n_max + 1)]
+        col, col_den = reduced(square, col_den**2)
+        if bit == "1":
+            col, col_den = reduced(convolve(col, 0, 0), col_den * den)
     for k in range(n_max + 1):
         if k:  # column k = A * column (k - 1) / k, A the single row without its constant term
             col, col_den = convolve(col, 1, k - 1), col_den * den * k
-        g = math.gcd(col_den, *col)
-        col, col_den = [v // g for v in col], col_den // g
+        col, col_den = reduced(col, col_den)
         yield col, col_den
 
 

@@ -160,12 +160,12 @@ def test_dobinski_env_cap(monkeypatch):
 def reference_dobinski(ctx, n, x, tolerance, max_terms=10000):
     """The series loops of `bell_dobinski`, each term read as
     float(Fraction) from the public moment read: weights by running product
-    and the sum scaled by e^(-x), or, where e^(-x) is not a normal float or
-    that sum leaves float range, e^(-x) folded into each weight in log
-    space."""
+    and the sum scaled by e^(-x), or, where e^(-x) or the threshold
+    tolerance * e^(-x) / 8 is not a normal float or that sum leaves float
+    range, e^(-x) folded into each weight in log space."""
     for folded in (False, True):
         scale = 1.0 if folded else math.exp(-x)
-        if scale < sys.float_info.min:
+        if not folded and min(scale, tolerance * scale / 8.0) < sys.float_info.min:
             continue
         threshold = tolerance * scale / 8.0
         min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
@@ -209,6 +209,15 @@ def test_dobinski_terms_match_float_of_each_moment(oracle, lam, r, n, x, cap):
     got = bell_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9, cap)
     want = reference_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9, cap or 10000)
     assert repr(got) == repr(want)  # every float bit for bit, NaN included
+
+
+def test_dobinski_tiny_tolerance_takes_the_folded_series():
+    # tolerance * e^(-100) / 8 underflows to 0, which no term of the plain series can meet
+    ctx = StirlingContext(MomentOracle.point(1), F(0), 0)
+    result = bell_dobinski(ctx, 2, 100.0, 1e-300)
+    assert result.converged
+    assert abs(result.value - 10100) <= 1e-12 * 10100
+    assert repr(result) == repr(reference_dobinski(ctx, 2, 100.0, 1e-300))
 
 
 def test_dobinski_term_past_float_range_raises_as_float_of_the_moment():

@@ -19,12 +19,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run by the child before its case: what was loaded before prstirling was.
 PROLOGUE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 _before = set(sys.modules)
 """
-# Run by the child after its case: report the modules that appeared.
+# Run by the child after its case: report the modules that appeared, then
+# import json to print them, so that the case's own loads are what is seen.
 EPILOGUE = """
-print(json.dumps(sorted(set(sys.modules) - _before)))
+_loaded = sorted(set(sys.modules) - _before)
+import json
+print(json.dumps(_loaded))
 """
 
 
@@ -51,6 +54,16 @@ def test_table_and_moments_load_neither_bell_nor_identities():
     ))
     assert "prstirling.stirling" in loaded
     assert loaded.isdisjoint({"prstirling.identities", "prstirling.bell", "dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
+def test_each_format_loads_only_its_serializer(fmt, other):
+    loaded = _fresh(_cli(
+        ["table", "--n-max", "3", "--dist", "point(1)", "--format", fmt],
+        ["moments", "--dist", "poisson(1)", "--upto", "3", "--format", fmt],
+    ))
+    assert fmt in loaded
+    assert other not in loaded
 
 
 def test_bell_does_not_load_identities():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling import stirling
+from prstirling import identities, stirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
@@ -20,6 +20,7 @@ from prstirling.identities import (
     verify_thm_2_8,
     verify_thm_2_9,
 )
+from prstirling.distparse import parse_dist, parse_rational
 from prstirling.moments import MomentOracle
 from prstirling.stirling import (
     StirlingContext,
@@ -204,6 +205,36 @@ def test_thm_2_7_checker():
     rep = verify_thm_2_7(ctx, 4, 2.0, 1e-9)
     assert rep.passed
     assert rep.tolerance == 1e-9
+
+
+def test_thm_2_8_reads_each_via_shift_entry_once_per_row(monkeypatch):
+    calls = []
+    via_shift = identities.prob_r_stirling2_via_shift
+
+    def counted(ctx, n, k):
+        calls.append((n, k))
+        return via_shift(ctx, n, k)
+
+    monkeypatch.setattr(identities, "prob_r_stirling2_via_shift", counted)
+    run_suite(default_grid(5), [IdentityId.T2_8])
+    # 80 contexts; at each, pair (n, m) reads l = m..n once for every k:
+    # sum over n <= 5 of (n + 1)(n + 2) / 2 = 56 entries
+    assert len(calls) == 80 * 56 == 4480
+
+
+def test_row_checkers_report_as_the_one_point_checkers():
+    grid = default_grid(3)
+    reports, _ = run_suite(grid, [IdentityId.T2_6, IdentityId.T2_7, IdentityId.T2_8])
+    lambdas = [parse_rational(s) for s in grid.lambdas]
+    contexts = [StirlingContext(parse_dist(d), lam, r) for d in grid.dists for lam in lambdas for r in grid.rs]
+    rows = [(c, n) for c in contexts for n in range(grid.max_n + 1)]
+    expected = (
+        [verify_thm_2_6(c, n, parse_rational(x)) for c, n in rows for x in grid.xs]
+        + [verify_thm_2_7(c, n, x, grid.dobinski_tol) for c, n in rows for x in grid.dobinski_xs]
+        + [verify_thm_2_8(c, n, m, k) for c, n in rows for m in range(n + 1) for k in range(n - m + 1)]
+    )
+    assert len(reports) == len(expected) == 80 * (4 * 5 + 4 * 4 + 20)
+    assert reports == expected
 
 
 def test_empty_grid():

@@ -210,12 +210,22 @@ TRIANGLE_LAMBDAS = [F(-3, 2), F(-1, 2), F(0), F(1, 3), F(2)]
 @pytest.mark.parametrize("name", sorted(TRIANGLE_ORACLES))
 @pytest.mark.parametrize("lam", TRIANGLE_LAMBDAS, ids=str)
 def test_triangle_matches_explicit_formula(name, lam):
-    """The generating-function triangle against the Theorem 2.1 sum."""
+    """The generating-function triangle against the Theorem 2.1 sum; r = 13
+    (binary 1101) takes every square-and-multiply step for column 0."""
     n_max = 12
-    for r in range(4):
+    for r in (0, 1, 2, 3, 13):
         ctx = StirlingContext(TRIANGLE_ORACLES[name], lam, r)
         rows = stirling_triangle(ctx, n_max)
         assert rows == [[prob_r_stirling2(ctx, n, k) for k in range(n + 1)] for n in range(n_max + 1)], r
+
+
+@pytest.mark.parametrize("lam", [F(0), F(1, 3), F(-2)], ids=str)
+def test_column_zero_at_a_huge_shift(lam):
+    """For Y = 1, S_r = r, so entry (n + r, r) is (r)_{n,lam}; about log2 r
+    convolutions make it."""
+    r, n_max = 5_000_000, 4
+    rows = stirling_triangle(StirlingContext(MomentOracle.point(1), lam, r), n_max)
+    assert [row[0] for row in rows] == [math.prod([r - i * lam for i in range(n)]) for n in range(n_max + 1)]
 
 
 def test_deep_triangle_reduces_to_degenerate_r_stirling():
