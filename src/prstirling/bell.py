@@ -116,8 +116,8 @@ def _dobinski(
     for x in xs:
         if not (math.isfinite(x) and x >= 0):
             raise ValueError(f"series evaluation requires a finite x >= 0, got {x}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance >= sys.float_info.min):
+        raise ValueError(f"tolerance must be finite and a normal float > 0, got {tolerance}")
     if max_terms is None:
         raw = os.environ.get(MAX_TERMS_ENV, str(DEFAULT_MAX_TERMS))
         try:

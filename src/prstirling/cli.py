@@ -122,6 +122,8 @@ def cmd_bell(args) -> int:
         raise ValueError(f"--x-float must be a finite x >= 0, got {args.x_float}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol: tolerance must be finite and > 0, got {args.tol}")
+    if args.tol < sys.float_info.min:
+        raise ValueError(f"--tol: tolerance must be a normal float (>= {sys.float_info.min}), got {args.tol}")
     if args.dobinski and args.x_float is None:
         raise ValueError("--dobinski requires --x-float")
     oracle = parse_dist(args.dist)

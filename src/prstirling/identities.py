@@ -8,10 +8,11 @@ T2_6 against the binomial-convolution form and T2_7 against the Dobinski
 series. Every other identity checks witnesses against each other. Failures
 are data: reports carry both sides and the full parameter point.
 
-T2_6, T2_7 and T2_8 hold for one row n at many points; `run_suite` runs
-each through a row checker (`_thm_2_6/7/8`) that reads the row's shared
-inputs once, so a point costs only its own work. The public
-`verify_thm_2_6/7/8` are the one-point case.
+T2_1_vs_T2_2/3, T2_6, T2_7 and T2_8 hold for one row n at many points;
+`run_suite` runs each through a row checker (`_agreement`, `_thm_2_6/7/8`)
+that reads the row's shared inputs once, so a point costs only its own
+work, and keeps each context's generating-function rows from one build. The
+public `verify_*` functions are the one-point case.
 
 Identities of one shape share one checker: T2_4 and T2_9_corrected are one
 polynomial identity summed in two orders (`_shifted`; the paper form of T2_9
@@ -41,14 +42,7 @@ from .kernel import (
 )
 from .distparse import parse_dist, parse_rational
 from .moments import MomentOracle
-from .stirling import (
-    StirlingContext,
-    _row,
-    _theorem_2_1,
-    prob_r_stirling2,
-    prob_r_stirling2_via_conv,
-    prob_r_stirling2_via_shift,
-)
+from .stirling import StirlingContext, _prefix, _row, _triangle_row, _via_conv, _via_shift
 
 
 class IdentityId(str, Enum):
@@ -135,14 +129,19 @@ def _expansion(
 
 def verify_formula_agreement(ctx: StirlingContext, n: int, k: int, which: IdentityId) -> VerificationReport:
     """Production formula vs. one of the two independent routes."""
-    lhs = prob_r_stirling2(ctx, n, k)
-    if which is IdentityId.T2_1_vs_T2_2:
-        rhs = prob_r_stirling2_via_conv(ctx, n, k)
-    elif which is IdentityId.T2_1_vs_T2_3:
-        rhs = prob_r_stirling2_via_shift(ctx, n, k)
-    else:
+    return _agreement(ctx, n, [k], which)[0]
+
+
+def _agreement(ctx: StirlingContext, n: int, ks: Sequence[int], which: IdentityId) -> list[VerificationReport]:
+    """`verify_formula_agreement` at each k of row n, in one route call."""
+    route = {IdentityId.T2_1_vs_T2_2: _via_conv, IdentityId.T2_1_vs_T2_3: _via_shift}.get(which)
+    if route is None:
         raise ValueError(f"not a formula-agreement identity: {which}")
-    return _exact_report(which, _point(ctx, n=n, k=k), lhs, rhs)
+    rhs, row, head = route(ctx, n, ks), _prefix(ctx, ctx.r, n, max(ks)), _point(ctx, n=n)
+    return [
+        _exact_report(which, head + (("k", str(k)),), row[k] if k <= n else Fraction(0), v)
+        for k, v in zip(ks, rhs)
+    ]
 
 
 def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
@@ -196,22 +195,26 @@ def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> Verification
     """C(m+k,m) S^(r,Y)(n+r,m+k+r) == sum_{l=m}^{n-k} C(n,l) S^(r,Y)(l+r,m+r) S^Y(n-l,k)."""
     if n < m + k:
         raise ValueError(f"requires n >= m + k, got n={n}, m={m}, k={k}")
-    return _thm_2_8(ctx, n, m, [k])[0]
+    return _thm_2_8(ctx, n, [m], [k])[0]
 
 
-def _thm_2_8(ctx: StirlingContext, n: int, m: int, ks: Sequence[int]) -> list[VerificationReport]:
-    """T2_8 at each k of (n, m), n >= m + k, in integers: C(n, l) times the
-    via-shift entries for l = m..n - min(ks), over their lcm, are read once."""
-    ls = range(m, n - min(ks) + 1)
-    shifted, shifted_den = _over_lcm([prob_r_stirling2_via_shift(ctx, l, m) for l in ls])
-    weighted = [binomial(n, l) * a for l, a in zip(ls, shifted)]
-    head = _point(ctx, n=n, m=m)
-    reports = []
-    for k in ks:
-        lhs = binomial(m + k, m) * prob_r_stirling2(ctx, n, m + k)
-        s2y, s2y_den = _over_lcm([_theorem_2_1(ctx, 0, n - l, k) for l in range(m, n - k + 1)])
-        rhs = Fraction(sum([a * b for a, b in zip(weighted, s2y)]), shifted_den * s2y_den)
-        reports.append(_exact_report(IdentityId.T2_8, head + (("k", str(k)),), lhs, rhs))
+def _thm_2_8(ctx: StirlingContext, n: int, ms: Sequence[int], ks: Sequence[int]) -> list[VerificationReport]:
+    """T2_8 at each (m, k) of row n with m + k <= n, in integers: each
+    via-shift row is read once, and each column of them and of S^Y is put
+    over its lcm once."""
+    m0, k0 = min(ms), min(ks)
+    shifted = {l: _via_shift(ctx, l, range(l + 1)) for l in range(m0, n - k0 + 1)}
+    s2y = {k: _over_lcm([_row(ctx, 0, j)[k] for j in range(k, n - m0 + 1)]) for k in ks}
+    row, head, reports = _row(ctx, ctx.r, n), _point(ctx, n=n), []
+    for m in ms:
+        a, a_den = _over_lcm([shifted[l][m] for l in range(m, n - k0 + 1)])
+        weighted = [binomial(n, l) * v for l, v in enumerate(a, m)]
+        for k in ks:
+            if m + k <= n:  # S^Y(n - l, k) for l = m..n - k
+                b, b_den = s2y[k]
+                rhs = Fraction(sum([x * y for x, y in zip(weighted, b[n - m - k :: -1])]), a_den * b_den)
+                point = head + (("m", str(m)), ("k", str(k)))
+                reports.append(_exact_report(IdentityId.T2_8, point, binomial(m + k, m) * row[m + k], rhs))
     return reports
 
 
@@ -291,21 +294,22 @@ def run_suite(
             verify_reduction_point_one(lam, r, n) for lam in lambdas for r in grid.rs for n in ns
         ),
         IdentityId.T2_1_vs_T2_2: (
-            verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_2) for c, n in rows for k in range(n + 1)
+            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_2)
         ),
         IdentityId.T2_1_vs_T2_3: (
-            verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_3) for c, n in rows for k in range(n + 1)
+            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_3)
         ),
         IdentityId.T2_4: (verify_thm_2_4(c, n) for c, n in rows),
         IdentityId.T2_5: (verify_thm_2_5(c, n) for c, n in rows),
         IdentityId.T2_6: (rep for c, n in rows for rep in _thm_2_6(c, n, xs)),
         IdentityId.T2_7: (rep for c, n in rows for rep in _thm_2_7(c, n, grid.dobinski_xs, grid.dobinski_tol)),
-        IdentityId.T2_8: (
-            rep for c, n in rows for m in range(n + 1) for rep in _thm_2_8(c, n, m, range(n - m + 1))
-        ),
+        IdentityId.T2_8: (rep for c, n in rows for rep in _thm_2_8(c, n, range(n + 1), range(n + 1))),
         IdentityId.T2_9_corrected: (verify_thm_2_9(c, n, "corrected") for c, n in rows),
         IdentityId.T2_9_paper_form: (verify_thm_2_9(c, n, "paper") for c, n in rows),
     }
+    if {IdentityId.T2_5, IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
+        for ctx in contexts:  # the rows bell_coeffs reads, from one build per context
+            _triangle_row(ctx, grid.max_n, fill=True)
     reports: list[VerificationReport] = []
     for identity in wanted:
         reports.extend(suite[identity])

@@ -239,7 +239,7 @@ class MomentOracle:
         table = self._tables.get(key)
         if table is None or not table.holds(j, n):
             with self._lock:
-                table = self._tables.setdefault(key, _SumTable(lam))
+                table = self._tables.get(key) or self._tables.setdefault(key, _SumTable(lam))
                 table.grow(self, j, n)
         return table
 

@@ -4,26 +4,25 @@ The generating function is the production route: with
 A(t) = E[e_lam^Y(t)] - 1, column k of the triangle is
 sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r. `_columns` builds
 the columns in exact integers over one denominator per column, reading only
-the single-copy moments E[(Y)_{n,lam}]; `stirling_triangle` (`table`) makes
-every row from them and `_triangle_row` (`bell`) one row, kept in the context.
+the single-copy moments E[(Y)_{n,lam}]; `_gf_rows` makes rows of one build
+for `stirling_triangle` (`table`) and `_triangle_row` (`bell`; rows 0..max_n
+for `verify`).
 
-Theorem 2.1 (`prob_r_stirling2`, `_theorem_2_1`) and the `_via_conv` and
-`_via_shift` routes are witnesses, each an integer sum made one Fraction:
+Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
+are witnesses, integer sums made one Fraction per entry, a row n at a time:
 `identities` checks them against the generating function and each other, and
-none reaches `_columns`. Theorem 2.1 at shift s reads the same iid-sum table
-for every s, so one context serves both its r-shifted entries and the r = 0
-entries S^Y(n, k) the witnesses read. The oracle owns its moment tables and
-the context its rows and entries; the only process-global state is the
-kernel triangles.
+none reaches `_columns`. The context keeps each Theorem 2.1 row at shift r
+or 0 as a prefix over k (`_prefix`); both shifts read one iid-sum table.
+The only process-global state is the kernel triangles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .kernel import RationalLike, _over_lcm, binomial, factorial, stirling1_signed
+from .kernel import RationalLike, _homogeneous, _over_lcm, binomial, factorial, stirling1_signed
 from .moments import MomentOracle
 
 
@@ -43,8 +42,8 @@ class StirlingContext:
         self.r = r
         # row n of the generating-function triangle, filled by `_triangle_row`
         self._rows: dict[int, tuple[Fraction, ...]] = {}
-        # Theorem 2.1 entry (shift, n, k) with shift r or 0, filled by `_theorem_2_1`
-        self._entries: dict[tuple[int, int, int], Fraction] = {}
+        # Theorem 2.1 row n at shift r or 0, entries 0..K, filled by `_prefix`
+        self._entries: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StirlingContext):
@@ -66,69 +65,82 @@ def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> F
 def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The (n+r, k+r) entry of the probabilistic degenerate r-Stirling triangle
     by Theorem 2.1, kept in the context. Zero for k > n."""
-    return _theorem_2_1(ctx, ctx.r, n, k)
-
-
-def _theorem_2_1(ctx: StirlingContext, shift: int, n: int, k: int) -> Fraction:
-    """S^(shift,Y)(n+shift, k+shift) = (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+shift})_{n,lam}]
-    for shift r or 0, kept in the context. Zero for k > n, without growing the
-    table. Threads sharing a context all return the first entry stored."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
-    entry = ctx._entries.get((shift, n, k))
-    if entry is None:
-        moments, den = ctx.oracle._numerators(ctx.lam, shift, shift + k, n)
-        total = sum((-1) ** (k - j) * math.comb(k, j) * v for j, v in enumerate(moments))
-        entry = ctx._entries.setdefault((shift, n, k), Fraction(total, den * factorial(k)))
-    return entry
+    return _prefix(ctx, ctx.r, n, k)[k] if k <= n else Fraction(0)
+
+
+def _prefix(ctx: StirlingContext, shift: int, n: int, k: int) -> tuple[Fraction, ...]:
+    """Entries 0..min(k, n), at least, of row n of the Theorem 2.1 triangle
+    S^(shift,Y)(n+shift, k+shift) = (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+shift})_{n,lam}],
+    kept in the context. Entry k is the k-th forward difference at 0 of
+    j -> E[(S_{j+shift})_{n,lam}], so one run of numerators over D_n gives
+    entries 0..k by integer differences, with one Fraction per new entry.
+    Threads sharing a context read equal entries."""
+    row = ctx._entries.get((shift, n), ())
+    k = min(k, n)
+    if len(row) <= k:
+        diffs, den = ctx.oracle._numerators(ctx.lam, shift, shift + k, n)
+        entries = list(row)
+        for j in range(k + 1):
+            if j == len(entries):
+                entries.append(Fraction(diffs[0], den * factorial(j)))
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        row = ctx._entries[shift, n] = tuple(entries)
+    return row
 
 
 def _row(ctx: StirlingContext, shift: int, n: int) -> tuple[Fraction, ...]:
     """Row n of the Theorem 2.1 triangle at the given shift, entries k = 0..n."""
-    return tuple([_theorem_2_1(ctx, shift, n, k) for k in range(n + 1)])
+    return _prefix(ctx, shift, n, n)
 
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
-    """Same value by the double-sum route through first-kind numbers and raw
-    moments of S_r:
+    """The same entry by the double-sum route (`_via_conv`)."""
+    return _via_conv(ctx, n, [k])[0]
 
-    sum_{l=k}^{n} sum_{m=0}^{n-l} C(n,l) lam^(n-m-l) s1(n-l,m) S^Y(l,k) E[S_r^m]
 
-    summed in integers: with lam = p/c, S^Y(l,k) over the lcm D of its
-    denominators and E[S_r^m] over theirs, E, the sum over c^(n-k) D E.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
+def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[Fraction]:
+    """Entries (n+r, k+r), k in ks, by
+
+    sum_{l=k}^{n} C(n,l) S^Y(l,k) sum_{m=0}^{n-l} lam^(n-m-l) s1(n-l,m) E[S_r^m]
+
+    in integers: with lam = p/c and E[S_r^m] over their lcm E, the inner sum
+    times c^(n-l) E is one integer per n - l, and column k of S^Y over its
+    lcm D makes entry k one integer over c^(n-k) D E."""
+    if n < 0 or min(ks) < 0:
+        raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
     p, c = ctx.lam.numerator, ctx.lam.denominator
-    s2y, s2y_den = _over_lcm([_theorem_2_1(ctx, 0, l, k) for l in range(k, n + 1)])
-    sums, sums_den = _over_lcm([ctx.oracle.sum_moment(ctx.r, m) for m in range(n - k + 1)])
-    total = 0
-    for l, s in enumerate(s2y, k):
-        if s == 0:
-            continue
-        # c^(n-k) lam^(n-m-l) = p^(n-m-l) c^(m+l-k)
-        total += binomial(n, l) * s * sum(
-            stirling1_signed(n - l, m) * p ** (n - m - l) * c ** (m + l - k) * sums[m] for m in range(n - l + 1)
-        )
-    return Fraction(total, c ** (n - k) * s2y_den * sums_den)
+    sums, sums_den = _over_lcm([ctx.oracle.sum_moment(ctx.r, m) for m in range(n - min(ks) + 1)])
+    inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
+    out = []
+    for k in ks:
+        s2y, s2y_den = _over_lcm([_prefix(ctx, 0, l, max(ks))[k] for l in range(k, n + 1)])
+        total = sum([binomial(n, l) * s * c ** (l - k) * inner[n - l] for l, s in enumerate(s2y, k)])
+        out.append(Fraction(total, c ** max(n - k, 0) * s2y_den * sums_den))
+    return out
 
 
 def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction:
-    """Same value by shifting the column of the r = 0 triangle:
+    """The same entry by the shift route (`_via_shift`)."""
+    return _via_shift(ctx, n, [k])[0]
+
+
+def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[Fraction]:
+    """Entries (n+r, k+r), k in ks, by
 
     sum_{m=0}^{min(n-k, r)} C(m+k,m) C(r,m) m! S^Y(n, m+k)
 
-    summed in integers over the lcm of the S^Y(n, m+k) denominators.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    s2y, den = _over_lcm([_theorem_2_1(ctx, 0, n, m + k) for m in range(min(n - k, ctx.r) + 1)])
-    total = sum(binomial(m + k, m) * binomial(ctx.r, m) * factorial(m) * s for m, s in enumerate(s2y))
-    return Fraction(total, den)
+    in integers, over the lcm of r = 0 row n."""
+    if n < 0 or min(ks) < 0:
+        raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
+    r = ctx.r
+    s2y, den = _over_lcm(_prefix(ctx, 0, n, max(ks) + r))
+    out = []
+    for k in ks:
+        terms = [binomial(m + k, m) * binomial(r, m) * factorial(m) * s2y[m + k] for m in range(min(n - k, r) + 1)]
+        out.append(Fraction(sum(terms), den))
+    return out
 
 
 def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]]:
@@ -167,18 +179,24 @@ def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
     """Rows n = 0..n_max of the triangle, row n having entries k = 0..n."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rows: list[list[Fraction]] = [[] for _ in range(n_max + 1)]
+    return _gf_rows(ctx, n_max, 0)
+
+
+def _gf_rows(ctx: StirlingContext, n_max: int, low: int) -> list[list[Fraction]]:
+    """Rows n = low..n_max of the triangle, from one `_columns` build."""
+    rows: list[list[Fraction]] = [[] for _ in range(low, n_max + 1)]
     for k, (col, col_den) in enumerate(_columns(ctx, n_max)):
-        for n in range(k, n_max + 1):
-            rows[n].append(Fraction(col[n], col_den))
+        for n in range(max(k, low), n_max + 1):
+            rows[n - low].append(Fraction(col[n], col_den))
     return rows
 
 
-def _triangle_row(ctx: StirlingContext, n: int) -> tuple[Fraction, ...]:
-    """Row n of the generating-function triangle, entries k = 0..n, kept in
-    the context. Threads may share a context: two that miss at once build
-    equal rows, and the first one stored is the one both return."""
-    row = ctx._rows.get(n)
-    if row is None:
-        row = ctx._rows.setdefault(n, tuple(Fraction(col[n], col_den) for col, col_den in _columns(ctx, n)))
-    return row
+def _triangle_row(ctx: StirlingContext, n: int, fill: bool = False) -> tuple[Fraction, ...]:
+    """Row n of the generating-function triangle, kept in the context; a miss
+    keeps row n, or with fill rows 0..n, of one build. Of equal rows that
+    threads build at once, the first stored is the one all return."""
+    if n not in ctx._rows:
+        low = 0 if fill else n
+        for i, row in enumerate(_gf_rows(ctx, n, low), low):
+            ctx._rows.setdefault(i, tuple(row))
+    return ctx._rows[n]

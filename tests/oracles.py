@@ -7,7 +7,7 @@ polynomial products are expanded term by term.
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 
 def set_partitions(n):
@@ -159,3 +159,11 @@ def uniform_continuous_moments(a, b, upto):
     """E[Y^m] = (b^(m+1) - a^(m+1)) / ((m+1) (b-a))."""
     a, b = Fraction(a), Fraction(b)
     return [(b ** (m + 1) - a ** (m + 1)) / ((m + 1) * (b - a)) for m in range(upto + 1)]
+
+
+def theorem_2_1_entry(moment, shift, n, k):
+    """(1/k!) sum_j C(k,j) (-1)^(k-j) moment(j + shift, n), term by term, with
+    moment(j, n) = E[(S_j)_{n,lam}] as a Fraction: the Theorem 2.1 sum as
+    printed."""
+    total = sum(((-1) ** (k - j) * comb(k, j) * moment(j + shift, n) for j in range(k + 1)), Fraction(0))
+    return total / factorial(k)

@@ -141,6 +141,14 @@ def test_dobinski_rejects_bad_inputs():
             bell_dobinski(ctx, 3, 1.0, 1e-9, max_terms=cap)
 
 
+def test_dobinski_rejects_a_tolerance_below_the_smallest_normal_float():
+    # tolerance / 8 would round to 0, which no term can fall below
+    ctx = StirlingContext(MomentOracle.point(1), F(0), 0)
+    with pytest.raises(ValueError, match="normal float"):
+        bell_dobinski(ctx, 2, 1.0, 5e-324)
+    assert bell_dobinski(ctx, 2, 1.0, sys.float_info.min).converged
+
+
 def test_dobinski_cap_reports_failure():
     ctx = StirlingContext(MomentOracle.point(1), F(0), 0)
     result = bell_dobinski(ctx, 4, 3.0, 1e-9, max_terms=5)

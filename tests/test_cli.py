@@ -208,8 +208,12 @@ def test_negative_sum_is_one_error_line(capsys):
          "--tol: tolerance must be finite and > 0, got -1.0"),
         (["bell", "--n", "2", "--dist", "point(1)", "--x-float", "-1"],
          "--x-float must be a finite x >= 0, got -1.0"),
+        (["bell", "--n", "2", "--dist", "point(1)", "--dobinski", "--x-float", "1", "--tol", "5e-324"],
+         "--tol: tolerance must be a normal float (>= 2.2250738585072014e-308), got 5e-324"),
     ],
-    ids=["table-n-max", "table-r", "bell-n", "bell-r", "verify-max-n", "bell-tol", "bell-x-float"],
+    ids=[
+        "table-n-max", "table-r", "bell-n", "bell-r", "verify-max-n", "bell-tol", "bell-x-float", "bell-tol-subnormal",
+    ],
 )
 def test_flag_domain_error_names_the_flag(capsys, argv, line):
     code, out, err = run_cli(capsys, *argv)

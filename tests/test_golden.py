@@ -7,6 +7,7 @@ summary golden file holds only counts. The distribution parser is pinned on
 every family and every kind of syntax and domain error: what each expression
 parses to, or the error it raises with its message and position."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -143,3 +144,11 @@ def _parse_record(expr):
 def test_parser_matches_golden():
     records = [_parse_record(expr) for expr in PARSE_CASES]
     assert (json.dumps(records, indent=1) + "\n").encode() == (GOLDEN / "parse_dist.json").read_bytes()
+
+
+def test_default_verify_report_is_pinned(capsys):
+    """The JSON report of every gating identity on the default grid at max-n 6,
+    byte for byte."""
+    assert main(["verify", "--suite", "all", "--report", "json", "--max-n", "6"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "a5b5ff923c8abe94bde3e30c0e08cc6f14a625b8b2429b0982c1579f0ec04f50"

@@ -114,6 +114,8 @@ def test_witnesses_never_reach_the_generating_function(monkeypatch):
             assert prob_r_stirling2(ctx, n, k) == prob_r_stirling2_via_shift(ctx, n, k)
         bell_via_convolution(ctx, n, F(1, 2))
         assert bell_dobinski(ctx, n, 1.5, 1e-9).converged
+    witnesses = [IdentityId.T2_1_vs_T2_2, IdentityId.T2_1_vs_T2_3, IdentityId.T2_4, IdentityId.T2_8]
+    assert all(rep.passed for rep in run_suite(default_grid(3), witnesses)[0])
     with pytest.raises(AssertionError, match="generating-function"):
         bell_coeffs(ctx, 3)
 
@@ -128,6 +130,9 @@ def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch)
         rows = stirling.stirling_triangle(ctx, 6)
         assert bell_coeffs(ctx, 6).coefficients == tuple(rows[6])
         assert bell_eval(ctx, 5, F(-1, 2)) == bell_coeffs(ctx, 5)(F(-1, 2))
+        filled = StirlingContext(ctx.oracle, ctx.lam, r)
+        stirling._triangle_row(filled, 6, fill=True)
+        assert [list(filled._rows[n]) for n in range(7)] == rows
     with pytest.raises(AssertionError, match="integer moment numerators"):
         prob_r_stirling2(ctx, 3, 2)
 
@@ -183,15 +188,19 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
     for r in (1, 2):
         for shift in (r, 0):
             ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
-            ctx._entries[(shift, 3, 1)] = stirling._theorem_2_1(ctx, shift, 3, 1) + 1
+            row = stirling._row(ctx, shift, 3)
+            ctx._entries[shift, 3] = row[:1] + (row[1] + 1,) + row[2:]  # stored entry (3, 1)
             for check in (verify_thm_2_4, corrected):
                 assert not check(ctx, 3).passed, (check, r, shift)
                 assert check(ctx, 2).passed, (check, r, shift)
 
-    entry = stirling._theorem_2_1
-    monkeypatch.setattr(
-        stirling, "_theorem_2_1", lambda ctx, shift, n, k: entry(ctx, shift, n, k) + ((n, k) == (3, 1))
-    )
+    prefix = stirling._prefix
+
+    def perturbed(ctx, shift, n, k):
+        row = prefix(ctx, shift, n, k)
+        return row[:1] + (row[1] + 1,) + row[2:] if n == 3 and len(row) > 1 else row
+
+    monkeypatch.setattr(stirling, "_prefix", perturbed)
     for r in range(3):
         for lam in (F(-1, 2), F(1, 3)):
             assert not verify_reduction_point_one(lam, r, 3).passed
@@ -209,32 +218,57 @@ def test_thm_2_7_checker():
 
 def test_thm_2_8_reads_each_via_shift_entry_once_per_row(monkeypatch):
     calls = []
-    via_shift = identities.prob_r_stirling2_via_shift
+    via_shift = identities._via_shift
 
-    def counted(ctx, n, k):
-        calls.append((n, k))
-        return via_shift(ctx, n, k)
+    def counted(ctx, n, ks):
+        assert list(ks) == list(range(n + 1))  # the whole via-shift row l = n
+        calls.append((ctx, n))
+        return via_shift(ctx, n, ks)
 
-    monkeypatch.setattr(identities, "prob_r_stirling2_via_shift", counted)
+    monkeypatch.setattr(identities, "_via_shift", counted)
     run_suite(default_grid(5), [IdentityId.T2_8])
-    # 80 contexts; at each, pair (n, m) reads l = m..n once for every k:
-    # sum over n <= 5 of (n + 1)(n + 2) / 2 = 56 entries
-    assert len(calls) == 80 * 56 == 4480
+    # 80 contexts; row n reads via-shift rows l = 0..n once each:
+    # sum over n <= 5 of (n + 1) = 21 rows
+    assert len(calls) == 80 * 21 == 1680
 
 
 def test_row_checkers_report_as_the_one_point_checkers():
+    ids = [IdentityId.T2_1_vs_T2_2, IdentityId.T2_1_vs_T2_3, IdentityId.T2_6, IdentityId.T2_7, IdentityId.T2_8]
     grid = default_grid(3)
-    reports, _ = run_suite(grid, [IdentityId.T2_6, IdentityId.T2_7, IdentityId.T2_8])
+    reports, _ = run_suite(grid, ids)
     lambdas = [parse_rational(s) for s in grid.lambdas]
     contexts = [StirlingContext(parse_dist(d), lam, r) for d in grid.dists for lam in lambdas for r in grid.rs]
     rows = [(c, n) for c in contexts for n in range(grid.max_n + 1)]
     expected = (
-        [verify_thm_2_6(c, n, parse_rational(x)) for c, n in rows for x in grid.xs]
+        [verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_2) for c, n in rows for k in range(n + 1)]
+        + [verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_3) for c, n in rows for k in range(n + 1)]
+        + [verify_thm_2_6(c, n, parse_rational(x)) for c, n in rows for x in grid.xs]
         + [verify_thm_2_7(c, n, x, grid.dobinski_tol) for c, n in rows for x in grid.dobinski_xs]
         + [verify_thm_2_8(c, n, m, k) for c, n in rows for m in range(n + 1) for k in range(n - m + 1)]
     )
-    assert len(reports) == len(expected) == 80 * (4 * 5 + 4 * 4 + 20)
+    assert len(reports) == len(expected) == 80 * (10 + 10 + 4 * 5 + 4 * 4 + 20)
     assert reports == expected
+
+
+@pytest.mark.parametrize("order", [None, 2], ids=["top", "interior"])
+def test_the_suite_reads_one_generating_function_build_per_context(monkeypatch, order):
+    """T2_5 reads rows 0..max_n of one `_columns(ctx, max_n)` build: a defect
+    at any order of that build fails the row of that order, and no other."""
+    columns, builds = stirling._columns, []
+
+    def perturbed(ctx, n_max):
+        builds.append(n_max)
+        at = n_max if order is None else order
+        for k, (col, col_den) in enumerate(columns(ctx, n_max)):
+            if k == 0:  # entry (at, 0)
+                col = col[:at] + [col[at] + 1] + col[at + 1 :]
+            yield col, col_den
+
+    monkeypatch.setattr(stirling, "_columns", perturbed)
+    reports, summary = run_suite(default_grid(4), [IdentityId.T2_5])
+    assert builds == [4] * 80
+    assert {dict(rep.point)["n"] for rep in reports if not rep.passed} == {str(4 if order is None else order)}
+    assert summary["T2_5"]["fail"] == 80
 
 
 def test_empty_grid():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prstirling import moments
 from prstirling.kernel import degenerate_falling_coeffs
 from prstirling.moments import GRAMMAR, DistributionError, MomentOracle
 
@@ -430,3 +431,20 @@ def test_growing_a_table_builds_few_fractions(name, make, monkeypatch):
     oracle.degenerate_factorial_moment(1, DEEP, lam)
     oracle.degenerate_factorial_moment(5, DEEP, lam)
     assert counter[0] <= 3 * (DEEP + 1)
+
+
+def test_growing_a_table_builds_no_other_table(monkeypatch):
+    """The lam table is built once, on the first read; growing it builds none."""
+    built = []
+
+    class Counted(moments._SumTable):
+        def __init__(self, lam):
+            built.append(lam)
+            super().__init__(lam)
+
+    monkeypatch.setattr(moments, "_SumTable", Counted)
+    oracle, lam = MomentOracle.poisson(F(1, 2)), F(1, 3)
+    for j, n in [(1, 2), (1, 6), (4, 6), (7, 9), (2, 12)]:
+        oracle.degenerate_factorial_moment(j, n, lam)
+    oracle.sum_moment(3, 5)
+    assert built == [lam, 0]

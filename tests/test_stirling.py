@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import math
@@ -23,6 +24,7 @@ from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, s
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
     StirlingContext,
+    _row,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
@@ -30,7 +32,7 @@ from prstirling.stirling import (
     stirling_triangle,
 )
 
-from oracles import partition_count
+from oracles import partition_count, theorem_2_1_entry
 
 F = Fraction
 
@@ -251,11 +253,44 @@ def test_triangle_leaves_the_entry_cache_alone():
 
 
 def test_entries_live_in_their_context():
+    """One row-store entry per (shift, n): the prefix k = 0..K of that row."""
     ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), 2)
     value = prob_r_stirling2(ctx, 5, 2)
-    assert ctx._entries == {(2, 5, 2): value}
+    assert set(ctx._entries) == {(2, 5)}
+    assert ctx._entries[2, 5] == tuple(prob_r_stirling2(ctx, 5, k) for k in range(3))
+    assert ctx._entries[2, 5][2] == value
     prob_r_stirling2_via_shift(ctx, 5, 2)
-    assert set(ctx._entries) == {(2, 5, 2), (0, 5, 2), (0, 5, 3), (0, 5, 4)}
+    assert set(ctx._entries) == {(2, 5), (0, 5)}
+    assert len(ctx._entries[0, 5]) == 5  # S^Y(5, k) for k = 0..2 + r
+    prob_r_stirling2(ctx, 5, 1)  # already held: the prefix does not shrink
+    assert len(ctx._entries[2, 5]) == 3
+
+
+@pytest.mark.parametrize("n,k", [(80, 1), (40, 0), (30, 5), (12, 12)])
+def test_a_lone_entry_grows_the_table_only_to_its_column(n, k):
+    """A fresh read of entry (n, k) holds rows j <= r + k of the iid-sum
+    table, not the r + n + 1 rows of the whole Theorem 2.1 row."""
+    oracle, lam, r = MomentOracle.uniform_continuous(F(1, 2), 3), F(1, 3), 2
+    ctx = StirlingContext(oracle, lam, r)
+    value = prob_r_stirling2(ctx, n, k)
+    assert len(oracle._tables[lam.numerator, lam.denominator].rows) <= r + k + 1
+    assert len(ctx._entries[r, n]) == k + 1
+    assert value == stirling_triangle(StirlingContext(oracle, lam, r), n)[n][k]
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_ORACLES))
+def test_theorem_2_1_rows_match_the_alternating_binomial_sum(name):
+    """Rows by forward differences against the literal sum over
+    `degenerate_factorial_moment` Fractions."""
+    oracle = TRIANGLE_ORACLES[name]
+    for lam in (F(-3, 2), F(0), F(1, 3), F(2)):
+        moment = functools.partial(oracle.degenerate_factorial_moment, lam=lam)
+        for r in range(4):
+            ctx = StirlingContext(oracle, lam, r)
+            for n in range(13):
+                for shift in (r, 0):
+                    expected = tuple(theorem_2_1_entry(moment, shift, n, k) for k in range(n + 1))
+                    assert _row(ctx, shift, n) == expected, (lam, r, n, shift)
 
 
 @pytest.mark.parametrize("r", range(3))
