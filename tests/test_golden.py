@@ -58,6 +58,16 @@ CASES = {
         "bell", "--n", "28", "--r", "2", "--lambda", "0", "--dist", "binomial(315,1/3)",
         "--x", "41/4", "--dobinski", "--x-float", "10.25",
     ],
+    # 189 terms of an order-60 moment at negative lambda
+    "bell_dobinski_poisson_deep": [
+        "bell", "--n", "60", "--r", "2", "--lambda=-3/2", "--dist", "poisson(5/2)",
+        "--x", "5", "--dobinski", "--x-float", "5.0",
+    ],
+    # e^(-1000) underflows, so the series folds it into each weight: 1,671 terms
+    "bell_dobinski_folded": [
+        "bell", "--n", "20", "--r", "1", "--lambda", "1/3", "--dist", "poisson(5/2)",
+        "--x", "1000", "--dobinski", "--x-float", "1000",
+    ],
     "moments_sum": ["moments", "--dist", "uniform{0,1,2,3,5}", "--sum", "3", "--upto", "6"],
     # custom moment sequences add the formal_moments key to the context
     "table_formal_json": ["table", "--dist", "moments[1,1,2,5,14]", "--n-max", "3", "--r", "1", "--lambda=-1/2"],
