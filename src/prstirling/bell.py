@@ -7,24 +7,25 @@ the r = 0 Theorem 2.1 rows and the truncated Dobinski-style series are
 witnesses that share no code with it above the kernel. Each reads row n's
 inputs once for any number of points x (`_via_convolution`, `_dobinski`);
 the public functions are the one-point case. The series is the only float
-computation in the package and reports its own convergence diagnostics; each
-term divides an integer moment numerator by its denominator D_n, which rounds
-once, exactly as converting the reduced Fraction would.
+computation in the package and reports its own convergence diagnostics. Its
+moments E[(S_{k+r})_{n,lam}] are one polynomial in k + r, read once from the
+r = 0 Theorem 2.1 row n, so the iid-sum table stays at rows 0..n whatever x
+is; each term divides the polynomial's integer value by one denominator,
+which rounds once, exactly as converting the reduced Fraction would. The
+series stops after MAX_TERMS terms.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .kernel import Basis, Polynomial, RationalLike, _homogeneous, _over_lcm, binomial
+from .kernel import Basis, Polynomial, RationalLike, _homogeneous, _over_lcm, binomial, convert_basis
 from .stirling import StirlingContext, _row, _triangle_row
 
-DEFAULT_MAX_TERMS = 10000
-MAX_TERMS_ENV = "PRSTIRLING_MAX_TERMS"
+MAX_TERMS = 10000  # the series stops here, unconverged, whatever the stopping rule
 
 
 def bell_coeffs(ctx: StirlingContext, n: int) -> Polynomial:
@@ -80,13 +81,7 @@ class DobinskiResult(NamedTuple):
     converged: bool
 
 
-def bell_dobinski(
-    ctx: StirlingContext,
-    n: int,
-    x: float,
-    tolerance: float,
-    max_terms: Optional[int] = None,
-) -> DobinskiResult:
+def bell_dobinski(ctx: StirlingContext, n: int, x: float, tolerance: float) -> DobinskiResult:
     """Float approximation via the series e^(-x) sum_k x^k E[(S_{k+r})_{n,lam}] / k!.
 
     Stopping rule: stop at the smallest K > n * (1 + ceil(|lam|)) + r +
@@ -101,16 +96,14 @@ def bell_dobinski(
     is not a normal float (x past about 708, or a tiny tolerance) or that sum
     leaves float range: there e^(-x) is folded into each weight in log space,
     exp(k ln x - lgamma(k+1) - x), and terms are compared with tolerance / 8.
-    The result is unconverged, with a NaN value, only if even that sum leaves
-    float range.
+    The result is unconverged, with a NaN value, if even that sum leaves
+    float range or MAX_TERMS terms do not meet the rule.
     """
-    return _dobinski(ctx, n, [x], tolerance, max_terms)[0]
+    return _dobinski(ctx, n, [x], tolerance)[0]
 
 
-def _dobinski(
-    ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: float, max_terms: Optional[int] = None
-) -> list[DobinskiResult]:
-    """`bell_dobinski` at each x, all reading one list of float moments."""
+def _dobinski(ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: float) -> list[DobinskiResult]:
+    """`bell_dobinski` at each x, all reading one moment polynomial."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     for x in xs:
@@ -118,33 +111,34 @@ def _dobinski(
             raise ValueError(f"series evaluation requires a finite x >= 0, got {x}")
     if not (math.isfinite(tolerance) and tolerance >= sys.float_info.min):
         raise ValueError(f"tolerance must be finite and a normal float > 0, got {tolerance}")
-    if max_terms is None:
-        raw = os.environ.get(MAX_TERMS_ENV, str(DEFAULT_MAX_TERMS))
-        try:
-            max_terms = int(raw)
-        except ValueError:
-            raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
-    if max_terms < 1:
-        raise ValueError(f"max_terms ({MAX_TERMS_ENV}) must be >= 1, got {max_terms}")
 
-    # no series stops before term min_k + 1: read those terms at once
+    # E[(S_j)_{n,lam}] = sum_i (j)_i S^Y(n,i), as (x)_{n,lam} is of binomial
+    # type: a polynomial in j whose falling-basis coefficients are r = 0 row n
+    poly = convert_basis(Polynomial(Basis.FALLING_FACTORIAL, _row(ctx, 0, n)), Basis.MONOMIAL)
+    nums, den = _over_lcm(poly.coefficients)
+
+    moments: list[float] = []  # shared by every x and both series
+
+    def moment(k: int) -> float:
+        """E[(S_{k+r})_{n,lam}]: int / int rounds once, as float(Fraction) does."""
+        if k == len(moments):
+            moments.append(_homogeneous(nums, k + ctx.r, 1) / den)
+        return moments[k]
+
     base = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r
-    last = min(base + math.ceil(max(xs)) + 1, max_terms - 1)
-    nums, den = ctx.oracle._numerators(ctx.lam, ctx.r, last + ctx.r, n)
-    moments = [v / den for v in nums]  # int / int rounds once, as float(Fraction) does
     results = []
     for x in xs:
-        args = (ctx, n, x, tolerance, max_terms, base + math.ceil(x), moments)
+        args = (x, tolerance, base + math.ceil(x), moment)
         results.append(_series(*args, folded=False) or _series(*args, folded=True))
     return results
 
 
 def _series(
-    ctx: StirlingContext, n: int, x: float, tolerance: float, max_terms: int, min_k: int, moments: list, folded: bool
+    x: float, tolerance: float, min_k: int, moment: Callable[[int], float], folded: bool
 ) -> Optional[DobinskiResult]:
     """The partial sums of `bell_dobinski`, e^(-x) folded into each weight or
-    applied to the sum; None if the unfolded sum cannot run. moments[k] is
-    E[(S_{k+r})_{n,lam}] as a float, extended a term at a time."""
+    applied to the sum; None if the unfolded sum cannot run. moment(k) is
+    E[(S_{k+r})_{n,lam}] as a float."""
     scale = 1.0 if folded else math.exp(-x)
     log_x = math.log(x) if folded else 0.0
     threshold = tolerance * scale / 8.0
@@ -156,13 +150,10 @@ def _series(
     weight = 1.0  # x^k / k!, or e^(-x) x^k / k! when folded
     small_streak = 0
     term = 0.0
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         if folded:
             weight = math.exp(k * log_x - math.lgamma(k + 1) - x)
-        if k == len(moments):
-            (moment,), den = ctx.oracle._numerators(ctx.lam, k + ctx.r, k + ctx.r, n)
-            moments.append(moment / den)
-        term = weight * moments[k]
+        term = weight * moment(k)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -176,4 +167,4 @@ def _series(
         if k > min_k and small_streak >= 3:
             return DobinskiResult(total * scale, k + 1, term * scale, tolerance, True)
         weight *= x / (k + 1)
-    return DobinskiResult(math.nan, max_terms, term * scale, tolerance, False)
+    return DobinskiResult(math.nan, MAX_TERMS, term * scale, tolerance, False)

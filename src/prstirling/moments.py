@@ -18,8 +18,8 @@ holds the raw sum moments E[S_j^m]. The rows are ints over one denominator
 D_n per order n (`_SumTable`). The public reads (`degenerate_factorial_moment`,
 `sum_moment`) return one reduced Fraction per entry; the private
 `_numerators` hands out the integer numerators of a run of rows at one order
-over D_n, from which the Theorem 2.1 sum (`stirling`) builds one Fraction per
-entry and the Dobinski series (`bell`) one float per term.
+over D_n, from which the Theorem 2.1 rows (`stirling`) build one Fraction per
+entry.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ class MomentOracle:
 
     def _table(self, lam: Fraction, j: int, n: int) -> _SumTable:
         """The lam table, grown to hold E[(S_j)_{n,lam}]."""
-        # keyed by two ints, not the Fraction: the Dobinski series looks a
-        # table up once per term, and Fraction.__hash__ is pure Python
+        # keyed by two ints, not the Fraction: Fraction.__hash__ is pure
+        # Python, and every moment read looks a table up
         key = (lam.numerator, lam.denominator)
         table = self._tables.get(key)
         if table is None or not table.holds(j, n):

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling.bell import DobinskiResult, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling.bell import (
+    MAX_TERMS, DobinskiResult, _dobinski, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution,
+)
 from prstirling.kernel import Basis, Polynomial
 from prstirling.moments import MomentOracle
 from prstirling.stirling import StirlingContext, prob_r_stirling2
@@ -136,9 +138,6 @@ def test_dobinski_rejects_bad_inputs():
         bell_dobinski(ctx, 3, -1.0, 1e-9)
     with pytest.raises(ValueError):
         bell_dobinski(ctx, 3, 1.0, 0.0)
-    for cap in (0, -5):
-        with pytest.raises(ValueError, match="max_terms"):
-            bell_dobinski(ctx, 3, 1.0, 1e-9, max_terms=cap)
 
 
 def test_dobinski_rejects_a_tolerance_below_the_smallest_normal_float():
@@ -150,22 +149,15 @@ def test_dobinski_rejects_a_tolerance_below_the_smallest_normal_float():
 
 
 def test_dobinski_cap_reports_failure():
-    ctx = StirlingContext(MomentOracle.point(1), F(0), 0)
-    result = bell_dobinski(ctx, 4, 3.0, 1e-9, max_terms=5)
-    assert not result.converged
-    assert math.isnan(result.value)
-    assert result.terms_used == 5
+    for oracle, lam, r, n, x, cap in DOBINSKI_CASES:
+        if cap:
+            result = bell_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9)
+            assert not result.converged
+            assert math.isnan(result.value)
+            assert result.terms_used == MAX_TERMS == cap
 
 
-def test_dobinski_env_cap(monkeypatch):
-    monkeypatch.setenv("PRSTIRLING_MAX_TERMS", "4")
-    ctx = StirlingContext(MomentOracle.point(1), F(0), 0)
-    result = bell_dobinski(ctx, 4, 3.0, 1e-9)
-    assert not result.converged
-    assert result.terms_used == 4
-
-
-def reference_dobinski(ctx, n, x, tolerance, max_terms=10000):
+def reference_dobinski(ctx, n, x, tolerance):
     """The series loops of `bell_dobinski`, each term read as
     float(Fraction) from the public moment read: weights by running product
     and the sum scaled by e^(-x), or, where e^(-x) or the threshold
@@ -178,7 +170,7 @@ def reference_dobinski(ctx, n, x, tolerance, max_terms=10000):
         threshold = tolerance * scale / 8.0
         min_k = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r + math.ceil(x)
         total, comp, weight, streak, term = 0.0, 0.0, 1.0, 0, 0.0
-        for k in range(max_terms):
+        for k in range(10000):
             if folded:
                 weight = math.exp(k * math.log(x) - math.lgamma(k + 1) - x)
             term = weight * float(ctx.oracle.degenerate_factorial_moment(k + ctx.r, n, ctx.lam))
@@ -195,7 +187,7 @@ def reference_dobinski(ctx, n, x, tolerance, max_terms=10000):
                 return DobinskiResult(total * scale, k + 1, term * scale, tolerance, True)
             weight *= x / (k + 1)
         else:
-            return DobinskiResult(math.nan, max_terms, term * scale, tolerance, False)
+            return DobinskiResult(math.nan, 10000, term * scale, tolerance, False)
 
 
 DOBINSKI_CASES = [
@@ -205,18 +197,25 @@ DOBINSKI_CASES = [
     (MomentOracle.uniform_continuous(F(1, 2), 3), F(-3, 2), 2, 12, 3.0, None),
     (MomentOracle.uniform_discrete([0, 1, 4, 6]), F(2), 1, 20, 5.0, None),
     (MomentOracle.point(1), F(0), 0, 2, 700.0, None),  # the plain partial sum leaves float range
-    (MomentOracle.point(1), F(0), 0, 4, 3.0, 5),  # stopped by the term cap
+    # the minimum index n (1 + ceil|lam|) + r + ceil(x) is past the term cap
+    (MomentOracle.point(1), F(10000), 0, 1, 3.0, 10000),
     (MomentOracle.point(1), F(0), 0, 2, 800.0, None),  # e^(-x) underflows
-    (MomentOracle.point(2), F(1, 2), 1, 3, 800.0, 40),  # the term cap in the folded series
+    (MomentOracle.point(2), F(1, 2), 1, 3, 20000.0, 10000),  # the term cap in the folded series
     (MomentOracle.poisson(F(1, 3)), F(-1, 2), 2, 4, 710.0, None),  # e^(-x) is subnormal
+    (MomentOracle.from_moments([1, F(1, 2), 3, F(-2, 3), 7, 1, F(5, 4)]), F(-1, 2), 1, 6, 2.5, None),
+    (MomentOracle.poisson(F(3, 2)), F(1, 3), 9, 3, 4.0, None),  # r > n
+    (MomentOracle.binomial_dist(7, F(2, 7)), F(2), 12, 2, 750.0, None),  # folded, large r
 ]
 
 
 @pytest.mark.parametrize("oracle, lam, r, n, x, cap", DOBINSKI_CASES)
 def test_dobinski_terms_match_float_of_each_moment(oracle, lam, r, n, x, cap):
-    got = bell_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9, cap)
-    want = reference_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9, cap or 10000)
+    """cap is the term count of a row that ends at the term cap, None for a
+    row that converges."""
+    got = bell_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9)
+    want = reference_dobinski(StirlingContext(oracle, lam, r), n, x, 1e-9)
     assert repr(got) == repr(want)  # every float bit for bit, NaN included
+    assert (got.converged, got.terms_used) == (False, cap) if cap else got.converged
 
 
 def test_dobinski_tiny_tolerance_takes_the_folded_series():
@@ -226,6 +225,18 @@ def test_dobinski_tiny_tolerance_takes_the_folded_series():
     assert result.converged
     assert abs(result.value - 10100) <= 1e-12 * 10100
     assert repr(result) == repr(reference_dobinski(ctx, 2, 100.0, 1e-300))
+
+
+def test_the_series_leaves_the_lambda_table_at_rows_0_to_n():
+    """The moments of every term come from Theorem 2.1 row n, which reads
+    E[(S_j)_{n,lam}] for j <= n only, not one iid-sum row per term."""
+    lam, r, n = F(-3, 2), 2, 6
+    one, several = MomentOracle.poisson(F(5, 2)), MomentOracle.poisson(F(5, 2))
+    assert bell_dobinski(StirlingContext(one, lam, r), n, 5.0, 1e-9).converged
+    results = _dobinski(StirlingContext(several, lam, r), n, [0.5, 5.0, 40.0, 800.0], 1e-9)
+    assert all(result.converged for result in results)
+    for oracle in (one, several):
+        assert len(oracle._tables[lam.numerator, lam.denominator].rows) <= n + 1
 
 
 def test_dobinski_term_past_float_range_raises_as_float_of_the_moment():
