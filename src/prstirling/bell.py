@@ -97,7 +97,9 @@ def bell_dobinski(ctx: StirlingContext, n: int, x: float, tolerance: float) -> D
     leaves float range: there e^(-x) is folded into each weight in log space,
     exp(k ln x - lgamma(k+1) - x), and terms are compared with tolerance / 8.
     The result is unconverged, with a NaN value, if even that sum leaves
-    float range or MAX_TERMS terms do not meet the rule.
+    float range or MAX_TERMS terms do not meet the rule. A moment past float
+    range raises OverflowError even where the value is representable
+    (poisson(100), lam 0, r 0, n 160, x 1e-60 gives about 3.55e291).
     """
     return _dobinski(ctx, n, [x], tolerance)[0]
 

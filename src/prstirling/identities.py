@@ -42,7 +42,7 @@ from .kernel import (
 )
 from .distparse import parse_dist, parse_rational
 from .moments import MomentOracle
-from .stirling import StirlingContext, _prefix, _row, _triangle_row, _via_conv, _via_shift
+from .stirling import StirlingContext, _row, _triangle_row, _via_conv, _via_shift
 
 
 class IdentityId(str, Enum):
@@ -137,7 +137,7 @@ def _agreement(ctx: StirlingContext, n: int, ks: Sequence[int], which: IdentityI
     route = {IdentityId.T2_1_vs_T2_2: _via_conv, IdentityId.T2_1_vs_T2_3: _via_shift}.get(which)
     if route is None:
         raise ValueError(f"not a formula-agreement identity: {which}")
-    rhs, row, head = route(ctx, n, ks), _prefix(ctx, ctx.r, n, max(ks)), _point(ctx, n=n)
+    rhs, row, head = route(ctx, n, ks), ctx.oracle._differences(ctx.lam, ctx.r, n, max(ks)), _point(ctx, n=n)
     return [
         _exact_report(which, head + (("k", str(k)),), row[k] if k <= n else Fraction(0), v)
         for k, v in zip(ks, rhs)

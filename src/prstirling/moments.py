@@ -15,11 +15,10 @@ type, sum_n E[(S_j)_{n,lam}] t^n / n! = (E[e_lam^Y(t)])^j, so each oracle keeps
 one table per lam whose row 0 is the series 1 and whose row j >= 1 is the
 binomial convolution of row j - 1 with the single-copy row; the lam = 0 table
 holds the raw sum moments E[S_j^m]. The rows are ints over one denominator
-D_n per order n (`_SumTable`). The public reads (`degenerate_factorial_moment`,
-`sum_moment`) return one reduced Fraction per entry; the private
-`_numerators` hands out the integer numerators of a run of rows at one order
-over D_n, from which the Theorem 2.1 rows (`stirling`) build one Fraction per
-entry.
+D_n per order n (`_SumTable`), a layout no other module reads. The public
+reads (`degenerate_factorial_moment`, `sum_moment`) return one reduced
+Fraction per entry; the private `_differences` gives the Theorem 2.1 rows
+(`stirling`) by integer differences, kept in the table for every context.
 """
 
 from __future__ import annotations
@@ -42,9 +41,10 @@ class MomentOracle:
 
     Instances compare and hash by (kind, parameters); the moment list and the
     per-lam tables of E[(S_j)_{n,lam}] (integer rows over one denominator per
-    order) are derived data that grow on demand for the life of the oracle.
-    Growth holds the oracle's lock and appends only finished entries, so
-    threads sharing one oracle read the same values a single thread would.
+    order, and Theorem 2.1 rows) are derived data that grow on demand for the
+    life of the oracle. Growth holds the oracle's lock and appends only
+    finished entries, so threads sharing one oracle read the same values a
+    single thread would.
     """
 
     def __init__(self, kind: str, params: tuple[Fraction, ...]):
@@ -224,12 +224,26 @@ class MomentOracle:
             return table.single[n]
         return Fraction(table.rows[j][n], table.den[n])
 
-    def _numerators(self, lam: Fraction, first: int, last: int, n: int) -> tuple[list[int], int]:
-        """E[(S_j)_{n,lam}] for j = first..last (0 <= first <= last) as the
-        unreduced integer numerators over D_n, and D_n: one table lookup and
-        one growth check for the whole run, and no gcd."""
-        table = self._table(lam, last, n)
-        return [row[n] for row in table.rows[first : last + 1]], table.den[n]
+    def _differences(self, lam: Fraction, shift: int, n: int, k: int) -> tuple[Fraction, ...]:
+        """Entries 0..min(k, n), at least, of i -> (1/i!) Delta^i at j = shift
+        of j -> E[(S_j)_{n,lam}], that is of Theorem 2.1 row n at that shift,
+        S^(shift,Y)(n+shift, i+shift) = (1/i!) sum_j C(i,j) (-1)^(i-j) E[(S_{j+shift})_{n,lam}].
+        Kept in the lam table under (shift, n); a miss differences the
+        numerators of rows shift..shift+k over D_n, with one Fraction per new
+        entry. Threads read equal entries."""
+        table = self._tables.get((lam.numerator, lam.denominator))
+        row = table.differences.get((shift, n), ()) if table else ()
+        k = min(k, n)
+        if len(row) <= k:
+            table = self._table(lam, shift + k, n)
+            diffs = [r[n] for r in table.rows[shift : shift + k + 1]]
+            entries = list(row)
+            for i in range(k + 1):
+                if i == len(entries):
+                    entries.append(Fraction(diffs[0], table.den[n] * factorial(i)))
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            row = table.differences[shift, n] = tuple(entries)
+        return row
 
     def _table(self, lam: Fraction, j: int, n: int) -> _SumTable:
         """The lam table, grown to hold E[(S_j)_{n,lam}]."""
@@ -294,6 +308,7 @@ class _SumTable:
         self.rows: list[list[int]] = [[1]]
         # weights[k][i] is the weight of rows[j - 1][i] in rows[j][k]
         self.weights: list[list[int]] = [[1]]
+        self.differences: dict[tuple[int, int], tuple[Fraction, ...]] = {}  # see `_differences`
 
     def holds(self, j: int, n: int) -> bool:
         """Whether E[(S_j)_{n,lam}] is in the table."""
@@ -319,12 +334,7 @@ class _SumTable:
             rows[0].append(0)
         while len(rows) <= j:
             rows.append([])
-        # row lengths never increase with j, so the rows short of order n
-        # are rows[first..j]
-        first = j + 1
-        while first > 1 and len(rows[first - 1]) <= n:
-            first -= 1
-        for i in range(first, j + 1):
+        for i in range(1, j + 1):
             prev, row = rows[i - 1], rows[i]
             for k in range(len(row), n + 1):
                 row.append(sum(map(operator.mul, weights[k], prev)))

@@ -11,9 +11,9 @@ for `verify`).
 Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
 are witnesses, integer sums made one Fraction per entry, a row n at a time:
 `identities` checks them against the generating function and each other, and
-none reaches `_columns`. The context keeps each Theorem 2.1 row at shift r
-or 0 as a prefix over k (`_prefix`); both shifts read one iid-sum table.
-The only process-global state is the kernel triangles.
+none reaches `_columns`. A Theorem 2.1 row depends on (Y, lam, shift, n)
+only, so the oracle keeps it (`MomentOracle._differences`) for every context
+on that lam. The only process-global state is the kernel triangles.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class StirlingContext:
     """The parameter triple (Y, lam, r) every triangle is indexed by.
 
     Instances compare and hash by (oracle, lam, r); the generating-function
-    rows and Theorem 2.1 entries are derived data kept for the life of the
-    context.
+    rows are derived data kept for the life of the context.
     """
 
     def __init__(self, oracle: MomentOracle, lam: RationalLike, r: int):
@@ -42,8 +41,6 @@ class StirlingContext:
         self.r = r
         # row n of the generating-function triangle, filled by `_triangle_row`
         self._rows: dict[int, tuple[Fraction, ...]] = {}
-        # Theorem 2.1 row n at shift r or 0, entries 0..K, filled by `_prefix`
-        self._entries: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StirlingContext):
@@ -58,41 +55,21 @@ class StirlingContext:
 
 
 def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> Fraction:
-    """The r = 0 entry of `prob_r_stirling2`, on a context dropped after the call."""
+    """The r = 0 entry of `prob_r_stirling2`. Its row stays with the oracle."""
     return prob_r_stirling2(StirlingContext(oracle, lam, 0), n, k)
 
 
 def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The (n+r, k+r) entry of the probabilistic degenerate r-Stirling triangle
-    by Theorem 2.1, kept in the context. Zero for k > n."""
+    by Theorem 2.1, kept with the oracle. Zero for k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    return _prefix(ctx, ctx.r, n, k)[k] if k <= n else Fraction(0)
-
-
-def _prefix(ctx: StirlingContext, shift: int, n: int, k: int) -> tuple[Fraction, ...]:
-    """Entries 0..min(k, n), at least, of row n of the Theorem 2.1 triangle
-    S^(shift,Y)(n+shift, k+shift) = (1/k!) sum_j C(k,j) (-1)^(k-j) E[(S_{j+shift})_{n,lam}],
-    kept in the context. Entry k is the k-th forward difference at 0 of
-    j -> E[(S_{j+shift})_{n,lam}], so one run of numerators over D_n gives
-    entries 0..k by integer differences, with one Fraction per new entry.
-    Threads sharing a context read equal entries."""
-    row = ctx._entries.get((shift, n), ())
-    k = min(k, n)
-    if len(row) <= k:
-        diffs, den = ctx.oracle._numerators(ctx.lam, shift, shift + k, n)
-        entries = list(row)
-        for j in range(k + 1):
-            if j == len(entries):
-                entries.append(Fraction(diffs[0], den * factorial(j)))
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        row = ctx._entries[shift, n] = tuple(entries)
-    return row
+    return ctx.oracle._differences(ctx.lam, ctx.r, n, k)[k] if k <= n else Fraction(0)
 
 
 def _row(ctx: StirlingContext, shift: int, n: int) -> tuple[Fraction, ...]:
     """Row n of the Theorem 2.1 triangle at the given shift, entries k = 0..n."""
-    return _prefix(ctx, shift, n, n)
+    return ctx.oracle._differences(ctx.lam, shift, n, n)
 
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
@@ -115,7 +92,7 @@ def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[Fraction]
     inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
     out = []
     for k in ks:
-        s2y, s2y_den = _over_lcm([_prefix(ctx, 0, l, max(ks))[k] for l in range(k, n + 1)])
+        s2y, s2y_den = _over_lcm([ctx.oracle._differences(ctx.lam, 0, l, max(ks))[k] for l in range(k, n + 1)])
         total = sum([binomial(n, l) * s * c ** (l - k) * inner[n - l] for l, s in enumerate(s2y, k)])
         out.append(Fraction(total, c ** max(n - k, 0) * s2y_den * sums_den))
     return out
@@ -135,7 +112,7 @@ def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[Fraction
     if n < 0 or min(ks) < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
     r = ctx.r
-    s2y, den = _over_lcm(_prefix(ctx, 0, n, max(ks) + r))
+    s2y, den = _over_lcm(ctx.oracle._differences(ctx.lam, 0, n, max(ks) + r))
     out = []
     for k in ks:
         terms = [binomial(m + k, m) * binomial(r, m) * factorial(m) * s2y[m + k] for m in range(min(n - k, r) + 1)]

@@ -1,8 +1,9 @@
 """Threads sharing the cached tables must read what a single thread reads.
 
 Each test starts from cold caches (a fresh oracle and context, emptied kernel
-triangles), then has 8 threads start the same work at once under a short
-interpreter switch interval, so cache growth interleaves between threads.
+triangles), then has 8 threads start the same work at once, or each the work
+of its own context on one oracle, under a short interpreter switch interval,
+so cache growth interleaves between threads.
 """
 
 import sys
@@ -16,6 +17,7 @@ from prstirling.kernel import stirling1_signed, stirling2
 from prstirling.stirling import (
     StirlingContext,
     prob_r_stirling2,
+    prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
     prob_stirling2,
     stirling_triangle,
@@ -25,13 +27,13 @@ THREADS = 8
 
 
 def run_in_threads(work):
-    """Results of `work()` from THREADS threads released together."""
+    """Results of `work(i)` from threads i = 0..THREADS-1 released together."""
     results = [None] * THREADS
     start = threading.Barrier(THREADS)
 
     def run(i):
         start.wait()
-        results[i] = work()
+        results[i] = work(i)
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -57,7 +59,7 @@ def test_threads_sharing_one_cold_oracle_build_the_same_triangle():
     reference = stirling_triangle(StirlingContext(parse_dist(dist), lam, r), n_max)
     empty_kernel_caches()
     ctx = StirlingContext(parse_dist(dist), lam, r)
-    assert run_in_threads(lambda: stirling_triangle(ctx, n_max)) == [reference] * THREADS
+    assert run_in_threads(lambda _: stirling_triangle(ctx, n_max)) == [reference] * THREADS
 
 
 def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
@@ -79,7 +81,7 @@ def test_threads_sharing_one_cold_oracle_read_the_same_sum_rows():
     reference = work(StirlingContext(parse_dist(dist), lam, r))
     empty_kernel_caches()
     ctx = StirlingContext(parse_dist(dist), lam, r)
-    assert run_in_threads(lambda: work(ctx)) == [reference] * THREADS
+    assert run_in_threads(lambda _: work(ctx)) == [reference] * THREADS
 
 
 def test_threads_sharing_one_cold_context_read_the_same_entries():
@@ -97,7 +99,26 @@ def test_threads_sharing_one_cold_context_read_the_same_entries():
     reference = work(StirlingContext(parse_dist(dist), lam, r))
     empty_kernel_caches()
     ctx = StirlingContext(parse_dist(dist), lam, r)
-    assert run_in_threads(lambda: work(ctx)) == [reference] * THREADS
+    assert run_in_threads(lambda _: work(ctx)) == [reference] * THREADS
+
+
+def test_threads_holding_contexts_on_one_cold_oracle_read_the_same_entries():
+    # thread i holds the r = i context; the Theorem 2.1 rows at shift 0 that
+    # the shift and double-sum routes read are one store shared by all eight
+    dist, lam, n_max = "uniform{0,1,2,3,5}", Fraction(2, 7), 8
+
+    def work(ctx):
+        return [
+            (prob_r_stirling2(ctx, n, k), prob_r_stirling2_via_shift(ctx, n, k), prob_r_stirling2_via_conv(ctx, n, k))
+            for n in range(n_max, -1, -1)
+            for k in range(n + 1)
+        ]
+
+    reference = [work(StirlingContext(parse_dist(dist), lam, r)) for r in range(THREADS)]
+    empty_kernel_caches()
+    oracle = parse_dist(dist)
+    contexts = [StirlingContext(oracle, lam, r) for r in range(THREADS)]
+    assert run_in_threads(lambda i: work(contexts[i])) == reference
 
 
 def test_threads_growing_the_kernel_triangles_read_the_same_rows():
@@ -110,4 +131,4 @@ def test_threads_growing_the_kernel_triangles_read_the_same_rows():
 
     reference = rows()
     empty_kernel_caches()
-    assert run_in_threads(rows) == [reference] * THREADS
+    assert run_in_threads(lambda _: rows()) == [reference] * THREADS

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling import identities, stirling
+from prstirling import identities, moments, stirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
@@ -121,10 +121,10 @@ def test_witnesses_never_reach_the_generating_function(monkeypatch):
 
 
 def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch):
-    def refuse(self, lam, first, last, n):
+    def refuse(self, lam, shift, n, k):
         raise AssertionError("integer moment numerators read")
 
-    monkeypatch.setattr(MomentOracle, "_numerators", refuse)
+    monkeypatch.setattr(MomentOracle, "_differences", refuse)
     for r in range(3):
         ctx = StirlingContext(MomentOracle.uniform_discrete([0, 1, 3]), F(2, 5), r)
         rows = stirling.stirling_triangle(ctx, 6)
@@ -140,9 +140,10 @@ def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch)
 def test_a_perturbed_moment_numerator_fails_thm_2_5():
     lam = F(1, 3)
     for r in range(3):
+        # a fresh oracle each, as the Theorem 2.1 rows stay with the oracle
+        assert verify_thm_2_5(StirlingContext(MomentOracle.poisson(F(1, 2)), lam, r), 3).passed
         oracle = MomentOracle.poisson(F(1, 2))
-        assert verify_thm_2_5(StirlingContext(oracle, lam, r), 3).passed
-        oracle._numerators(lam, 2, 2, 3)  # grow row j = 2 to order 3
+        oracle.degenerate_factorial_moment(2, 3, lam)  # grow row j = 2 to order 3
         oracle._tables[lam.numerator, lam.denominator].rows[2][3] += 1  # E[(S_2)_{3,lam}] off by 1 / D_3
         ctx = StirlingContext(oracle, lam, r)
         assert verify_thm_2_5(ctx, 2).passed
@@ -189,18 +190,19 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
         for shift in (r, 0):
             ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
             row = stirling._row(ctx, shift, 3)
-            ctx._entries[shift, 3] = row[:1] + (row[1] + 1,) + row[2:]  # stored entry (3, 1)
+            store = ctx.oracle._tables[ctx.lam.numerator, ctx.lam.denominator].differences
+            store[shift, 3] = row[:1] + (row[1] + 1,) + row[2:]  # stored entry (3, 1)
             for check in (verify_thm_2_4, corrected):
                 assert not check(ctx, 3).passed, (check, r, shift)
                 assert check(ctx, 2).passed, (check, r, shift)
 
-    prefix = stirling._prefix
+    differences = MomentOracle._differences
 
-    def perturbed(ctx, shift, n, k):
-        row = prefix(ctx, shift, n, k)
+    def perturbed(self, lam, shift, n, k):
+        row = differences(self, lam, shift, n, k)
         return row[:1] + (row[1] + 1,) + row[2:] if n == 3 and len(row) > 1 else row
 
-    monkeypatch.setattr(stirling, "_prefix", perturbed)
+    monkeypatch.setattr(MomentOracle, "_differences", perturbed)
     for r in range(3):
         for lam in (F(-1, 2), F(1, 3)):
             assert not verify_reduction_point_one(lam, r, 3).passed
@@ -230,6 +232,32 @@ def test_thm_2_8_reads_each_via_shift_entry_once_per_row(monkeypatch):
     # 80 contexts; row n reads via-shift rows l = 0..n once each:
     # sum over n <= 5 of (n + 1) = 21 rows
     assert len(calls) == 80 * 21 == 1680
+
+
+GATING = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
+
+
+@pytest.mark.parametrize(
+    "wanted,max_n,built",
+    [([IdentityId.T2_8], 7, 2880), ([IdentityId.T2_6], 7, 720), (GATING, 6, 2912)],
+    ids=["T2_8@7", "T2_6@7", "all@6"],
+)
+def test_the_suite_builds_each_theorem_2_1_entry_once_per_oracle(monkeypatch, wanted, max_n, built):
+    """The four r-contexts on one (Y, lam) share the Theorem 2.1 rows, so
+    each entry is built once per (Y, lam, shift, n, k): T2_8 at max-n 7
+    builds rows at shifts 0..3 (20 * 4 * 36 entries), T2_6 only shift 0
+    (20 * 36), and ReductionY1 and ClassicalLambda0 add 672 entries on a
+    fresh point(1) oracle each. Each kept entry was built once."""
+    tables = []
+
+    class Recorded(moments._SumTable):
+        def __init__(self, lam):
+            super().__init__(lam)
+            tables.append(self)
+
+    monkeypatch.setattr(moments, "_SumTable", Recorded)
+    run_suite(default_grid(max_n), wanted)
+    assert sum(len(row) for table in tables for row in table.differences.values()) == built
 
 
 def test_row_checkers_report_as_the_one_point_checkers():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -298,7 +298,7 @@ def growth_expected(name, lam):
 orders = st.integers(0, GROWTH_N)
 summands = st.integers(0, GROWTH_J)
 table_reads = st.one_of(
-    st.tuples(st.just("numerators"), summands, summands, orders),
+    st.tuples(st.just("differences"), summands, summands, orders),
     st.tuples(st.just("factorial moment"), summands, orders),
     st.tuples(st.just("sum moment"), summands, orders),
 )
@@ -311,15 +311,20 @@ table_reads = st.one_of(
     st.lists(table_reads, min_size=1, max_size=12),
 )
 def test_sum_table_values_do_not_depend_on_growth_order(name, lam, reads):
-    # one cold oracle per example; runs from first = 0 read the stored row 0
+    # one cold oracle per example; differences at shift 0 read the stored
+    # row 0, and a kept row of differences is read again or lengthened
     oracle = GROWTH_KINDS[name]()
     expected = growth_expected(name, lam)
     for read in reads:
-        if read[0] == "numerators":
-            first, last = sorted(read[1:3])
+        if read[0] == "differences":
+            shift, last = sorted(read[1:3])
             n = read[3]
-            nums, den = oracle._numerators(lam, first, last, n)
-            assert [F(v, den) for v in nums] == [expected[j][n] for j in range(first, last + 1)], read
+            k = min(last - shift, n)
+            newton = [
+                sum(comb(i, j) * (-1) ** (i - j) * expected[shift + j][n] for j in range(i + 1)) / factorial(i)
+                for i in range(k + 1)
+            ]
+            assert list(oracle._differences(lam, shift, n, k)[: k + 1]) == newton, read
         elif read[0] == "factorial moment":
             j, n = read[1:]
             assert oracle.degenerate_factorial_moment(j, n, lam) == expected[j][n], read

@@ -33,6 +33,7 @@ from prstirling.stirling import (
 )
 
 from oracles import partition_count, theorem_2_1_entry
+from test_moments import count_fractions
 
 F = Fraction
 
@@ -243,27 +244,53 @@ def test_triangle_past_the_given_moments_raises():
         stirling_triangle(ctx, 4)
 
 
+def entry_store(oracle, lam):
+    """The Theorem 2.1 rows kept in the oracle's lam table."""
+    return oracle._tables[lam.numerator, lam.denominator].differences
+
+
 def test_triangle_leaves_the_entry_cache_alone():
     for r in range(3):
-        ctx = StirlingContext(MomentOracle.geometric(F(1, 3)), F(-1, 2), r)
+        oracle, lam = MomentOracle.geometric(F(1, 3)), F(-1, 2)
+        ctx = StirlingContext(oracle, lam, r)
         stirling_triangle(ctx, 10)
         bell_coeffs(ctx, 10)
         bell_eval(ctx, 8, F(1, 2))
-        assert ctx._entries == {}
+        assert entry_store(oracle, lam) == {}
 
 
-def test_entries_live_in_their_context():
-    """One row-store entry per (shift, n): the prefix k = 0..K of that row."""
-    ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), 2)
+def test_entries_live_in_their_lam_table():
+    """One row-store entry per (shift, n) in the oracle's lam table: the
+    prefix k = 0..K of that row. The context keeps none."""
+    oracle, lam = MomentOracle.poisson(F(1, 2)), F(1, 3)
+    ctx = StirlingContext(oracle, lam, 2)
     value = prob_r_stirling2(ctx, 5, 2)
-    assert set(ctx._entries) == {(2, 5)}
-    assert ctx._entries[2, 5] == tuple(prob_r_stirling2(ctx, 5, k) for k in range(3))
-    assert ctx._entries[2, 5][2] == value
+    store = entry_store(oracle, lam)
+    assert set(store) == {(2, 5)}
+    assert store[2, 5] == tuple(prob_r_stirling2(ctx, 5, k) for k in range(3))
+    assert store[2, 5][2] == value
     prob_r_stirling2_via_shift(ctx, 5, 2)
-    assert set(ctx._entries) == {(2, 5), (0, 5)}
-    assert len(ctx._entries[0, 5]) == 5  # S^Y(5, k) for k = 0..2 + r
+    assert set(store) == {(2, 5), (0, 5)}
+    assert len(store[0, 5]) == 5  # S^Y(5, k) for k = 0..2 + r
     prob_r_stirling2(ctx, 5, 1)  # already held: the prefix does not shrink
-    assert len(ctx._entries[2, 5]) == 3
+    assert len(store[2, 5]) == 3
+    prob_r_stirling2(StirlingContext(oracle, F(1, 2), 2), 5, 2)  # another lam, another table
+    assert set(store) == {(2, 5), (0, 5)} and set(entry_store(oracle, F(1, 2))) == {(2, 5)}
+    assert set(vars(ctx)) == {"oracle", "lam", "r", "_rows"} and ctx._rows == {}
+
+
+def test_contexts_share_the_rows(monkeypatch):
+    """A Theorem 2.1 row depends on (Y, lam, shift, n), not on r: the r = 0
+    context reads the shift-0 row the shift route of an r = 2 context kept,
+    and builds no Fraction."""
+    oracle, lam = MomentOracle.poisson(F(1, 2)), F(1, 3)
+    prob_r_stirling2_via_shift(StirlingContext(oracle, lam, 2), 5, 2)  # S^Y(5, k) for k = 0..4
+    ctx = StirlingContext(oracle, lam, 0)
+    counter = count_fractions(monkeypatch)
+    entries = [prob_r_stirling2(ctx, 5, k) for k in range(5)]
+    assert counter[0] == 0
+    monkeypatch.undo()
+    assert entries == stirling_triangle(StirlingContext(oracle, lam, 0), 5)[5][:5]
 
 
 @pytest.mark.parametrize("n,k", [(80, 1), (40, 0), (30, 5), (12, 12)])
@@ -274,7 +301,7 @@ def test_a_lone_entry_grows_the_table_only_to_its_column(n, k):
     ctx = StirlingContext(oracle, lam, r)
     value = prob_r_stirling2(ctx, n, k)
     assert len(oracle._tables[lam.numerator, lam.denominator].rows) <= r + k + 1
-    assert len(ctx._entries[r, n]) == k + 1
+    assert len(entry_store(oracle, lam)[r, n]) == k + 1
     assert value == stirling_triangle(StirlingContext(oracle, lam, r), n)[n][k]
 
 
@@ -312,7 +339,9 @@ def test_a_context_holds_no_other_context(r):
     bell_via_convolution(ctx, n, F(1, 2))
     bell_dobinski(ctx, n, 1.0, 1e-9)
     stirling_triangle(ctx, n)
-    assert ctx._entries and ctx._rows
+    assert entry_store(ctx.oracle, ctx.lam) and ctx._rows
+    for table in ctx.oracle._tables.values():  # nor does the oracle keep one
+        assert not any(isinstance(row, StirlingContext) for row in table.differences.values())
     for name, value in vars(ctx).items():
         assert not isinstance(value, StirlingContext), name
         if isinstance(value, dict):
