@@ -10,9 +10,7 @@ the public functions are the one-point case. The series is the only float
 computation in the package and reports its own convergence diagnostics. Its
 moments E[(S_{k+r})_{n,lam}] are one polynomial in k + r, read once from the
 r = 0 Theorem 2.1 row n, so the iid-sum table stays at rows 0..n whatever x
-is; each term divides the polynomial's integer value by one denominator,
-which rounds once, exactly as converting the reduced Fraction would. The
-series stops after MAX_TERMS terms.
+is.
 """
 
 from __future__ import annotations
@@ -45,12 +43,12 @@ def bell_eval(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
 def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
     """Same value through the binomial convolution with the r = 0 polynomials,
     sum_{m=0}^{n} C(n,m) E[(S_r)_{m,lam}] Bel^Y_{n-m}(x)."""
-    return _via_convolution(ctx, n, [x])[0]
+    return Fraction(*_via_convolution(ctx, n, [Fraction(x)])[0])
 
 
-def _via_convolution(ctx: StirlingContext, n: int, xs: Sequence[RationalLike]) -> list[Fraction]:
-    """`bell_via_convolution` at each x, summed in integers: the moments over
-    the lcm F of their denominators and the coefficients of every Bel^Y_{n-m}
+def _via_convolution(ctx: StirlingContext, n: int, xs: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """`bell_via_convolution` at each x, an int pair: the moments over the
+    lcm F of their denominators and the coefficients of every Bel^Y_{n-m}
     used over theirs, S, make one integer c[i] per power x^i, so that with
     x = p/q the value is sum_i c[i] p^i q^(n-i) over F S q^n."""
     if n < 0:
@@ -66,8 +64,8 @@ def _via_convolution(ctx: StirlingContext, n: int, xs: Sequence[RationalLike]) -
         for i, s in enumerate(row):
             coeffs[i] += weight * s.numerator * (s_den // s.denominator)
     return [
-        Fraction(_homogeneous(coeffs, x.numerator, x.denominator), moments_den * s_den * x.denominator**n)
-        for x in map(Fraction, xs)
+        (_homogeneous(coeffs, x.numerator, x.denominator), moments_den * s_den * x.denominator**n)
+        for x in xs
     ]
 
 
@@ -91,15 +89,14 @@ def bell_dobinski(ctx: StirlingContext, n: int, x: float, tolerance: float) -> D
     against alternating near-zeros for negative lam, and the lam factor in the
     minimum index skips the window where the degenerate product still has
     roots (0, lam, ..., (n-1) lam). The sum is compensated (Kahan), each
-    moment converted to float on its own. The weights x^k / k! run by product
+    moment a float on its own or, past float range, exact, its term then the
+    exact product rounded once. The weights x^k / k! run by product
     and e^(-x) scales the sum at the end, except where e^(-x) or the threshold
     is not a normal float (x past about 708, or a tiny tolerance) or that sum
     leaves float range: there e^(-x) is folded into each weight in log space,
     exp(k ln x - lgamma(k+1) - x), and terms are compared with tolerance / 8.
     The result is unconverged, with a NaN value, if even that sum leaves
-    float range or MAX_TERMS terms do not meet the rule. A moment past float
-    range raises OverflowError even where the value is representable
-    (poisson(100), lam 0, r 0, n 160, x 1e-60 gives about 3.55e291).
+    float range or MAX_TERMS terms do not meet the rule.
     """
     return _dobinski(ctx, n, [x], tolerance)[0]
 
@@ -124,7 +121,11 @@ def _dobinski(ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: floa
     def moment(k: int) -> float:
         """E[(S_{k+r})_{n,lam}]: int / int rounds once, as float(Fraction) does."""
         if k == len(moments):
-            moments.append(_homogeneous(nums, k + ctx.r, 1) / den)
+            num = _homogeneous(nums, k + ctx.r, 1)
+            try:
+                moments.append(num / den)
+            except OverflowError:
+                moments.append(Fraction(num, den))
         return moments[k]
 
     base = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r
@@ -140,7 +141,7 @@ def _series(
 ) -> Optional[DobinskiResult]:
     """The partial sums of `bell_dobinski`, e^(-x) folded into each weight or
     applied to the sum; None if the unfolded sum cannot run. moment(k) is
-    E[(S_{k+r})_{n,lam}] as a float."""
+    E[(S_{k+r})_{n,lam}], a float or (past float range) a Fraction."""
     scale = 1.0 if folded else math.exp(-x)
     log_x = math.log(x) if folded else 0.0
     threshold = tolerance * scale / 8.0
@@ -155,7 +156,8 @@ def _series(
     for k in range(MAX_TERMS):
         if folded:
             weight = math.exp(k * log_x - math.lgamma(k + 1) - x)
-        term = weight * moment(k)
+        m = moment(k)
+        term = weight * m if type(m) is float else float(Fraction(weight) * m)
         y = term - comp
         t = total + y
         comp = (t - total) - y

@@ -175,9 +175,7 @@ def cmd_verify(args) -> int:
         payload = {"summary": summary}
     _emit(_record("verify", None, payload), "json", args.out)
     # opt-in identities report findings; only the rest gate the exit status
-    gating_failures = sum(
-        1 for r in reports if not r.passed and r.identity not in OPT_IN_IDENTITIES
-    )
+    gating_failures = sum(s["fail"] for name, s in summary.items() if IdentityId(name) not in OPT_IN_IDENTITIES)
     return 1 if gating_failures else 0
 
 

@@ -9,10 +9,22 @@ series. Every other identity checks witnesses against each other. Failures
 are data: reports carry both sides and the full parameter point.
 
 T2_1_vs_T2_2/3, T2_6, T2_7 and T2_8 hold for one row n at many points;
-`run_suite` runs each through a row checker (`_agreement`, `_thm_2_6/7/8`)
+`run_suite` runs each through a row checker (`_agreement`, `_thm_2_6/7`)
 that reads the row's shared inputs once, so a point costs only its own
-work, and keeps each context's generating-function rows from one build. The
-public `verify_*` functions are the one-point case.
+work, and keeps each context's generating-function rows from one build.
+T2_8 is checked a context at a time (`_thm_2_8`): each via-shift row and
+each column is read and put over its lcm once for all rows n. The public
+`verify_*` functions are the one-point case.
+
+Each exact check of those five is decided in integers: the production row
+over its lcm once per row, each side one integer over one denominator, and
+`passed` by cross-multiplication, with no Fraction or string per check (the
+T2_7 exact side is that integer quotient, which rounds once). A report keeps
+its sides as held and makes `lhs` and `rhs` only when read, so a summary
+run formats no side at all; a side in a fresh container (the T2_4 and T2_9
+vectors, the point(1) rows of ReductionY1 and ClassicalLambda0) is formatted
+at once instead, so that the container can die. The point items, such as
+("k", "3"), are tuples shared by every check of one identity in a run.
 
 Identities of one shape share one checker: T2_4 and T2_9_corrected are one
 polynomial identity summed in two orders (`_shifted`; the paper form of T2_9
@@ -24,8 +36,10 @@ Stirling triangles.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bell import _dobinski, _via_convolution, bell_coeffs
@@ -33,8 +47,8 @@ from .kernel import (
     Basis,
     Polynomial,
     RationalLike,
+    _homogeneous,
     _over_lcm,
-    binomial,
     convert_basis,
     degenerate_falling_coeffs,
     shift_argument,
@@ -66,12 +80,29 @@ OPT_IN_IDENTITIES = frozenset({IdentityId.T2_9_paper_form})
 
 
 class VerificationReport(NamedTuple):
+    """One check: the identity, its parameter point, the verdict and both
+    sides. `lhs` and `rhs` are the sides' exact text, made when read. A side
+    is held as it was decided: text, a float, a Fraction, a row of Fractions
+    kept elsewhere anyway (a Theorem 2.1 or generating-function row), or an
+    integer `left`/`right` over `left_den`/`right_den`. Reports compare and
+    hash by that text, not by the held form."""
+
     identity: IdentityId
     point: tuple[tuple[str, str], ...]
     passed: bool
-    lhs: str
-    rhs: str
+    left: object
+    right: object
     tolerance: Optional[float] = None
+    left_den: Optional[int] = None
+    right_den: Optional[int] = None
+
+    @property
+    def lhs(self) -> str:
+        return _text(self.left, self.left_den)
+
+    @property
+    def rhs(self) -> str:
+        return _text(self.right, self.right_den)
 
     def to_dict(self) -> dict:
         d = {
@@ -85,20 +116,42 @@ class VerificationReport(NamedTuple):
             d["tolerance"] = self.tolerance
         return d
 
+    def _key(self) -> tuple:
+        return self.identity, self.point, self.passed, self.lhs, self.rhs, self.tolerance
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, VerificationReport) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return self._key() != other._key() if isinstance(other, VerificationReport) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _text(side, den: Optional[int]) -> str:
+    if den is not None:
+        return str(Fraction(side, den))
+    return _vec(side) if type(side) is tuple else str(side)
+
 
 def _vec(coeffs: Sequence[Fraction]) -> str:
     return "[" + ", ".join(str(c) for c in coeffs) + "]"
 
 
-def _point(ctx: StirlingContext, **extra) -> tuple[tuple[str, str], ...]:
-    items = [("dist", ctx.oracle.describe()), ("lambda", str(ctx.lam)), ("r", str(ctx.r))]
-    return tuple(items + [(k, str(v)) for k, v in extra.items()])
+class _Items(dict):
+    """Point items (name, text) by (name, value), one shared tuple per
+    distinct item: one instance serves a one-point check, or every check of
+    one identity in a suite run. The text of an oracle is its expression."""
+
+    def __missing__(self, key: tuple) -> tuple[str, str]:
+        name, value = key
+        item = self[key] = (name, value.describe() if name == "dist" else str(value))
+        return item
 
 
-def _exact_report(identity, point, lhs, rhs, vector=False) -> VerificationReport:
-    if vector:
-        return VerificationReport(identity, point, list(lhs) == list(rhs), _vec(lhs), _vec(rhs))
-    return VerificationReport(identity, point, lhs == rhs, str(lhs), str(rhs))
+def _point(ctx: StirlingContext, items: _Items, n: int) -> tuple[tuple[str, str], ...]:
+    return items["dist", ctx.oracle], items["lambda", ctx.lam], items["r", ctx.r], items["n", n]
 
 
 def _falling(row: Sequence[Fraction]) -> Polynomial:
@@ -106,22 +159,24 @@ def _falling(row: Sequence[Fraction]) -> Polynomial:
     return convert_basis(Polynomial.make(Basis.FALLING_FACTORIAL, row), Basis.MONOMIAL)
 
 
-def _shifted(identity: IdentityId, ctx: StirlingContext, n: int, y: Polynomial) -> VerificationReport:
-    """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), as monomial coefficient vectors."""
-    lhs = _falling(_row(ctx, ctx.r, n))
-    rhs = shift_argument(y, ctx.r)
-    return _exact_report(identity, _point(ctx, n=n), lhs.coefficients, rhs.coefficients, vector=True)
+def _shifted(identity: IdentityId, ctx: StirlingContext, n: int, y: Polynomial, items: _Items) -> VerificationReport:
+    """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), as monomial coefficient
+    vectors; both are fresh, so the report keeps their text."""
+    lhs = _falling(_row(ctx, ctx.r, n)).coefficients
+    rhs = shift_argument(y, ctx.r).coefficients
+    return VerificationReport(identity, _point(ctx, items, n), lhs == rhs, _vec(lhs), _vec(rhs))
 
 
 def _expansion(
-    identity: IdentityId, lam: RationalLike, r: int, n: int, power: Polynomial
+    identity: IdentityId, lam: RationalLike, r: int, n: int, power: Polynomial, items: _Items
 ) -> VerificationReport:
     """For Y fixed at 1, the triangle row against the falling-factorial
-    coefficients of power(x + r), computed purely in the exact kernel."""
+    coefficients of power(x + r), computed purely in the exact kernel. The
+    row dies with its oracle here, so the report keeps its text."""
     ctx = StirlingContext(MomentOracle.point(1), lam, r)
     expansion = convert_basis(shift_argument(power, r), Basis.FALLING_FACTORIAL).coefficients
-    rhs = list(expansion) + [Fraction(0)] * (n + 1 - len(expansion))
-    return _exact_report(identity, _point(ctx, n=n), _row(ctx, r, n), rhs, vector=True)
+    lhs, rhs = _row(ctx, r, n), expansion + (Fraction(0),) * (n + 1 - len(expansion))
+    return VerificationReport(identity, _point(ctx, items, n), lhs == rhs, _vec(lhs), _vec(rhs))
 
 
 # ---- individual checkers ---------------------------------------------------
@@ -129,65 +184,82 @@ def _expansion(
 
 def verify_formula_agreement(ctx: StirlingContext, n: int, k: int, which: IdentityId) -> VerificationReport:
     """Production formula vs. one of the two independent routes."""
-    return _agreement(ctx, n, [k], which)[0]
+    return _agreement(ctx, n, [k], which, _Items())[0]
 
 
-def _agreement(ctx: StirlingContext, n: int, ks: Sequence[int], which: IdentityId) -> list[VerificationReport]:
-    """`verify_formula_agreement` at each k of row n, in one route call."""
+def _agreement(
+    ctx: StirlingContext, n: int, ks: Sequence[int], which: IdentityId, items: _Items
+) -> list[VerificationReport]:
+    """`verify_formula_agreement` at each k of row n, in one route call: the
+    Theorem 2.1 row over its lcm once, each entry against the route's
+    integer pair."""
     route = {IdentityId.T2_1_vs_T2_2: _via_conv, IdentityId.T2_1_vs_T2_3: _via_shift}.get(which)
     if route is None:
         raise ValueError(f"not a formula-agreement identity: {which}")
-    rhs, row, head = route(ctx, n, ks), ctx.oracle._differences(ctx.lam, ctx.r, n, max(ks)), _point(ctx, n=n)
-    return [
-        _exact_report(which, head + (("k", str(k)),), row[k] if k <= n else Fraction(0), v)
-        for k, v in zip(ks, rhs)
-    ]
+    routed, row = route(ctx, n, ks), ctx.oracle._differences(ctx.lam, ctx.r, n, max(ks))
+    (nums, den), head, reports = _over_lcm(row), _point(ctx, items, n), []
+    for k, (rhs, rhs_den) in zip(ks, routed):
+        lhs, lhs_num = (row[k], nums[k]) if k <= n else (0, 0)  # zero past the row
+        passed = lhs_num * rhs_den == rhs * den
+        reports.append(VerificationReport(which, head + (items["k", k],), passed, lhs, rhs, None, None, rhs_den))
+    return reports
 
 
 def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
     """sum_k S^(r,Y)(n+r,k+r) (x)_k == sum_k S^Y(n,k) (x+r)_k, as monomial
     coefficient vectors."""
-    return _shifted(IdentityId.T2_4, ctx, n, _falling(_row(ctx, 0, n)))
+    return _shifted(IdentityId.T2_4, ctx, n, _falling(_row(ctx, 0, n)), _Items())
 
 
 def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
     """Bell coefficient vector (the generating-function triangle row) equals
     the Theorem 2.1 row entrywise."""
-    lhs = bell_coeffs(ctx, n).coefficients
-    return _exact_report(IdentityId.T2_5, _point(ctx, n=n), lhs, _row(ctx, ctx.r, n), vector=True)
+    return _thm_2_5(ctx, n, _Items())
+
+
+def _thm_2_5(ctx: StirlingContext, n: int, items: _Items) -> VerificationReport:
+    """T2_5; both rows stay in their stores, so the report holds them."""
+    lhs, rhs = bell_coeffs(ctx, n).coefficients, _row(ctx, ctx.r, n)
+    return VerificationReport(IdentityId.T2_5, _point(ctx, items, n), lhs == rhs, lhs, rhs)
 
 
 def verify_thm_2_6(ctx: StirlingContext, n: int, x: RationalLike) -> VerificationReport:
     """Direct evaluation vs. the binomial-convolution form."""
-    return _thm_2_6(ctx, n, [x])[0]
+    return _thm_2_6(ctx, n, [Fraction(x)], _Items())[0]
 
 
-def _thm_2_6(ctx: StirlingContext, n: int, xs: Sequence[RationalLike]) -> list[VerificationReport]:
-    """T2_6 at each x of row n, reading the row's inputs once."""
-    poly, head = bell_coeffs(ctx, n), _point(ctx, n=n)
-    xs = [Fraction(x) for x in xs]
-    return [
-        _exact_report(IdentityId.T2_6, head + (("x", str(x)),), poly(x), rhs)
-        for x, rhs in zip(xs, _via_convolution(ctx, n, xs))
-    ]
+def _thm_2_6(ctx: StirlingContext, n: int, xs: Sequence[Fraction], items: _Items) -> list[VerificationReport]:
+    """T2_6 at each x of row n, reading the row's inputs once: the production
+    row over its lcm D, so that at x = p/q its value is one integer over
+    D q^n, decided against the convolution's integer pair."""
+    nums, den = _over_lcm(bell_coeffs(ctx, n).coefficients)
+    identity, head, reports = IdentityId.T2_6, _point(ctx, items, n), []
+    for x, (rhs, rhs_den) in zip(xs, _via_convolution(ctx, n, xs)):
+        lhs, lhs_den = _homogeneous(nums, x.numerator, x.denominator), den * x.denominator**n
+        passed, point = lhs * rhs_den == rhs * lhs_den, head + (items["x", x],)
+        reports.append(VerificationReport(identity, point, passed, lhs, rhs, None, lhs_den, rhs_den))
+    return reports
 
 
 def verify_thm_2_7(ctx: StirlingContext, n: int, x: float, tolerance: float) -> VerificationReport:
     """Truncated series vs. exact evaluation, within relative tolerance."""
-    return _thm_2_7(ctx, n, [x], tolerance)[0]
+    return _thm_2_7(ctx, n, [x], tolerance, _Items())[0]
 
 
-def _thm_2_7(ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: float) -> list[VerificationReport]:
-    """T2_7 at each x of row n, reading the row's inputs once."""
-    poly, head = bell_coeffs(ctx, n), _point(ctx, n=n)
-    reports = []
+def _thm_2_7(
+    ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: float, items: _Items
+) -> list[VerificationReport]:
+    """T2_7 at each x of row n, reading the row's inputs once. The exact side
+    is the production row over its lcm at x = p/q, one integer over D q^n,
+    whose int / int quotient rounds once, as float(Fraction) does."""
+    nums, den = _over_lcm(bell_coeffs(ctx, n).coefficients)
+    identity, head, reports = IdentityId.T2_7, _point(ctx, items, n), []
     for x, result in zip(xs, _dobinski(ctx, n, xs, tolerance)):
-        exact = float(poly(Fraction(x)))
+        p, q = x.as_integer_ratio()
+        exact = _homogeneous(nums, p, q) / (den * q**n)
         passed = result.converged and abs(result.value - exact) <= tolerance * (abs(exact) or 1.0)
-        point = head + (("x", str(x)), ("terms", str(result.terms_used)))
-        reports.append(
-            VerificationReport(IdentityId.T2_7, point, passed, repr(result.value), repr(exact), tolerance=tolerance)
-        )
+        point = head + (items["x", x], items["terms", result.terms_used])
+        reports.append(VerificationReport(identity, point, passed, result.value, exact, tolerance))
     return reports
 
 
@@ -195,26 +267,40 @@ def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> Verification
     """C(m+k,m) S^(r,Y)(n+r,m+k+r) == sum_{l=m}^{n-k} C(n,l) S^(r,Y)(l+r,m+r) S^Y(n-l,k)."""
     if n < m + k:
         raise ValueError(f"requires n >= m + k, got n={n}, m={m}, k={k}")
-    return _thm_2_8(ctx, n, [m], [k])[0]
+    return _thm_2_8(ctx, [n], [m], [k], _Items())[0]
 
 
-def _thm_2_8(ctx: StirlingContext, n: int, ms: Sequence[int], ks: Sequence[int]) -> list[VerificationReport]:
-    """T2_8 at each (m, k) of row n with m + k <= n, in integers: each
-    via-shift row is read once, and each column of them and of S^Y is put
-    over its lcm once."""
+def _thm_2_8(
+    ctx: StirlingContext, ns: Sequence[int], ms: Sequence[int], ks: Sequence[int], items: _Items
+) -> list[VerificationReport]:
+    """T2_8 at each (n, m, k) with m + k <= n, for one context and in
+    integers: each via-shift row l is read once, each column m of them and
+    each column k of S^Y is put over its lcm once, and each row n of the
+    left side once."""
     m0, k0 = min(ms), min(ks)
-    shifted = {l: _via_shift(ctx, l, range(l + 1)) for l in range(m0, n - k0 + 1)}
-    s2y = {k: _over_lcm([_row(ctx, 0, j)[k] for j in range(k, n - m0 + 1)]) for k in ks}
-    row, head, reports = _row(ctx, ctx.r, n), _point(ctx, n=n), []
+    top = max(ns) - k0  # the last via-shift row l = n - k any check reads
+    shifted = [_via_shift(ctx, l, range(l + 1)) for l in range(m0, top + 1)]
+    a_cols = []  # (m, its item, column m of the via-shift rows l = m..top over its lcm)
     for m in ms:
-        a, a_den = _over_lcm([shifted[l][m] for l in range(m, n - k0 + 1)])
-        weighted = [binomial(n, l) * v for l, v in enumerate(a, m)]
-        for k in ks:
-            if m + k <= n:  # S^Y(n - l, k) for l = m..n - k
-                b, b_den = s2y[k]
-                rhs = Fraction(sum([x * y for x, y in zip(weighted, b[n - m - k :: -1])]), a_den * b_den)
-                point = head + (("m", str(m)), ("k", str(k)))
-                reports.append(_exact_report(IdentityId.T2_8, point, binomial(m + k, m) * row[m + k], rhs))
+        col = [shifted[l - m0][m] for l in range(m, top + 1)]
+        den = math.lcm(*[d for _, d in col])
+        a_cols.append((m, items["m", m], [v * (den // d) for v, d in col], den))
+    s2y = [_row(ctx, 0, j) for j in range(max(ns) - m0 + 1)]
+    b_cols = [(k, items["k", k], *_over_lcm([row[k] for row in s2y[k:]])) for k in ks]  # column k of S^Y
+    identity, reports = IdentityId.T2_8, []
+    for n in ns:
+        (row, row_den), head = _over_lcm(_row(ctx, ctx.r, n)), _point(ctx, items, n)
+        for m, m_item, a, a_den in a_cols:
+            if m + k0 > n:
+                continue
+            weighted = [math.comb(n, l) * v for l, v in enumerate(a[: n - k0 - m + 1], m)]
+            for k, k_item, b, b_den in b_cols:
+                if m + k > n:
+                    continue
+                lhs = math.comb(m + k, m) * row[m + k]
+                rhs, rhs_den = sum(map(mul, weighted, b[n - m - k :: -1])), a_den * b_den  # S^Y(n - l, k), l = m..n - k
+                point, passed = head + (m_item, k_item), lhs * rhs_den == rhs * row_den
+                reports.append(VerificationReport(identity, point, passed, lhs, rhs, None, row_den, rhs_den))
     return reports
 
 
@@ -228,23 +314,31 @@ def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> Ver
     """
     if form not in ("corrected", "paper"):
         raise ValueError(f"form must be 'corrected' or 'paper', got {form!r}")
+    return _thm_2_9(ctx, n, form, _Items())
+
+
+def _thm_2_9(ctx: StirlingContext, n: int, form: str, items: _Items) -> VerificationReport:
     row0 = _row(ctx, 0, n)
     if form == "corrected":
-        return _shifted(IdentityId.T2_9_corrected, ctx, n, _falling(row0))
+        return _shifted(IdentityId.T2_9_corrected, ctx, n, _falling(row0), items)
     printed = [s2 * sum(stirling1_signed(j, i) for j in range(i, n + 1)) for i, s2 in enumerate(row0)]
-    return _shifted(IdentityId.T2_9_paper_form, ctx, n, Polynomial.make(Basis.MONOMIAL, printed))
+    return _shifted(IdentityId.T2_9_paper_form, ctx, n, Polynomial.make(Basis.MONOMIAL, printed), items)
 
 
 def verify_reduction_point_one(lam: RationalLike, r: int, n: int) -> VerificationReport:
     """For Y fixed at 1, the triangle row must match the coefficients of the
     r-shifted degenerate falling factorial in the falling-factorial basis."""
-    return _expansion(IdentityId.ReductionY1, lam, r, n, degenerate_falling_coeffs(n, lam))
+    return _expansion(IdentityId.ReductionY1, lam, r, n, degenerate_falling_coeffs(n, lam), _Items())
 
 
 def verify_classical_limit(r: int, n: int) -> VerificationReport:
     """lam = 0, Y = 1: the triangle row must match the falling-factorial
     expansion of the plain shifted power (x+r)^n."""
-    return _expansion(IdentityId.ClassicalLambda0, 0, r, n, Polynomial.make(Basis.MONOMIAL, [0] * n + [1]))
+    return _expansion(IdentityId.ClassicalLambda0, 0, r, n, _power(n), _Items())
+
+
+def _power(n: int) -> Polynomial:
+    return Polynomial.make(Basis.MONOMIAL, [0] * n + [1])
 
 
 # ---- suite -----------------------------------------------------------------
@@ -286,37 +380,46 @@ def run_suite(
     contexts = [StirlingContext(o, lam, r) for o in oracles for lam in lambdas for r in grid.rs]
     rows = [(ctx, n) for ctx in contexts for n in ns]
 
-    # identity -> its reports in order; generators, so only the selected
-    # identities run, and T2_6, T2_7 and T2_8 check one row per call
+    # identity -> its reports in order, given the identity's point items;
+    # generators, so only the selected identities run, T2_1_vs_T2_2/3, T2_6
+    # and T2_7 check one row per call and T2_8 one context
     suite = {
-        IdentityId.ClassicalLambda0: (verify_classical_limit(r, n) for r in grid.rs for n in ns),
-        IdentityId.ReductionY1: (
-            verify_reduction_point_one(lam, r, n) for lam in lambdas for r in grid.rs for n in ns
+        IdentityId.ClassicalLambda0: lambda items: (
+            _expansion(IdentityId.ClassicalLambda0, 0, r, n, _power(n), items) for r in grid.rs for n in ns
         ),
-        IdentityId.T2_1_vs_T2_2: (
-            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_2)
+        IdentityId.ReductionY1: lambda items: (
+            _expansion(IdentityId.ReductionY1, lam, r, n, degenerate_falling_coeffs(n, lam), items)
+            for lam in lambdas
+            for r in grid.rs
+            for n in ns
         ),
-        IdentityId.T2_1_vs_T2_3: (
-            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_3)
+        IdentityId.T2_1_vs_T2_2: lambda items: (
+            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_2, items)
         ),
-        IdentityId.T2_4: (verify_thm_2_4(c, n) for c, n in rows),
-        IdentityId.T2_5: (verify_thm_2_5(c, n) for c, n in rows),
-        IdentityId.T2_6: (rep for c, n in rows for rep in _thm_2_6(c, n, xs)),
-        IdentityId.T2_7: (rep for c, n in rows for rep in _thm_2_7(c, n, grid.dobinski_xs, grid.dobinski_tol)),
-        IdentityId.T2_8: (rep for c, n in rows for rep in _thm_2_8(c, n, range(n + 1), range(n + 1))),
-        IdentityId.T2_9_corrected: (verify_thm_2_9(c, n, "corrected") for c, n in rows),
-        IdentityId.T2_9_paper_form: (verify_thm_2_9(c, n, "paper") for c, n in rows),
+        IdentityId.T2_1_vs_T2_3: lambda items: (
+            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_3, items)
+        ),
+        IdentityId.T2_4: lambda items: (
+            _shifted(IdentityId.T2_4, c, n, _falling(_row(c, 0, n)), items) for c, n in rows
+        ),
+        IdentityId.T2_5: lambda items: (_thm_2_5(c, n, items) for c, n in rows),
+        IdentityId.T2_6: lambda items: (rep for c, n in rows for rep in _thm_2_6(c, n, xs, items)),
+        IdentityId.T2_7: lambda items: (
+            rep for c, n in rows for rep in _thm_2_7(c, n, grid.dobinski_xs, grid.dobinski_tol, items)
+        ),
+        IdentityId.T2_8: lambda items: (rep for c in contexts for rep in _thm_2_8(c, ns, ns, ns, items)),
+        IdentityId.T2_9_corrected: lambda items: (_thm_2_9(c, n, "corrected", items) for c, n in rows),
+        IdentityId.T2_9_paper_form: lambda items: (_thm_2_9(c, n, "paper", items) for c, n in rows),
     }
     if {IdentityId.T2_5, IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
         for ctx in contexts:  # the rows bell_coeffs reads, from one build per context
             _triangle_row(ctx, grid.max_n, fill=True)
     reports: list[VerificationReport] = []
-    for identity in wanted:
-        reports.extend(suite[identity])
-
     summary: dict[str, dict[str, int]] = {}
-    for rep in reports:
-        s = summary.setdefault(rep.identity.value, {"pass": 0, "fail": 0, "total": 0})
-        s["pass" if rep.passed else "fail"] += 1
-        s["total"] += 1
+    for identity in wanted:
+        checks = list(suite[identity](_Items()))
+        if checks:
+            passed = sum([rep.passed for rep in checks])
+            summary[identity.value] = {"pass": passed, "fail": len(checks) - passed, "total": len(checks)}
+        reports.extend(checks)
     return reports, summary

@@ -9,11 +9,10 @@ for `stirling_triangle` (`table`) and `_triangle_row` (`bell`; rows 0..max_n
 for `verify`).
 
 Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
-are witnesses, integer sums made one Fraction per entry, a row n at a time:
-`identities` checks them against the generating function and each other, and
-none reaches `_columns`. A Theorem 2.1 row depends on (Y, lam, shift, n)
-only, so the oracle keeps it (`MomentOracle._differences`) for every context
-on that lam. The only process-global state is the kernel triangles.
+are witnesses, integer sums a row n at a time: `identities` checks them
+against the generating function and each other, and none reaches `_columns`.
+A Theorem 2.1 row depends on (Y, lam, shift, n) only, so the oracle keeps it
+(`MomentOracle._differences`) for every context on that lam. The only process-global state is the kernel triangles.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .kernel import RationalLike, _homogeneous, _over_lcm, binomial, factorial, stirling1_signed
+from .kernel import RationalLike, _homogeneous, _over_lcm, stirling1_signed
 from .moments import MomentOracle
 
 
@@ -74,50 +73,48 @@ def _row(ctx: StirlingContext, shift: int, n: int) -> tuple[Fraction, ...]:
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the double-sum route (`_via_conv`)."""
-    return _via_conv(ctx, n, [k])[0]
+    return Fraction(*_via_conv(ctx, n, [k])[0])
 
 
-def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[Fraction]:
-    """Entries (n+r, k+r), k in ks, by
+def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[tuple[int, int]]:
+    """Entries (n+r, k+r), k in ks, as (numerator, denominator) pairs, by
 
     sum_{l=k}^{n} C(n,l) S^Y(l,k) sum_{m=0}^{n-l} lam^(n-m-l) s1(n-l,m) E[S_r^m]
 
-    in integers: with lam = p/c and E[S_r^m] over their lcm E, the inner sum
-    times c^(n-l) E is one integer per n - l, and column k of S^Y over its
-    lcm D makes entry k one integer over c^(n-k) D E."""
-    if n < 0 or min(ks) < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
+    with lam = p/c and E[S_r^m] over their lcm E, the inner sum times
+    c^(n-l) E is one integer per n - l, and column k of S^Y over its lcm D
+    makes entry k one integer over c^(n-k) D E; r = 0 rows are read once."""
+    k0 = min(ks)
+    if n < 0 or k0 < 0:
+        raise ValueError(f"indices must be >= 0, got ({n}, {k0})")
     p, c = ctx.lam.numerator, ctx.lam.denominator
-    sums, sums_den = _over_lcm([ctx.oracle.sum_moment(ctx.r, m) for m in range(n - min(ks) + 1)])
+    sums, sums_den = _over_lcm([ctx.oracle.sum_moment(ctx.r, m) for m in range(n - k0 + 1)])
     inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
+    rows = [ctx.oracle._differences(ctx.lam, 0, l, max(ks)) for l in range(k0, n + 1)]
     out = []
     for k in ks:
-        s2y, s2y_den = _over_lcm([ctx.oracle._differences(ctx.lam, 0, l, max(ks))[k] for l in range(k, n + 1)])
-        total = sum([binomial(n, l) * s * c ** (l - k) * inner[n - l] for l, s in enumerate(s2y, k)])
-        out.append(Fraction(total, c ** max(n - k, 0) * s2y_den * sums_den))
+        s2y, s2y_den = _over_lcm([row[k] for row in rows[k - k0 :]])
+        total = sum([math.comb(n, l) * s * c ** (l - k) * inner[n - l] for l, s in enumerate(s2y, k)])
+        out.append((total, c ** max(n - k, 0) * s2y_den * sums_den))
     return out
 
 
 def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the shift route (`_via_shift`)."""
-    return _via_shift(ctx, n, [k])[0]
+    return Fraction(*_via_shift(ctx, n, [k])[0])
 
 
-def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[Fraction]:
-    """Entries (n+r, k+r), k in ks, by
+def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[tuple[int, int]]:
+    """Entries (n+r, k+r), k in ks, as int pairs over the lcm of r = 0 row n, by
 
-    sum_{m=0}^{min(n-k, r)} C(m+k,m) C(r,m) m! S^Y(n, m+k)
-
-    in integers, over the lcm of r = 0 row n."""
+    sum_{m=0}^{min(n-k, r)} C(m+k,m) C(r,m) m! S^Y(n, m+k)"""
     if n < 0 or min(ks) < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
     r = ctx.r
     s2y, den = _over_lcm(ctx.oracle._differences(ctx.lam, 0, n, max(ks) + r))
-    out = []
-    for k in ks:
-        terms = [binomial(m + k, m) * binomial(r, m) * factorial(m) * s2y[m + k] for m in range(min(n - k, r) + 1)]
-        out.append(Fraction(sum(terms), den))
-    return out
+    return [
+        (sum([math.comb(m + k, m) * math.perm(r, m) * s2y[m + k] for m in range(min(n - k, r) + 1)]), den) for k in ks
+    ]
 
 
 def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]]:

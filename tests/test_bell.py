@@ -246,3 +246,16 @@ def test_dobinski_term_past_float_range_raises_as_float_of_the_moment():
     with pytest.raises(OverflowError) as got:
         bell_dobinski(StirlingContext(huge, F(0), 0), 1, 1.0, 1e-9)
     assert str(got.value) == str(want.value)
+
+
+def test_dobinski_moment_past_float_range_forms_its_term_exactly():
+    """E[Y^160] of poisson(100) is past float range, but its term at x 1e-60
+    is not: that term is the exact product rounded once, and the series meets
+    the exact value, about 3.55e291, within the tolerance."""
+    ctx = StirlingContext(MomentOracle.poisson(100), F(0), 0)
+    with pytest.raises(OverflowError):
+        float(ctx.oracle.degenerate_factorial_moment(1, 160, 0))
+    result = bell_dobinski(ctx, 160, 1e-60, 1e-9)
+    exact = float(bell_eval(ctx, 160, F(1e-60)))
+    assert result.converged and 3.5e291 < exact < 3.6e291
+    assert abs(result.value - exact) <= 1e-9 * exact

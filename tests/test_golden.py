@@ -162,3 +162,13 @@ def test_default_verify_report_is_pinned(capsys):
     assert main(["verify", "--suite", "all", "--report", "json", "--max-n", "6"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "a5b5ff923c8abe94bde3e30c0e08cc6f14a625b8b2429b0982c1579f0ec04f50"
+
+
+def test_deeper_verify_report_is_pinned(capsys):
+    """The same report at max-n 7, and the default summary at max-n 5."""
+    assert main(["verify", "--suite", "all", "--report", "json", "--max-n", "7"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "0a017282e806f20dbdd1d46c99b955081eed3d083a287385d7f6b5ca8a190ef4"
+    assert main(["verify", "--suite", "all", "--max-n", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "7eb53aa797bbe0aab294ba97ca077a353dfd5861c9726d1ed101631ee4f803e3"

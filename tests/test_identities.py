@@ -218,7 +218,7 @@ def test_thm_2_7_checker():
     assert rep.tolerance == 1e-9
 
 
-def test_thm_2_8_reads_each_via_shift_entry_once_per_row(monkeypatch):
+def test_thm_2_8_reads_each_via_shift_row_once_per_context(monkeypatch):
     calls = []
     via_shift = identities._via_shift
 
@@ -229,9 +229,47 @@ def test_thm_2_8_reads_each_via_shift_entry_once_per_row(monkeypatch):
 
     monkeypatch.setattr(identities, "_via_shift", counted)
     run_suite(default_grid(5), [IdentityId.T2_8])
-    # 80 contexts; row n reads via-shift rows l = 0..n once each:
-    # sum over n <= 5 of (n + 1) = 21 rows
-    assert len(calls) == 80 * 21 == 1680
+    # 80 contexts; each reads via-shift rows l = 0..5 once, for all its rows n
+    assert len(calls) == 80 * 6 == 480
+    assert len(set(calls)) == len(calls)
+
+
+def test_thm_2_8_builds_fewer_fractions_than_it_makes_checks(monkeypatch):
+    """The checks are decided in integers: the Fractions a T2_8 run builds
+    are the Theorem 2.1 entries and moments it reads, not one per check."""
+    built, new = [], F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    reports, summary = run_suite(default_grid(7), [IdentityId.T2_8])
+    assert summary["T2_8"] == {"pass": 9600, "fail": 0, "total": 9600}
+    assert 0 < len(built) < len(reports)
+
+
+def test_a_default_summary_verify_formats_no_exact_check(monkeypatch, capsys):
+    """`verify` without --report json never makes the text of an exact side:
+    the only Fractions it prints to a string are the grid's parameters, for
+    the point items, once per identity and distinct item."""
+    from prstirling import cli
+
+    grid, printed = default_grid(4), []
+    str_of = F.__str__
+
+    def recorded(self):
+        printed.append(self)
+        return str_of(self)
+
+    monkeypatch.setattr(F, "__str__", recorded)
+    wanted = "T2_1_vs_T2_2,T2_1_vs_T2_3,T2_5,T2_6,T2_7,T2_8"
+    assert cli.main(["verify", "--suite", wanted, "--max-n", "4"]) == 0
+    assert '"T2_8"' in capsys.readouterr().out
+    params = [v for d in grid.dists for v in parse_dist(d).params]
+    lambdas, xs = [parse_rational(v) for v in grid.lambdas], [parse_rational(v) for v in grid.xs]
+    assert set(printed) <= set(params + lambdas + xs)
+    assert len(printed) == 6 * (len(params) + len(lambdas)) + len(xs) == 71
 
 
 GATING = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
