@@ -47,15 +47,13 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
 
 
 def _via_convolution(ctx: StirlingContext, n: int, xs: Sequence[Fraction]) -> list[tuple[int, int]]:
-    """`bell_via_convolution` at each x, an int pair: the moments over the
-    lcm F of their denominators and the coefficients of every Bel^Y_{n-m}
-    used over theirs, S, make one integer c[i] per power x^i, so that with
-    x = p/q the value is sum_i c[i] p^i q^(n-i) over F S q^n."""
+    """`bell_via_convolution` at each x, an int pair: the moments over D_n
+    and the coefficients of every Bel^Y_{n-m} used over their lcm S make one
+    integer c[i] per power x^i, so that with x = p/q the value is
+    sum_i c[i] p^i q^(n-i) over D_n S q^n."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    moments, moments_den = _over_lcm(
-        [ctx.oracle.degenerate_factorial_moment(ctx.r, m, ctx.lam) for m in range(n + 1)]
-    )
+    moments, moments_den = ctx.oracle._sum_row(ctx.lam, ctx.r, n)
     rows = {m: _row(ctx, 0, n - m) for m, v in enumerate(moments) if v}
     s_den = math.lcm(*[s.denominator for row in rows.values() for s in row])
     coeffs = [0] * (n + 1)
@@ -95,8 +93,10 @@ def bell_dobinski(ctx: StirlingContext, n: int, x: float, tolerance: float) -> D
     is not a normal float (x past about 708, or a tiny tolerance) or that sum
     leaves float range: there e^(-x) is folded into each weight in log space,
     exp(k ln x - lgamma(k+1) - x), and terms are compared with tolerance / 8.
-    The result is unconverged, with a NaN value, if even that sum leaves
-    float range or MAX_TERMS terms do not meet the rule.
+    At x = 0 every term past the first is 0, so the plain sum runs at any
+    tolerance and converges to its first term, E[(S_r)_{n,lam}]. The result
+    is unconverged, with a NaN value, if even that sum leaves float range or
+    MAX_TERMS terms do not meet the rule.
     """
     return _dobinski(ctx, n, [x], tolerance)[0]
 
@@ -145,7 +145,7 @@ def _series(
     scale = 1.0 if folded else math.exp(-x)
     log_x = math.log(x) if folded else 0.0
     threshold = tolerance * scale / 8.0
-    if not folded and min(scale, threshold) < sys.float_info.min:
+    if not folded and x and min(scale, threshold) < sys.float_info.min:  # at x = 0 each later term is 0
         return None
 
     total = 0.0

@@ -22,16 +22,17 @@ over its lcm once per row, each side one integer over one denominator, and
 T2_7 exact side is that integer quotient, which rounds once). A report keeps
 its sides as held and makes `lhs` and `rhs` only when read, so a summary
 run formats no side at all; a side in a fresh container (the T2_4 and T2_9
-vectors, the point(1) rows of ReductionY1 and ClassicalLambda0) is formatted
-at once instead, so that the container can die. The point items, such as
-("k", "3"), are tuples shared by every check of one identity in a run.
+vectors, the kernel expansions of ReductionY1 and ClassicalLambda0) is
+formatted at once instead, so that the container can die. The point items,
+such as ("k", "3"), are tuples shared by every check of one identity in a
+run, T2_6's x items made once per run.
 
 Identities of one shape share one checker: T2_4 and T2_9_corrected are one
-polynomial identity summed in two orders (`_shifted`; the paper form of T2_9
-gives the printed double sum instead), and ReductionY1 and ClassicalLambda0
-take Y = 1 and compare the row with the falling-basis coefficients of a
-power at x + r (`_expansion`). A suite run leaves behind only the kernel
-Stirling triangles.
+polynomial identity summed in two orders (`_shifted`, whose paper form of
+T2_9 takes the printed double sum), and ClassicalLambda0 is ReductionY1 at
+lam = 0 (`_expansion`). `run_suite` builds each input once, such as the one
+point(1) oracle whose Y = 1 rows both read. A suite run leaves behind only
+the kernel Stirling triangles.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bell import _dobinski, _via_convolution, bell_coeffs
 from .kernel import (
@@ -141,8 +142,8 @@ def _vec(coeffs: Sequence[Fraction]) -> str:
 
 class _Items(dict):
     """Point items (name, text) by (name, value), one shared tuple per
-    distinct item: one instance serves a one-point check, or every check of
-    one identity in a suite run. The text of an oracle is its expression."""
+    distinct item, for a one-point check or for one identity in a suite run
+    (which gives T2_6 its x items). The text of an oracle is its expression."""
 
     def __missing__(self, key: tuple) -> tuple[str, str]:
         name, value = key
@@ -156,27 +157,32 @@ def _point(ctx: StirlingContext, items: _Items, n: int) -> tuple[tuple[str, str]
 
 def _falling(row: Sequence[Fraction]) -> Polynomial:
     """sum_k row[k] (x)_k in the monomial basis."""
-    return convert_basis(Polynomial.make(Basis.FALLING_FACTORIAL, row), Basis.MONOMIAL)
+    return convert_basis(Polynomial(Basis.FALLING_FACTORIAL, row), Basis.MONOMIAL)
 
 
-def _shifted(identity: IdentityId, ctx: StirlingContext, n: int, y: Polynomial, items: _Items) -> VerificationReport:
-    """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), as monomial coefficient
+def _shifted(identity: IdentityId, ctx: StirlingContext, n: int, items: _Items) -> VerificationReport:
+    """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), y = sum_k S^Y(n,k) (x)_k
+    or the printed double sum of T2_9_paper_form, as monomial coefficient
     vectors; both are fresh, so the report keeps their text."""
+    row0 = _row(ctx, 0, n)
+    if identity is IdentityId.T2_9_paper_form:
+        printed = [s2 * sum(stirling1_signed(j, i) for j in range(i, n + 1)) for i, s2 in enumerate(row0)]
+        y = Polynomial.make(Basis.MONOMIAL, printed)
+    else:
+        y = _falling(row0)
     lhs = _falling(_row(ctx, ctx.r, n)).coefficients
     rhs = shift_argument(y, ctx.r).coefficients
     return VerificationReport(identity, _point(ctx, items, n), lhs == rhs, _vec(lhs), _vec(rhs))
 
 
-def _expansion(
-    identity: IdentityId, lam: RationalLike, r: int, n: int, power: Polynomial, items: _Items
-) -> VerificationReport:
-    """For Y fixed at 1, the triangle row against the falling-factorial
-    coefficients of power(x + r), computed purely in the exact kernel. The
-    row dies with its oracle here, so the report keeps its text."""
-    ctx = StirlingContext(MomentOracle.point(1), lam, r)
-    expansion = convert_basis(shift_argument(power, r), Basis.FALLING_FACTORIAL).coefficients
-    lhs, rhs = _row(ctx, r, n), expansion + (Fraction(0),) * (n + 1 - len(expansion))
-    return VerificationReport(identity, _point(ctx, items, n), lhs == rhs, _vec(lhs), _vec(rhs))
+def _expansion(identity: IdentityId, ctx: StirlingContext, n: int, items: _Items) -> VerificationReport:
+    """For Y = ctx.oracle = point(1), the triangle row against the n + 1
+    falling-basis coefficients of the monic (x + r)_{n,lam}, computed purely
+    in the exact kernel. The report holds the stored row and keeps the text
+    of the fresh expansion."""
+    power = shift_argument(degenerate_falling_coeffs(n, ctx.lam), ctx.r)
+    lhs, rhs = _row(ctx, ctx.r, n), convert_basis(power, Basis.FALLING_FACTORIAL).coefficients
+    return VerificationReport(identity, _point(ctx, items, n), lhs == rhs, lhs, _vec(rhs))
 
 
 # ---- individual checkers ---------------------------------------------------
@@ -208,7 +214,7 @@ def _agreement(
 def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
     """sum_k S^(r,Y)(n+r,k+r) (x)_k == sum_k S^Y(n,k) (x+r)_k, as monomial
     coefficient vectors."""
-    return _shifted(IdentityId.T2_4, ctx, n, _falling(_row(ctx, 0, n)), _Items())
+    return _shifted(IdentityId.T2_4, ctx, n, _Items())
 
 
 def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
@@ -225,19 +231,20 @@ def _thm_2_5(ctx: StirlingContext, n: int, items: _Items) -> VerificationReport:
 
 def verify_thm_2_6(ctx: StirlingContext, n: int, x: RationalLike) -> VerificationReport:
     """Direct evaluation vs. the binomial-convolution form."""
-    return _thm_2_6(ctx, n, [Fraction(x)], _Items())[0]
+    x = Fraction(x)
+    return _thm_2_6(ctx, n, [(x, ("x", str(x)))], _Items())[0]
 
 
-def _thm_2_6(ctx: StirlingContext, n: int, xs: Sequence[Fraction], items: _Items) -> list[VerificationReport]:
-    """T2_6 at each x of row n, reading the row's inputs once: the production
-    row over its lcm D, so that at x = p/q its value is one integer over
-    D q^n, decided against the convolution's integer pair."""
+def _thm_2_6(ctx: StirlingContext, n: int, points: Sequence[tuple], items: _Items) -> list[VerificationReport]:
+    """T2_6 at each (x, its point item) of row n, reading the row's inputs
+    once: the production row over its lcm D, so that at x = p/q its value is
+    one integer over D q^n, decided against the convolution's integer pair."""
     nums, den = _over_lcm(bell_coeffs(ctx, n).coefficients)
     identity, head, reports = IdentityId.T2_6, _point(ctx, items, n), []
-    for x, (rhs, rhs_den) in zip(xs, _via_convolution(ctx, n, xs)):
+    for (x, x_item), (rhs, rhs_den) in zip(points, _via_convolution(ctx, n, [x for x, _ in points])):
         lhs, lhs_den = _homogeneous(nums, x.numerator, x.denominator), den * x.denominator**n
-        passed, point = lhs * rhs_den == rhs * lhs_den, head + (items["x", x],)
-        reports.append(VerificationReport(identity, point, passed, lhs, rhs, None, lhs_den, rhs_den))
+        passed = lhs * rhs_den == rhs * lhs_den
+        reports.append(VerificationReport(identity, head + (x_item,), passed, lhs, rhs, None, lhs_den, rhs_den))
     return reports
 
 
@@ -314,31 +321,20 @@ def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> Ver
     """
     if form not in ("corrected", "paper"):
         raise ValueError(f"form must be 'corrected' or 'paper', got {form!r}")
-    return _thm_2_9(ctx, n, form, _Items())
-
-
-def _thm_2_9(ctx: StirlingContext, n: int, form: str, items: _Items) -> VerificationReport:
-    row0 = _row(ctx, 0, n)
-    if form == "corrected":
-        return _shifted(IdentityId.T2_9_corrected, ctx, n, _falling(row0), items)
-    printed = [s2 * sum(stirling1_signed(j, i) for j in range(i, n + 1)) for i, s2 in enumerate(row0)]
-    return _shifted(IdentityId.T2_9_paper_form, ctx, n, Polynomial.make(Basis.MONOMIAL, printed), items)
+    identity = IdentityId.T2_9_corrected if form == "corrected" else IdentityId.T2_9_paper_form
+    return _shifted(identity, ctx, n, _Items())
 
 
 def verify_reduction_point_one(lam: RationalLike, r: int, n: int) -> VerificationReport:
     """For Y fixed at 1, the triangle row must match the coefficients of the
     r-shifted degenerate falling factorial in the falling-factorial basis."""
-    return _expansion(IdentityId.ReductionY1, lam, r, n, degenerate_falling_coeffs(n, lam), _Items())
+    return _expansion(IdentityId.ReductionY1, StirlingContext(MomentOracle.point(1), lam, r), n, _Items())
 
 
 def verify_classical_limit(r: int, n: int) -> VerificationReport:
     """lam = 0, Y = 1: the triangle row must match the falling-factorial
     expansion of the plain shifted power (x+r)^n."""
-    return _expansion(IdentityId.ClassicalLambda0, 0, r, n, _power(n), _Items())
-
-
-def _power(n: int) -> Polynomial:
-    return Polynomial.make(Basis.MONOMIAL, [0] * n + [1])
+    return _expansion(IdentityId.ClassicalLambda0, StirlingContext(MomentOracle.point(1), 0, r), n, _Items())
 
 
 # ---- suite -----------------------------------------------------------------
@@ -374,42 +370,37 @@ def run_suite(
     """
     wanted = sorted(set(identities), key=lambda i: i.value)
     lambdas = [parse_rational(s) for s in grid.lambdas]
-    xs = [parse_rational(s) for s in grid.xs]
+    x_points = [(x, ("x", str(x))) for x in map(parse_rational, grid.xs)]  # T2_6's items once per run
     ns = range(grid.max_n + 1)
     oracles = [parse_dist(d) for d in grid.dists]
     contexts = [StirlingContext(o, lam, r) for o in oracles for lam in lambdas for r in grid.rs]
     rows = [(ctx, n) for ctx in contexts for n in ns]
+    one = MomentOracle.point(1)  # Y = 1 for ReductionY1 and ClassicalLambda0, whose rows they share
+
+    def agreements(which: IdentityId, items: _Items) -> Iterator[VerificationReport]:
+        return (rep for c, n in rows for rep in _agreement(c, n, range(n + 1), which, items))
+
+    def expansions(identity: IdentityId, lams: Sequence[RationalLike], items: _Items) -> Iterator[VerificationReport]:
+        for ctx in [StirlingContext(one, lam, r) for lam in lams for r in grid.rs]:
+            yield from (_expansion(identity, ctx, n, items) for n in ns)
 
     # identity -> its reports in order, given the identity's point items;
     # generators, so only the selected identities run, T2_1_vs_T2_2/3, T2_6
     # and T2_7 check one row per call and T2_8 one context
     suite = {
-        IdentityId.ClassicalLambda0: lambda items: (
-            _expansion(IdentityId.ClassicalLambda0, 0, r, n, _power(n), items) for r in grid.rs for n in ns
-        ),
-        IdentityId.ReductionY1: lambda items: (
-            _expansion(IdentityId.ReductionY1, lam, r, n, degenerate_falling_coeffs(n, lam), items)
-            for lam in lambdas
-            for r in grid.rs
-            for n in ns
-        ),
-        IdentityId.T2_1_vs_T2_2: lambda items: (
-            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_2, items)
-        ),
-        IdentityId.T2_1_vs_T2_3: lambda items: (
-            rep for c, n in rows for rep in _agreement(c, n, range(n + 1), IdentityId.T2_1_vs_T2_3, items)
-        ),
-        IdentityId.T2_4: lambda items: (
-            _shifted(IdentityId.T2_4, c, n, _falling(_row(c, 0, n)), items) for c, n in rows
-        ),
+        IdentityId.ClassicalLambda0: lambda items: expansions(IdentityId.ClassicalLambda0, [0], items),
+        IdentityId.ReductionY1: lambda items: expansions(IdentityId.ReductionY1, lambdas, items),
+        IdentityId.T2_1_vs_T2_2: lambda items: agreements(IdentityId.T2_1_vs_T2_2, items),
+        IdentityId.T2_1_vs_T2_3: lambda items: agreements(IdentityId.T2_1_vs_T2_3, items),
+        IdentityId.T2_4: lambda items: (_shifted(IdentityId.T2_4, c, n, items) for c, n in rows),
         IdentityId.T2_5: lambda items: (_thm_2_5(c, n, items) for c, n in rows),
-        IdentityId.T2_6: lambda items: (rep for c, n in rows for rep in _thm_2_6(c, n, xs, items)),
+        IdentityId.T2_6: lambda items: (rep for c, n in rows for rep in _thm_2_6(c, n, x_points, items)),
         IdentityId.T2_7: lambda items: (
             rep for c, n in rows for rep in _thm_2_7(c, n, grid.dobinski_xs, grid.dobinski_tol, items)
         ),
         IdentityId.T2_8: lambda items: (rep for c in contexts for rep in _thm_2_8(c, ns, ns, ns, items)),
-        IdentityId.T2_9_corrected: lambda items: (_thm_2_9(c, n, "corrected", items) for c, n in rows),
-        IdentityId.T2_9_paper_form: lambda items: (_thm_2_9(c, n, "paper", items) for c, n in rows),
+        IdentityId.T2_9_corrected: lambda items: (_shifted(IdentityId.T2_9_corrected, c, n, items) for c, n in rows),
+        IdentityId.T2_9_paper_form: lambda items: (_shifted(IdentityId.T2_9_paper_form, c, n, items) for c, n in rows),
     }
     if {IdentityId.T2_5, IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
         for ctx in contexts:  # the rows bell_coeffs reads, from one build per context

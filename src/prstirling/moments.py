@@ -16,9 +16,9 @@ one table per lam whose row 0 is the series 1 and whose row j >= 1 is the
 binomial convolution of row j - 1 with the single-copy row; the lam = 0 table
 holds the raw sum moments E[S_j^m]. The rows are ints over one denominator
 D_n per order n (`_SumTable`), a layout no other module reads. The public
-reads (`degenerate_factorial_moment`, `sum_moment`) return one reduced
-Fraction per entry; the private `_differences` gives the Theorem 2.1 rows
-(`stirling`) by integer differences, kept in the table for every context.
+reads return one reduced Fraction per entry; the private `_sum_row` gives
+a row as ints over D_n, and `_differences` the Theorem 2.1 rows (`stirling`)
+by integer differences, kept in the table for every context.
 """
 
 from __future__ import annotations
@@ -223,6 +223,12 @@ class MomentOracle:
         if j == 1:  # not rows[1], which is built through the weights
             return table.single[n]
         return Fraction(table.rows[j][n], table.den[n])
+
+    def _sum_row(self, lam: Fraction, j: int, n: int) -> tuple[list[int], int]:
+        """E[(S_j)_{m,lam}], m = 0..n, as ints over D_n (each D_m divides it)."""
+        table = self._table(lam, j, n)
+        den = table.den
+        return [v * (den[n] // den[m]) for m, v in enumerate(table.rows[j][: n + 1])], den[n]
 
     def _differences(self, lam: Fraction, shift: int, n: int, k: int) -> tuple[Fraction, ...]:
         """Entries 0..min(k, n), at least, of i -> (1/i!) Delta^i at j = shift

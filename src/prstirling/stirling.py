@@ -81,14 +81,14 @@ def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[tuple[int
 
     sum_{l=k}^{n} C(n,l) S^Y(l,k) sum_{m=0}^{n-l} lam^(n-m-l) s1(n-l,m) E[S_r^m]
 
-    with lam = p/c and E[S_r^m] over their lcm E, the inner sum times
+    with lam = p/c and E[S_r^m] over one denominator E, the inner sum times
     c^(n-l) E is one integer per n - l, and column k of S^Y over its lcm D
     makes entry k one integer over c^(n-k) D E; r = 0 rows are read once."""
     k0 = min(ks)
     if n < 0 or k0 < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k0})")
     p, c = ctx.lam.numerator, ctx.lam.denominator
-    sums, sums_den = _over_lcm([ctx.oracle.sum_moment(ctx.r, m) for m in range(n - k0 + 1)])
+    sums, sums_den = ctx.oracle._sum_row(Fraction(0), ctx.r, max(n - k0, 0))
     inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
     rows = [ctx.oracle._differences(ctx.lam, 0, l, max(ks)) for l in range(k0, n + 1)]
     out = []

@@ -227,6 +227,18 @@ def test_dobinski_tiny_tolerance_takes_the_folded_series():
     assert repr(result) == repr(reference_dobinski(ctx, 2, 100.0, 1e-300))
 
 
+def test_dobinski_at_zero_is_its_first_term_at_any_tolerance():
+    """At x = 0 the series is E[(S_r)_{n,lam}], the value at 0, also where
+    the threshold tolerance / 8 is subnormal (the folded series takes log x)."""
+    cases = [(PRESETS["poisson(1)"], F(0), 1, 2), (PRESETS["bernoulli(1/2)"], F(-1, 2), 2, 4)]
+    for oracle, lam, r, n in cases:
+        ctx = StirlingContext(oracle, lam, r)
+        for tolerance in (1e-9, 1e-307, sys.float_info.min):
+            result = bell_dobinski(ctx, n, 0.0, tolerance)
+            assert result.converged, tolerance
+            assert result.value == float(bell_eval(ctx, n, 0))
+
+
 def test_the_series_leaves_the_lambda_table_at_rows_0_to_n():
     """The moments of every term come from Theorem 2.1 row n, which reads
     E[(S_j)_{n,lam}] for j <= n only, not one iid-sum row per term."""

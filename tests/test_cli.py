@@ -245,6 +245,17 @@ def test_unconverged_series_is_strict_json(capsys):
     assert diag["terms_used"] == 10000
 
 
+def test_series_at_zero_converges_at_a_tiny_tolerance(capsys):
+    # tolerance / 8 is subnormal, yet at x = 0 the series is its first term,
+    # E[S_1^2] = 2 for Y = poisson(1)
+    argv = ["--n", "2", "--r", "1", "--dist", "poisson(1)", "--dobinski", "--x-float", "0", "--tol", "1e-307"]
+    code, out, err = run_cli(capsys, "bell", *argv)
+    assert (code, err) == (0, "")
+    diag = json.loads(out)["diagnostics"]
+    assert diag["converged"] is True
+    assert diag["approximation"] == 2.0
+
+
 @pytest.mark.parametrize("x", ["700", "800"])
 def test_series_past_float_range_converges(capsys, x):
     # the plain partial sum overflows at x = 700, and e^(-x) underflows at

@@ -249,6 +249,57 @@ def test_thm_2_8_builds_fewer_fractions_than_it_makes_checks(monkeypatch):
     assert 0 < len(built) < len(reports)
 
 
+@pytest.mark.parametrize("identity", [IdentityId.ReductionY1, IdentityId.ClassicalLambda0])
+def test_a_suite_run_builds_one_y1_oracle(monkeypatch, identity):
+    """One oracle per grid distribution and one point(1) oracle for every
+    Y = 1 check of the run, not one per check."""
+    built, init = [], MomentOracle.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MomentOracle, "__init__", counted)
+    grid = default_grid(7)
+    reports, _ = run_suite(grid, [identity])
+    assert len(reports) == (5 if identity is IdentityId.ReductionY1 else 1) * 4 * 8
+    assert len(built) == len(grid.dists) + 1 == 5
+    assert built.count(("point", (F(1),))) == 2  # the grid's point(1) and the Y = 1 oracle
+
+
+@pytest.mark.parametrize("identity", [IdentityId.T2_4, IdentityId.T2_9_corrected])
+def test_thm_2_4_reads_the_stored_rows_without_copying_them(monkeypatch, identity):
+    """T2_4 and T2_9_corrected convert each stored Theorem 2.1 row as it is:
+    the Fractions a run builds are the rows' entries, the moments and the
+    converted polynomials; a copy of each row would add 5,760 more."""
+    built, new = [], F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    reports, _ = run_suite(default_grid(7), [identity])
+    assert len(reports) == 640
+    assert 0 < len(built) <= 11089
+
+
+def test_thm_2_6_hashes_no_x_per_check(monkeypatch):
+    """Each grid x is paired with its point item once per run: the Fractions
+    a T2_6 run hashes are the oracles' parameters and the lambdas, once per
+    row, and not the x of each of its 3,200 checks."""
+    hashed, fraction_hash = [], F.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    reports, _ = run_suite(default_grid(7), [IdentityId.T2_6])
+    assert len(reports) == 3200
+    assert len(hashed) <= 1611
+
+
 def test_a_default_summary_verify_formats_no_exact_check(monkeypatch, capsys):
     """`verify` without --report json never makes the text of an exact side:
     the only Fractions it prints to a string are the grid's parameters, for
@@ -277,15 +328,16 @@ GATING = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
 
 @pytest.mark.parametrize(
     "wanted,max_n,built",
-    [([IdentityId.T2_8], 7, 2880), ([IdentityId.T2_6], 7, 720), (GATING, 6, 2912)],
+    [([IdentityId.T2_8], 7, 2880), ([IdentityId.T2_6], 7, 720), (GATING, 6, 2800)],
     ids=["T2_8@7", "T2_6@7", "all@6"],
 )
 def test_the_suite_builds_each_theorem_2_1_entry_once_per_oracle(monkeypatch, wanted, max_n, built):
     """The four r-contexts on one (Y, lam) share the Theorem 2.1 rows, so
     each entry is built once per (Y, lam, shift, n, k): T2_8 at max-n 7
     builds rows at shifts 0..3 (20 * 4 * 36 entries), T2_6 only shift 0
-    (20 * 36), and ReductionY1 and ClassicalLambda0 add 672 entries on a
-    fresh point(1) oracle each. Each kept entry was built once."""
+    (20 * 36), and ReductionY1 adds 560 entries on the run's one point(1)
+    oracle (5 lambdas * 4 shifts * 28), whose lambda = 0 rows ClassicalLambda0
+    reads. Each kept entry was built once."""
     tables = []
 
     class Recorded(moments._SumTable):
