@@ -33,6 +33,11 @@ T2_9 takes the printed double sum), and ClassicalLambda0 is ReductionY1 at
 lam = 0 (`_expansion`). `run_suite` builds each input once, such as the one
 point(1) oracle whose Y = 1 rows both read. A suite run leaves behind only
 the kernel Stirling triangles.
+
+The suite is one stream of reports in canonical order (`_reports`), which
+tallies each identity's counts as its reports pass. `run_suite` lists it;
+the CLI's `verify` reads it a report at a time, so a summary run keeps no
+report, and a JSON run keeps only the reports' final text.
 """
 
 from __future__ import annotations
@@ -368,6 +373,16 @@ def run_suite(
     parameter order) plus per-identity pass/fail/total counts. Individual
     failures are data, not errors.
     """
+    summary: dict[str, dict[str, int]] = {}
+    return list(_reports(grid, identities, summary)), summary
+
+
+def _reports(
+    grid: SuiteGrid, identities: Iterable[IdentityId], summary: dict[str, dict[str, int]]
+) -> Iterator[VerificationReport]:
+    """The reports of `run_suite`, in its order, one at a time: each
+    identity's pass/fail/total counts go into `summary` after its last
+    report, so a consumer keeps only the reports it keeps."""
     wanted = sorted(set(identities), key=lambda i: i.value)
     lambdas = [parse_rational(s) for s in grid.lambdas]
     x_points = [(x, ("x", str(x))) for x in map(parse_rational, grid.xs)]  # T2_6's items once per run
@@ -405,12 +420,11 @@ def run_suite(
     if {IdentityId.T2_5, IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
         for ctx in contexts:  # the rows bell_coeffs reads, from one build per context
             _triangle_row(ctx, grid.max_n, fill=True)
-    reports: list[VerificationReport] = []
-    summary: dict[str, dict[str, int]] = {}
     for identity in wanted:
-        checks = list(suite[identity](_Items()))
-        if checks:
-            passed = sum([rep.passed for rep in checks])
-            summary[identity.value] = {"pass": passed, "fail": len(checks) - passed, "total": len(checks)}
-        reports.extend(checks)
-    return reports, summary
+        passed = total = 0
+        for rep in suite[identity](_Items()):
+            passed += rep.passed
+            total += 1
+            yield rep
+        if total:
+            summary[identity.value] = {"pass": passed, "fail": total - passed, "total": total}

@@ -340,7 +340,12 @@ class _SumTable:
             rows[0].append(0)
         while len(rows) <= j:
             rows.append([])
-        for i in range(1, j + 1):
+        # row lengths never increase with the row index, so rows 1..j that
+        # already reach order n come first; start at the first that does not
+        start = max(j, 1)
+        while start > 1 and len(rows[start - 1]) <= n:
+            start -= 1
+        for i in range(start, j + 1):
             prev, row = rows[i - 1], rows[i]
             for k in range(len(row), n + 1):
                 row.append(sum(map(operator.mul, weights[k], prev)))

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from prstirling.cli import main
 from prstirling.distparse import parse_rational
+from prstirling.identities import IdentityId, default_grid, run_suite
 
 F = Fraction
 
@@ -147,6 +151,64 @@ def test_verify_paper_form_exit_zero(capsys):
     assert code == 0  # opt-in findings do not gate the exit status
     rec = json.loads(out)
     assert rec["payload"]["summary"]["T2_9_paper_form"]["fail"] > 0
+
+
+def reference_verify_json(suite, max_n):
+    """The verify JSON record built in one piece from the public run_suite."""
+    wanted = [IdentityId(name) for name in suite.split(",")]
+    reps, summary = run_suite(default_grid(max_n), wanted)
+    record = {
+        "schema_version": "1",
+        "command": "verify",
+        "payload": {"summary": summary, "reports": [r.to_dict() for r in reps]},
+    }
+    return json.dumps(record, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "suite,max_n",
+    [
+        ("ClassicalLambda0", 0),  # 4 reports
+        ("T2_5", 1),  # 160 reports, one batch
+        ("T2_4,T2_5", 2),  # 480 reports, across a batch boundary
+        ("T2_5", 15),  # 1,280 reports, a whole number of batches
+        ("T2_7,T2_8,T2_9_paper_form", 2),  # floats, a tolerance, failing reports
+    ],
+)
+def test_verify_json_is_the_record_of_run_suite(capsys, tmp_path, suite, max_n):
+    expected = reference_verify_json(suite, max_n)
+    argv = ["verify", "--suite", suite, "--max-n", str(max_n), "--report", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    out_file = tmp_path / "verify.json"
+    assert run_cli(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["verify", "--suite", "all", "--max-n", "5"], 1 << 20),
+        (["verify", "--suite", "all", "--max-n", "7", "--report", "json"], 16 << 20),
+    ],
+    ids=["summary", "json"],
+)
+def test_verify_keeps_no_report_it_does_not_print(argv, limit):
+    """A summary run keeps no report and a JSON run only their text: the
+    traced peak of the run, stdout included, stays far below what holding
+    the reports takes (13,744 at max-n 5, 23,872 at max-n 7)."""
+    import prstirling.bell, prstirling.identities  # noqa: F401  (imports are not the run's)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < limit
 
 
 def one_error_line(code, out, err):
