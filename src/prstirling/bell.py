@@ -1,16 +1,16 @@
 """Probabilistic degenerate r-Bell polynomials.
 
-`bell_coeffs` returns row n of the generating-function triangle (kept per
-context, see `stirling`) as a monomial `kernel.Polynomial`, and evaluation
-calls it (Horner in ints, one Fraction per value). The convolution form over
-the r = 0 Theorem 2.1 rows and the truncated Dobinski-style series are
-witnesses that share no code with it above the kernel. Each reads row n's
-inputs once for any number of points x (`_via_convolution`, `_dobinski`);
-the public functions are the one-point case. The series is the only float
-computation in the package and reports its own convergence diagnostics. Its
-moments E[(S_{k+r})_{n,lam}] are one polynomial in k + r, read once from the
-r = 0 Theorem 2.1 row n, so the iid-sum table stays at rows 0..n whatever x
-is.
+`bell_coeffs` returns row n of the generating-function triangle (a
+`kernel.Row` kept per context, see `stirling`) as a monomial
+`kernel.Polynomial`, and `bell_eval` evaluates that row by Horner in ints,
+one Fraction per value. The convolution form over the r = 0 Theorem 2.1 rows
+and the truncated Dobinski-style series are witnesses that share no code
+with it above the kernel. Each reads row n's inputs once for any number of
+points x (`_via_convolution`, `_dobinski`); the public functions are the
+one-point case. The series is the only float computation in the package and
+reports its own convergence diagnostics. Its moments E[(S_{k+r})_{n,lam}] are
+one polynomial in k + r, read once from the r = 0 Theorem 2.1 row n, so the
+iid-sum table stays at rows 0..n whatever x is.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .kernel import Basis, Polynomial, RationalLike, _homogeneous, _over_lcm, binomial, convert_basis
+from .kernel import Basis, Polynomial, RationalLike, Row, _at, _convert, _homogeneous, _polynomial, binomial
 from .stirling import StirlingContext, _row, _triangle_row
 
 MAX_TERMS = 10000  # the series stops here, unconverged, whatever the stopping rule
@@ -30,14 +30,13 @@ def bell_coeffs(ctx: StirlingContext, n: int) -> Polynomial:
     """Exact coefficients (length n + 1) as a monomial polynomial: coefficient
     k is the (n+r, k+r) Stirling entry, and the constant term is the
     degenerate factorial moment E[(S_r)_{n,lam}]."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return Polynomial(Basis.MONOMIAL, _triangle_row(ctx, n))
+    return _polynomial(Basis.MONOMIAL, _triangle_row(ctx, n))
 
 
 def bell_eval(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
-    """Exact value at rational x, by evaluating bell_coeffs."""
-    return bell_coeffs(ctx, n)(x)
+    """Exact value at rational x, by evaluating the coefficients."""
+    x = Fraction(x)
+    return Fraction(*_at(_triangle_row(ctx, n), x.numerator, x.denominator))
 
 
 def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
@@ -48,23 +47,19 @@ def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fract
 
 def _via_convolution(ctx: StirlingContext, n: int, xs: Sequence[Fraction]) -> list[tuple[int, int]]:
     """`bell_via_convolution` at each x, an int pair: the moments over D_n
-    and the coefficients of every Bel^Y_{n-m} used over their lcm S make one
-    integer c[i] per power x^i, so that with x = p/q the value is
-    sum_i c[i] p^i q^(n-i) over D_n S q^n."""
+    and the rows of every Bel^Y_{n-m} used over their lcm S make one integer
+    c[i] per x^i, so that at x = p/q the value is one integer over D_n S q^n."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     moments, moments_den = ctx.oracle._sum_row(ctx.lam, ctx.r, n)
     rows = {m: _row(ctx, 0, n - m) for m, v in enumerate(moments) if v}
-    s_den = math.lcm(*[s.denominator for row in rows.values() for s in row])
+    s_den = math.lcm(*[den for _, den in rows.values()])
     coeffs = [0] * (n + 1)
-    for m, row in rows.items():
-        weight = binomial(n, m) * moments[m]
+    for m, (row, den) in rows.items():
+        weight = binomial(n, m) * moments[m] * (s_den // den)
         for i, s in enumerate(row):
-            coeffs[i] += weight * s.numerator * (s_den // s.denominator)
-    return [
-        (_homogeneous(coeffs, x.numerator, x.denominator), moments_den * s_den * x.denominator**n)
-        for x in xs
-    ]
+            coeffs[i] += weight * s
+    return [_at(Row(coeffs, moments_den * s_den), x.numerator, x.denominator) for x in xs]
 
 
 class DobinskiResult(NamedTuple):
@@ -113,8 +108,7 @@ def _dobinski(ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: floa
 
     # E[(S_j)_{n,lam}] = sum_i (j)_i S^Y(n,i), as (x)_{n,lam} is of binomial
     # type: a polynomial in j whose falling-basis coefficients are r = 0 row n
-    poly = convert_basis(Polynomial(Basis.FALLING_FACTORIAL, _row(ctx, 0, n)), Basis.MONOMIAL)
-    nums, den = _over_lcm(poly.coefficients)
+    nums, den = _convert(_row(ctx, 0, n), Basis.MONOMIAL)
 
     moments: list[float] = []  # shared by every x and both series
 

@@ -30,7 +30,8 @@ from typing import Iterable, Optional, Sequence
 
 from .distparse import ParseError, parse_dist, parse_rational
 from .moments import DistributionError, MomentOracle
-from .stirling import StirlingContext, stirling_triangle
+from .kernel import _at, _format
+from .stirling import StirlingContext, _gf_rows, _triangle_row
 
 SCHEMA_VERSION = "1"
 
@@ -115,14 +116,13 @@ def cmd_table(args) -> int:
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
-    rows = stirling_triangle(ctx, args.n_max)
-    payload = {"rows": [[str(v) for v in row] for row in rows]}
+    payload = {"rows": [[_format(v, den) for v in nums] for nums, den in _gf_rows(ctx, args.n_max, 0)]}
     _emit(_record("table", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), payload), args.format, args.out)
     return 0
 
 
 def cmd_bell(args) -> int:
-    from .bell import bell_coeffs, bell_dobinski
+    from .bell import bell_dobinski
 
     _check_sizes(args, "n", "r")
     if args.x_float is not None and not (math.isfinite(args.x_float) and args.x_float >= 0):
@@ -136,12 +136,12 @@ def cmd_bell(args) -> int:
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)
-    poly = bell_coeffs(ctx, args.n)
-    payload = {"n": args.n, "coefficients": [str(c) for c in poly.coefficients]}
+    row = _triangle_row(ctx, args.n)
+    payload = {"n": args.n, "coefficients": [_format(v, row.den) for v in row.nums]}
     diagnostics = None
     if args.x is not None:
-        payload["x"] = str(parse_rational(args.x))
-        payload["value"] = str(poly(parse_rational(args.x)))
+        x = parse_rational(args.x)
+        payload["x"], payload["value"] = str(x), _format(*_at(row, x.numerator, x.denominator))
     if args.dobinski:
         result = bell_dobinski(ctx, args.n, args.x_float, args.tol)
         diagnostics = {

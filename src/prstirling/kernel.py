@@ -1,10 +1,11 @@
 """Exact arithmetic kernel: combinatorial triangles and polynomial basis changes.
 
 The integer-valued helpers (`factorial`, `binomial`, the Stirling numbers)
-return `int`, all else `Fraction`; s1 is signed: (x)_n = sum_k s1(n,k) x^k.
-`convert_basis`, `shift_argument` and evaluation (a falling-basis polynomial
-through `convert_basis`) bring the coefficients over their lcm once, work in
-ints and build one Fraction per output coefficient or value.
+return `int`; s1 is signed: (x)_n = sum_k s1(n,k) x^k. Every row the package
+keeps is a `Row`, ints over one denominator, and `_convert`, `_shift` and `_at`
+are `convert_basis`, `shift_argument` and evaluation of Rows; the public
+functions bring Fractions over their lcm once (`_over_lcm`) and build one
+Fraction per output value. `_format` prints a value with one gcd.
 The Stirling triangles are the only process-global state: they grow to the
 largest n requested, under one lock and only by full rows, so threads growing
 them at once read the same rows a single thread would.
@@ -79,6 +80,13 @@ class Basis(Enum):
     FALLING_FACTORIAL = "falling"
 
 
+class Row(NamedTuple):
+    """Exact values nums[k] / den over one denominator den > 0, not reduced."""
+
+    nums: Sequence[int]
+    den: int
+
+
 class Polynomial(NamedTuple):
     """Dense exact polynomial in a declared basis.
 
@@ -94,21 +102,13 @@ class Polynomial(NamedTuple):
 
     @staticmethod
     def make(basis: Basis, coeffs: Iterable[RationalLike]) -> "Polynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        return Polynomial(basis, tuple(cs))
+        return Polynomial(basis, tuple(_trimmed([Fraction(c) for c in coeffs]) or [Fraction(0)]))
 
     def __call__(self, x: RationalLike) -> Fraction:
         if self.basis is not Basis.MONOMIAL:
             return convert_basis(self, Basis.MONOMIAL)(x)
-        # at x = p/q: sum_i c_i p^i q^(d-i) over den q^d, d = len - 1
         x = Fraction(x)
-        nums, den = _over_lcm(self.coefficients)
-        q = x.denominator
-        return Fraction(_homogeneous(nums, x.numerator, q) * q, den * q ** len(nums))
+        return Fraction(*_at(_over_lcm(self.coefficients), x.numerator, x.denominator))
 
 
 def degenerate_falling_coeffs(n: int, lam: RationalLike) -> Polynomial:
@@ -118,17 +118,7 @@ def degenerate_falling_coeffs(n: int, lam: RationalLike) -> Polynomial:
     """
     if n < 0:
         raise ValueError(f"degenerate_falling_coeffs requires n >= 0, got {n}")
-    lam = Fraction(lam)
-    coeffs = [Fraction(1)]
-    for i in range(n):
-        shift = i * lam
-        # multiply by (x - i*lam)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= c * shift
-        coeffs = nxt
-    return Polynomial.make(Basis.MONOMIAL, coeffs)
+    return _polynomial(Basis.MONOMIAL, _degenerate_falling(n, Fraction(lam)))
 
 
 def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
@@ -137,17 +127,7 @@ def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
     Monomial -> falling uses the second-kind triangle; falling -> monomial uses
     the signed first-kind triangle. Exact inverse operations.
     """
-    if p.basis is target:
-        return p
-    nums, den = _over_lcm(p.coefficients)
-    tri, rows = (stirling2, _S2_ROWS) if target is Basis.FALLING_FACTORIAL else (stirling1_signed, _S1_ROWS)
-    tri(max(len(nums) - 1, 0), 0)  # grow the triangle to the top row
-    out = [0] * len(nums)
-    for n, c in enumerate(nums):
-        if c:
-            for k, t in enumerate(rows[n]):
-                out[k] += c * t
-    return _from_ints(target, out, den)
+    return p if p.basis is target else _polynomial(target, _convert(_over_lcm(p.coefficients), target))
 
 
 def shift_argument(p: Polynomial, r: int) -> Polynomial:
@@ -156,28 +136,59 @@ def shift_argument(p: Polynomial, r: int) -> Polynomial:
         raise ValueError("shift_argument requires a monomial-basis polynomial")
     if r < 0:
         raise ValueError(f"shift_argument requires r >= 0, got {r}")
-    if r == 0:
-        return p
-    nums, den = _over_lcm(p.coefficients)
-    powers = [r**i for i in range(len(nums))]
-    out = [0] * len(nums)
-    for n, c in enumerate(nums):
-        if c:
-            # (x + r)^n = sum_k C(n,k) r^(n-k) x^k
-            for k in range(n + 1):
-                out[k] += c * math.comb(n, k) * powers[n - k]
-    return _from_ints(Basis.MONOMIAL, out, den)
+    return _polynomial(Basis.MONOMIAL, _shift(_over_lcm(p.coefficients), r)) if r else p
 
 
-# The two helpers below build tuples from lists, not generators: a tuple
+# ---- integer rows. Tuples are built from lists, not generators: a tuple
 # filled from a generator is over-allocated and resized, which measurably
 # raised peak memory in `verify`.
 
 
-def _over_lcm(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over the lcm of their denominators, and that lcm."""
+def _over_lcm(coeffs: Sequence[RationalLike]) -> Row:
+    """Integer numerators of coeffs over the lcm of their denominators."""
     den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return Row([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+
+def _polynomial(basis: Basis, row: Row) -> Polynomial:
+    """The row as a polynomial, one reduced Fraction per coefficient."""
+    return Polynomial(basis, tuple([Fraction(v, row.den) for v in row.nums]) or (Fraction(0),))
+
+
+def _degenerate_falling(n: int, lam: Fraction) -> Row:
+    """`degenerate_falling_coeffs`, lam = p/c, over c^n: the product of (c x - i p), i < n."""
+    p, c = lam.numerator, lam.denominator
+    nums = [1]
+    for i in range(n):
+        nums = [c * a - i * p * b for a, b in zip([0] + nums, nums + [0])]
+    return Row(nums, c**n)
+
+
+def _convert(row: Row, target: Basis) -> Row:
+    """`convert_basis` of a row, into target from the other basis."""
+    tri, rows = (stirling2, _S2_ROWS) if target is Basis.FALLING_FACTORIAL else (stirling1_signed, _S1_ROWS)
+    tri(max(len(row.nums) - 1, 0), 0)  # grow the triangle to the top row
+    return _linear(row, rows)
+
+
+def _shift(row: Row, r: int) -> Row:
+    """`shift_argument` of a row: (x + r)^n = sum_k C(n,k) r^(n-k) x^k."""
+    return _linear(row, [[math.comb(n, k) * r ** (n - k) for k in range(n + 1)] for n in range(len(row.nums))])
+
+
+def _linear(row: Row, images: Sequence[Sequence[int]]) -> Row:
+    """sum_n nums[n] images[n] over the row's denominator, trailing zeros trimmed."""
+    out = [0] * len(row.nums)
+    for n, c in enumerate(row.nums):
+        if c:
+            for k, t in enumerate(images[n]):
+                out[k] += c * t
+    return Row(_trimmed(out), row.den)
+
+
+def _at(row: Row, p: int, q: int) -> tuple[int, int]:
+    """A monomial row's value at x = p/q, q > 0, over den q^d, d = len(nums) - 1."""
+    return _homogeneous(row.nums, p, q), row.den * q ** max(len(row.nums) - 1, 0)
 
 
 def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
@@ -190,9 +201,13 @@ def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
     return acc
 
 
-def _from_ints(basis: Basis, nums: list[int], den: int) -> Polynomial:
-    """The canonical polynomial with coefficients nums[k] / den, one reduced
-    Fraction each."""
+def _trimmed(nums: list) -> list:
     while len(nums) > 1 and nums[-1] == 0:
         nums.pop()
-    return Polynomial(basis, tuple([Fraction(v, den) for v in nums]) or (Fraction(0),))
+    return nums
+
+
+def _format(num: int, den: int) -> str:
+    """num / den, den > 0, as reduced text "p" or "p/q", by one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"

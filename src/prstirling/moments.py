@@ -16,9 +16,10 @@ one table per lam whose row 0 is the series 1 and whose row j >= 1 is the
 binomial convolution of row j - 1 with the single-copy row; the lam = 0 table
 holds the raw sum moments E[S_j^m]. The rows are ints over one denominator
 D_n per order n (`_SumTable`), a layout no other module reads. The public
-reads return one reduced Fraction per entry; the private `_sum_row` gives
-a row as ints over D_n, and `_differences` the Theorem 2.1 rows (`stirling`)
-by integer differences, kept in the table for every context.
+reads return one reduced Fraction per entry. The private reads return
+`kernel.Row`s: `_single_row` the single-copy row (all the generating function
+reads), `_sum_row` a row j, and `_differences` the Theorem 2.1 rows
+(`stirling`) by integer differences, kept in the table for every context.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .kernel import RationalLike, _homogeneous, _over_lcm, factorial, stirling1_signed, stirling2
+from .kernel import RationalLike, Row, _homogeneous, _over_lcm, factorial, stirling1_signed, stirling2
 
 
 class DistributionError(ValueError):
@@ -224,31 +225,34 @@ class MomentOracle:
             return table.single[n]
         return Fraction(table.rows[j][n], table.den[n])
 
-    def _sum_row(self, lam: Fraction, j: int, n: int) -> tuple[list[int], int]:
-        """E[(S_j)_{m,lam}], m = 0..n, as ints over D_n (each D_m divides it)."""
+    def _single_row(self, lam: Fraction, n: int) -> Row:
+        """E[(Y)_{m,lam}], m = 0..n, over the lcm of their denominators."""
+        return _over_lcm(self._table(lam, 1, n).single[: n + 1])
+
+    def _sum_row(self, lam: Fraction, j: int, n: int) -> Row:
+        """E[(S_j)_{m,lam}], m = 0..n, over D_n (each D_m divides it)."""
         table = self._table(lam, j, n)
         den = table.den
-        return [v * (den[n] // den[m]) for m, v in enumerate(table.rows[j][: n + 1])], den[n]
+        return Row([v * (den[n] // den[m]) for m, v in enumerate(table.rows[j][: n + 1])], den[n])
 
-    def _differences(self, lam: Fraction, shift: int, n: int, k: int) -> tuple[Fraction, ...]:
+    def _differences(self, lam: Fraction, shift: int, n: int, k: int) -> Row:
         """Entries 0..min(k, n), at least, of i -> (1/i!) Delta^i at j = shift
         of j -> E[(S_j)_{n,lam}], that is of Theorem 2.1 row n at that shift,
         S^(shift,Y)(n+shift, i+shift) = (1/i!) sum_j C(i,j) (-1)^(i-j) E[(S_{j+shift})_{n,lam}].
-        Kept in the lam table under (shift, n); a miss differences the
-        numerators of rows shift..shift+k over D_n, with one Fraction per new
-        entry. Threads read equal entries."""
+        Kept in the lam table under (shift, n); a miss differences rows
+        shift..shift+k over D_n, all entries over D_n k! reduced by their gcd.
+        Threads read equal rows."""
         table = self._tables.get((lam.numerator, lam.denominator))
-        row = table.differences.get((shift, n), ()) if table else ()
+        row = table.differences.get((shift, n)) if table else None
         k = min(k, n)
-        if len(row) <= k:
+        if row is None or len(row.nums) <= k:
             table = self._table(lam, shift + k, n)
-            diffs = [r[n] for r in table.rows[shift : shift + k + 1]]
-            entries = list(row)
+            diffs, nums, den = [r[n] for r in table.rows[shift : shift + k + 1]], [], factorial(k) * table.den[n]
             for i in range(k + 1):
-                if i == len(entries):
-                    entries.append(Fraction(diffs[0], table.den[n] * factorial(i)))
+                nums.append(diffs[0] * math.perm(k, k - i))  # k!/i!
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            row = table.differences[shift, n] = tuple(entries)
+            g = math.gcd(den, *nums)
+            row = table.differences[shift, n] = Row(tuple([v // g for v in nums]), den // g)
         return row
 
     def _table(self, lam: Fraction, j: int, n: int) -> _SumTable:
@@ -314,7 +318,7 @@ class _SumTable:
         self.rows: list[list[int]] = [[1]]
         # weights[k][i] is the weight of rows[j - 1][i] in rows[j][k]
         self.weights: list[list[int]] = [[1]]
-        self.differences: dict[tuple[int, int], tuple[Fraction, ...]] = {}  # see `_differences`
+        self.differences: dict[tuple[int, int], Row] = {}  # see `_differences`
 
     def holds(self, j: int, n: int) -> bool:
         """Whether E[(S_j)_{n,lam}] is in the table."""
@@ -323,12 +327,13 @@ class _SumTable:
     def grow(self, oracle: MomentOracle, j: int, n: int) -> None:
         """Hold rows 0..j to at least order n."""
         lam, single, den, weights, rows = self.lam, self.single, self.den, self.weights, self.rows
-        # lam = p/c: E[(Y)_{k,lam}] = sum_q s1(k,q) p^(k-q) c^q (M_k E[Y^q])
-        # over c^k M_k, M_k the lcm of the moment denominators to order k
+        # lam = p/c: E[(Y)_{k,lam}] = sum_q s1(k,q) p^(k-q) c^q (M E[Y^q])
+        # over c^k M, M the lcm of the moment denominators to order n
         p, c = lam.numerator, lam.denominator
+        if len(single) <= n:  # the raw moments to order n over their lcm M, once per call
+            moments, m_den = _over_lcm([oracle.moment(q) for q in range(n + 1)])
         for k in range(len(single), n + 1):
-            moments, m_den = _over_lcm([oracle.moment(q) for q in range(k + 1)])
-            coeffs = [stirling1_signed(k, q) * v for q, v in enumerate(moments)]
+            coeffs = [stirling1_signed(k, q) * v for q, v in enumerate(moments[: k + 1])]
             f = Fraction(_homogeneous(coeffs, c, p), c**k * m_den)
             d = math.lcm(f.denominator, *(single[q].denominator * den[k - q] for q in range(1, k)))
             single.append(f)

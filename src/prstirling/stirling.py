@@ -12,16 +12,19 @@ Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
 are witnesses, integer sums a row n at a time: `identities` checks them
 against the generating function and each other, and none reaches `_columns`.
 A Theorem 2.1 row depends on (Y, lam, shift, n) only, so the oracle keeps it
-(`MomentOracle._differences`) for every context on that lam. The only process-global state is the kernel triangles.
+(`MomentOracle._differences`) for every context on that lam. Each row is a
+`kernel.Row`; only the public functions build Fractions. The only
+process-global state is the kernel triangles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .kernel import RationalLike, _homogeneous, _over_lcm, stirling1_signed
+from .kernel import RationalLike, Row, _homogeneous, stirling1_signed
 from .moments import MomentOracle
 
 
@@ -39,7 +42,7 @@ class StirlingContext:
             raise ValueError(f"shift parameter r must be a nonnegative integer, got {r!r}")
         self.r = r
         # row n of the generating-function triangle, filled by `_triangle_row`
-        self._rows: dict[int, tuple[Fraction, ...]] = {}
+        self._rows: dict[int, Row] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StirlingContext):
@@ -63,27 +66,31 @@ def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
     by Theorem 2.1, kept with the oracle. Zero for k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    return ctx.oracle._differences(ctx.lam, ctx.r, n, k)[k] if k <= n else Fraction(0)
+    if k > n:
+        return Fraction(0)
+    nums, den = ctx.oracle._differences(ctx.lam, ctx.r, n, k)
+    return Fraction(nums[k], den)
 
 
-def _row(ctx: StirlingContext, shift: int, n: int) -> tuple[Fraction, ...]:
+def _row(ctx: StirlingContext, shift: int, n: int) -> Row:
     """Row n of the Theorem 2.1 triangle at the given shift, entries k = 0..n."""
     return ctx.oracle._differences(ctx.lam, shift, n, n)
 
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the double-sum route (`_via_conv`)."""
-    return Fraction(*_via_conv(ctx, n, [k])[0])
+    (num,), den = _via_conv(ctx, n, [k])
+    return Fraction(num, den)
 
 
-def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[tuple[int, int]]:
-    """Entries (n+r, k+r), k in ks, as (numerator, denominator) pairs, by
+def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> Row:
+    """Entries (n+r, k+r), k in ks, by
 
     sum_{l=k}^{n} C(n,l) S^Y(l,k) sum_{m=0}^{n-l} lam^(n-m-l) s1(n-l,m) E[S_r^m]
 
-    with lam = p/c and E[S_r^m] over one denominator E, the inner sum times
-    c^(n-l) E is one integer per n - l, and column k of S^Y over its lcm D
-    makes entry k one integer over c^(n-k) D E; r = 0 rows are read once."""
+    with lam = p/c and E[S_r^m] over one denominator E: the inner sum times
+    c^(n-l) E is one integer per n - l, and with the r = 0 rows l = k0..n
+    over their lcm D, each entry is one integer over c^(n-k0) D E."""
     k0 = min(ks)
     if n < 0 or k0 < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k0})")
@@ -91,36 +98,37 @@ def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[tuple[int
     sums, sums_den = ctx.oracle._sum_row(Fraction(0), ctx.r, max(n - k0, 0))
     inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
     rows = [ctx.oracle._differences(ctx.lam, 0, l, max(ks)) for l in range(k0, n + 1)]
-    out = []
-    for k in ks:
-        s2y, s2y_den = _over_lcm([row[k] for row in rows[k - k0 :]])
-        total = sum([math.comb(n, l) * s * c ** (l - k) * inner[n - l] for l, s in enumerate(s2y, k)])
-        out.append((total, c ** max(n - k, 0) * s2y_den * sums_den))
-    return out
+    den = math.lcm(*[d for _, d in rows])
+    weights = [math.comb(n, l) * (den // d) * c ** (l - k0) * inner[n - l] for l, (_, d) in enumerate(rows, k0)]
+    return Row(
+        [sum([w * s[k] for w, (s, _) in zip(weights[k - k0 :], rows[k - k0 :])]) for k in ks],  # w weighs S^Y(l,k)
+        c ** max(n - k0, 0) * den * sums_den,
+    )
 
 
 def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the shift route (`_via_shift`)."""
-    return Fraction(*_via_shift(ctx, n, [k])[0])
+    (num,), den = _via_shift(ctx, n, [k])
+    return Fraction(num, den)
 
 
-def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> list[tuple[int, int]]:
-    """Entries (n+r, k+r), k in ks, as int pairs over the lcm of r = 0 row n, by
+def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> Row:
+    """Entries (n+r, k+r), k in ks, over the denominator of r = 0 row n, by
 
     sum_{m=0}^{min(n-k, r)} C(m+k,m) C(r,m) m! S^Y(n, m+k)"""
     if n < 0 or min(ks) < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
     r = ctx.r
-    s2y, den = _over_lcm(ctx.oracle._differences(ctx.lam, 0, n, max(ks) + r))
-    return [
-        (sum([math.comb(m + k, m) * math.perm(r, m) * s2y[m + k] for m in range(min(n - k, r) + 1)]), den) for k in ks
-    ]
+    s2y, den = ctx.oracle._differences(ctx.lam, 0, n, max(ks) + r)
+    return Row(
+        [sum([math.comb(m + k, m) * math.perm(r, m) * s2y[m + k] for m in range(min(n - k, r) + 1)]) for k in ks], den
+    )
 
 
 def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]]:
     """Columns k = 0..n_max of the triangle from the generating function,
     each as integer numerators of orders 0..n_max over one denominator."""
-    a, den = _over_lcm([ctx.oracle.degenerate_factorial_moment(1, n, ctx.lam) for n in range(n_max + 1)])
+    a, den = ctx.oracle._single_row(ctx.lam, n_max)
     # weighted[n][q] = C(n, q) a[q], where a[q] / den = E[(Y)_{q,lam}]
     weighted = [[math.comb(n, q) * a[q] for q in range(n + 1)] for n in range(n_max + 1)]
 
@@ -153,24 +161,24 @@ def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
     """Rows n = 0..n_max of the triangle, row n having entries k = 0..n."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return _gf_rows(ctx, n_max, 0)
+    return [[Fraction(v, den) for v in nums] for nums, den in _gf_rows(ctx, n_max, 0)]
 
 
-def _gf_rows(ctx: StirlingContext, n_max: int, low: int) -> list[list[Fraction]]:
+def _gf_rows(ctx: StirlingContext, n_max: int, low: int) -> list[Row]:
     """Rows n = low..n_max of the triangle, from one `_columns` build."""
-    rows: list[list[Fraction]] = [[] for _ in range(low, n_max + 1)]
-    for k, (col, col_den) in enumerate(_columns(ctx, n_max)):
-        for n in range(max(k, low), n_max + 1):
-            rows[n - low].append(Fraction(col[n], col_den))
-    return rows
+    cols = list(_columns(ctx, n_max))
+    lcms = list(accumulate([d for _, d in cols], math.lcm))  # row n is over the lcm of columns 0..n
+    return [Row(tuple([c[n] * (lcms[n] // d) for c, d in cols[: n + 1]]), lcms[n]) for n in range(low, n_max + 1)]
 
 
-def _triangle_row(ctx: StirlingContext, n: int, fill: bool = False) -> tuple[Fraction, ...]:
+def _triangle_row(ctx: StirlingContext, n: int, fill: bool = False) -> Row:
     """Row n of the generating-function triangle, kept in the context; a miss
     keeps row n, or with fill rows 0..n, of one build. Of equal rows that
     threads build at once, the first stored is the one all return."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
     if n not in ctx._rows:
         low = 0 if fill else n
         for i, row in enumerate(_gf_rows(ctx, n, low), low):
-            ctx._rows.setdefault(i, tuple(row))
+            ctx._rows.setdefault(i, row)
     return ctx._rows[n]

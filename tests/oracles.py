@@ -161,6 +161,14 @@ def uniform_continuous_moments(a, b, upto):
     return [(b ** (m + 1) - a ** (m + 1)) / ((m + 1) * (b - a)) for m in range(upto + 1)]
 
 
+def row_values(row):
+    """The values of an integer row (numerators, denominator), one Fraction
+    each; the denominator must be positive."""
+    nums, den = row
+    assert type(den) is int and den > 0, den
+    return [Fraction(v, den) for v in nums]
+
+
 def theorem_2_1_entry(moment, shift, n, k):
     """(1/k!) sum_j C(k,j) (-1)^(k-j) moment(j + shift, n), term by term, with
     moment(j, n) = E[(S_j)_{n,lam}] as a Fraction: the Theorem 2.1 sum as

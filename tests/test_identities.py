@@ -29,6 +29,8 @@ from prstirling.stirling import (
     prob_r_stirling2_via_shift,
 )
 
+from oracles import row_values
+
 F = Fraction
 
 BERN = MomentOracle.bernoulli(F(1, 2))
@@ -132,7 +134,7 @@ def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch)
         assert bell_eval(ctx, 5, F(-1, 2)) == bell_coeffs(ctx, 5)(F(-1, 2))
         filled = StirlingContext(ctx.oracle, ctx.lam, r)
         stirling._triangle_row(filled, 6, fill=True)
-        assert [list(filled._rows[n]) for n in range(7)] == rows
+        assert [row_values(filled._rows[n]) for n in range(7)] == rows
     with pytest.raises(AssertionError, match="integer moment numerators"):
         prob_r_stirling2(ctx, 3, 2)
 
@@ -182,6 +184,12 @@ def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):
         assert verify_thm_2_5(ctx, 0).passed  # no column 1 at n_max 0
 
 
+def plus_one_at_1(row):
+    """The integer row with entry 1 raised by 1."""
+    nums, den = row
+    return type(row)(nums[:1] + (nums[1] + den,) + tuple(nums[2:]), den)
+
+
 def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
     def corrected(ctx, n):
         return verify_thm_2_9(ctx, n, "corrected")
@@ -191,7 +199,7 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
             ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
             row = stirling._row(ctx, shift, 3)
             store = ctx.oracle._tables[ctx.lam.numerator, ctx.lam.denominator].differences
-            store[shift, 3] = row[:1] + (row[1] + 1,) + row[2:]  # stored entry (3, 1)
+            store[shift, 3] = plus_one_at_1(row)  # stored entry (3, 1)
             for check in (verify_thm_2_4, corrected):
                 assert not check(ctx, 3).passed, (check, r, shift)
                 assert check(ctx, 2).passed, (check, r, shift)
@@ -200,7 +208,7 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
 
     def perturbed(self, lam, shift, n, k):
         row = differences(self, lam, shift, n, k)
-        return row[:1] + (row[1] + 1,) + row[2:] if n == 3 and len(row) > 1 else row
+        return plus_one_at_1(row) if n == 3 and len(row.nums) > 1 else row
 
     monkeypatch.setattr(MomentOracle, "_differences", perturbed)
     for r in range(3):
@@ -234,9 +242,9 @@ def test_thm_2_8_reads_each_via_shift_row_once_per_context(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-def test_thm_2_8_builds_fewer_fractions_than_it_makes_checks(monkeypatch):
-    """The checks are decided in integers: the Fractions a T2_8 run builds
-    are the Theorem 2.1 entries and moments it reads, not one per check."""
+def count_suite_fractions(monkeypatch, identity, max_n=7):
+    """The reports and summary of a suite run of one identity, and the
+    number of Fractions it built."""
     built, new = [], F.__new__
 
     def counted(cls, *args, **kwargs):
@@ -244,9 +252,34 @@ def test_thm_2_8_builds_fewer_fractions_than_it_makes_checks(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(F, "__new__", counted)
-    reports, summary = run_suite(default_grid(7), [IdentityId.T2_8])
+    reports, summary = run_suite(default_grid(max_n), [identity])
+    monkeypatch.undo()
+    return reports, summary, len(built)
+
+
+def test_thm_2_8_builds_fewer_fractions_than_it_makes_checks(monkeypatch):
+    """The checks are decided in integers, on rows of integers: the
+    Fractions a T2_8 run builds are its inputs (the grid, the raw moments and
+    the single-copy entries), not one per Theorem 2.1 entry or check."""
+    _, summary, built = count_suite_fractions(monkeypatch, IdentityId.T2_8)
     assert summary["T2_8"] == {"pass": 9600, "fail": 0, "total": 9600}
-    assert 0 < len(built) < len(reports)
+    assert 0 < built <= 289
+
+
+@pytest.mark.parametrize(
+    "identity,reports,bound",
+    [(IdentityId.T2_1_vs_T2_2, 2880, 929), (IdentityId.T2_5, 640, 289), (IdentityId.T2_7, 2560, 929)],
+    ids=str,
+)
+def test_a_suite_run_builds_fractions_only_for_its_inputs(monkeypatch, identity, reports, bound):
+    """The rows every checker reads are integers, so a run at max-n 7 builds
+    the Fractions of its inputs: the grid, the raw moments and the
+    single-copy entries (289), plus a zero lambda per T2_1_vs_T2_2 row for
+    the sum moments, and |lambda| per T2_7 row for the series' start index
+    (640 each)."""
+    run, summary, built = count_suite_fractions(monkeypatch, identity)
+    assert len(run) == summary[identity.value]["pass"] == reports
+    assert 0 < built <= bound
 
 
 @pytest.mark.parametrize("identity", [IdentityId.ReductionY1, IdentityId.ClassicalLambda0])
@@ -269,25 +302,20 @@ def test_a_suite_run_builds_one_y1_oracle(monkeypatch, identity):
 
 @pytest.mark.parametrize("identity", [IdentityId.T2_4, IdentityId.T2_9_corrected])
 def test_thm_2_4_reads_the_stored_rows_without_copying_them(monkeypatch, identity):
-    """T2_4 and T2_9_corrected convert each stored Theorem 2.1 row as it is:
-    the Fractions a run builds are the rows' entries, the moments and the
-    converted polynomials; a copy of each row would add 5,760 more."""
-    built, new = [], F.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(None)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counted)
-    reports, _ = run_suite(default_grid(7), [identity])
+    """T2_4 and T2_9_corrected convert each stored Theorem 2.1 row as it is,
+    in integers: the Fractions a run builds are its inputs (the grid, the raw
+    moments and the single-copy entries); a copy of each row as Fractions
+    would add 5,760 more, and its entries and converted polynomials did."""
+    reports, _, built = count_suite_fractions(monkeypatch, identity)
     assert len(reports) == 640
-    assert 0 < len(built) <= 11089
+    assert 0 < built <= 289
 
 
 def test_thm_2_6_hashes_no_x_per_check(monkeypatch):
     """Each grid x is paired with its point item once per run: the Fractions
     a T2_6 run hashes are the oracles' parameters and the lambdas, once per
-    row, and not the x of each of its 3,200 checks."""
+    context for its (dist, lambda, r) items, and neither once per row nor
+    the x of each of its 3,200 checks."""
     hashed, fraction_hash = [], F.__hash__
 
     def counted(self):
@@ -297,7 +325,7 @@ def test_thm_2_6_hashes_no_x_per_check(monkeypatch):
     monkeypatch.setattr(F, "__hash__", counted)
     reports, _ = run_suite(default_grid(7), [IdentityId.T2_6])
     assert len(reports) == 3200
-    assert len(hashed) <= 1611
+    assert len(hashed) <= 211
 
 
 def test_a_default_summary_verify_formats_no_exact_check(monkeypatch, capsys):
@@ -347,7 +375,7 @@ def test_the_suite_builds_each_theorem_2_1_entry_once_per_oracle(monkeypatch, wa
 
     monkeypatch.setattr(moments, "_SumTable", Recorded)
     run_suite(default_grid(max_n), wanted)
-    assert sum(len(row) for table in tables for row in table.differences.values()) == built
+    assert sum(len(row.nums) for table in tables for row in table.differences.values()) == built
 
 
 def test_row_checkers_report_as_the_one_point_checkers():

@@ -32,7 +32,7 @@ from prstirling.stirling import (
     stirling_triangle,
 )
 
-from oracles import partition_count, theorem_2_1_entry
+from oracles import partition_count, row_values, theorem_2_1_entry
 from test_moments import count_fractions
 
 F = Fraction
@@ -267,13 +267,14 @@ def test_entries_live_in_their_lam_table():
     value = prob_r_stirling2(ctx, 5, 2)
     store = entry_store(oracle, lam)
     assert set(store) == {(2, 5)}
-    assert store[2, 5] == tuple(prob_r_stirling2(ctx, 5, k) for k in range(3))
-    assert store[2, 5][2] == value
+    assert row_values(store[2, 5]) == [prob_r_stirling2(ctx, 5, k) for k in range(3)]
+    assert row_values(store[2, 5])[2] == value
     prob_r_stirling2_via_shift(ctx, 5, 2)
     assert set(store) == {(2, 5), (0, 5)}
-    assert len(store[0, 5]) == 5  # S^Y(5, k) for k = 0..2 + r
+    assert len(store[0, 5].nums) == 5  # S^Y(5, k) for k = 0..2 + r
+    kept = store[2, 5]
     prob_r_stirling2(ctx, 5, 1)  # already held: the prefix does not shrink
-    assert len(store[2, 5]) == 3
+    assert store[2, 5] is kept and len(kept.nums) == 3
     prob_r_stirling2(StirlingContext(oracle, F(1, 2), 2), 5, 2)  # another lam, another table
     assert set(store) == {(2, 5), (0, 5)} and set(entry_store(oracle, F(1, 2))) == {(2, 5)}
     assert set(vars(ctx)) == {"oracle", "lam", "r", "_rows"} and ctx._rows == {}
@@ -281,15 +282,19 @@ def test_entries_live_in_their_lam_table():
 
 def test_contexts_share_the_rows(monkeypatch):
     """A Theorem 2.1 row depends on (Y, lam, shift, n), not on r: the r = 0
-    context reads the shift-0 row the shift route of an r = 2 context kept,
-    and builds no Fraction."""
+    context reads the shift-0 row the shift route of an r = 2 context kept.
+    It grows no iid-sum row, differences nothing, and builds only the one
+    Fraction of each entry it returns."""
     oracle, lam = MomentOracle.poisson(F(1, 2)), F(1, 3)
     prob_r_stirling2_via_shift(StirlingContext(oracle, lam, 2), 5, 2)  # S^Y(5, k) for k = 0..4
+    table = oracle._tables[lam.numerator, lam.denominator]
+    kept, lengths = table.differences[0, 5], [len(row) for row in table.rows]
     ctx = StirlingContext(oracle, lam, 0)
     counter = count_fractions(monkeypatch)
     entries = [prob_r_stirling2(ctx, 5, k) for k in range(5)]
-    assert counter[0] == 0
+    assert counter[0] == 5
     monkeypatch.undo()
+    assert table.differences[0, 5] is kept and [len(row) for row in table.rows] == lengths
     assert entries == stirling_triangle(StirlingContext(oracle, lam, 0), 5)[5][:5]
 
 
@@ -301,7 +306,7 @@ def test_a_lone_entry_grows_the_table_only_to_its_column(n, k):
     ctx = StirlingContext(oracle, lam, r)
     value = prob_r_stirling2(ctx, n, k)
     assert len(oracle._tables[lam.numerator, lam.denominator].rows) <= r + k + 1
-    assert len(entry_store(oracle, lam)[r, n]) == k + 1
+    assert len(entry_store(oracle, lam)[r, n].nums) == k + 1
     assert value == stirling_triangle(StirlingContext(oracle, lam, r), n)[n][k]
 
 
@@ -317,7 +322,7 @@ def test_theorem_2_1_rows_match_the_alternating_binomial_sum(name):
             for n in range(13):
                 for shift in (r, 0):
                     expected = tuple(theorem_2_1_entry(moment, shift, n, k) for k in range(n + 1))
-                    assert _row(ctx, shift, n) == expected, (lam, r, n, shift)
+                    assert tuple(row_values(_row(ctx, shift, n))) == expected, (lam, r, n, shift)
 
 
 @pytest.mark.parametrize("r", range(3))
