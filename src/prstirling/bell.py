@@ -122,7 +122,7 @@ def _dobinski(ctx: StirlingContext, n: int, xs: Sequence[float], tolerance: floa
                 moments.append(Fraction(num, den))
         return moments[k]
 
-    base = n * (1 + math.ceil(abs(ctx.lam))) + ctx.r
+    base = n * (1 - (-abs(ctx.lam.numerator) // ctx.lam.denominator)) + ctx.r  # 1 + ceil(|lam|)
     results = []
     for x in xs:
         args = (x, tolerance, base + math.ceil(x), moment)

@@ -8,30 +8,30 @@ deterministic for identical invocations.
 
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
 `stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
-each imported inside its subcommand. Each output format imports only its
-own serializer (`json` or `csv`).
+each imported inside its subcommand; JSON output imports `json`, and no
+request imports `csv`. Output goes out in writes of about 64 KiB, and
+`table` formats each entry straight from its column as it writes.
 
-Output is written once all of it is computed, so a failure gives one
+Every value is computed before the first write, so a failure gives one
 `error:` line and never half a document. A `verify` summary keeps no
 report, and `--report json` keeps only the reports' text: `--suite all`
-peaks at 16.3 MB RSS at max-n 5, and at 23.7 MB as JSON at max-n 7.
+peaks at 16.3 MB RSS at max-n 5, and at 23.9 MB as JSON at max-n 7.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import re
 import sys
 import tempfile
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .distparse import ParseError, parse_dist, parse_rational
 from .moments import DistributionError, MomentOracle
 from .kernel import _at, _format
-from .stirling import StirlingContext, _gf_rows, _triangle_row
+from .stirling import StirlingContext, _columns, _triangle_row
 
 SCHEMA_VERSION = "1"
 
@@ -80,23 +80,48 @@ def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
         raise
 
 
-def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        import json
+def _emit(record: dict, out: Optional[str]) -> None:
+    """Write `record` as one JSON document."""
+    import json
 
-        _write_output([json.dumps(record, indent=2, sort_keys=False, allow_nan=False), "\n"], out)
-        return
-    # CSV: context metadata as comment lines, then ragged value rows.
-    import csv
+    _write_output([json.dumps(record, indent=2, allow_nan=False), "\n"], out)
 
-    buf = io.StringIO()
-    ctx = record.get("context", {})
-    for key, value in ctx.items():
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf)
-    for row in record["payload"]["rows"]:
-        writer.writerow(row)
-    _write_output([buf.getvalue()], out)
+
+def _splice(record: dict) -> list[str]:
+    """The JSON text of `record`, cut at its last empty list for a list written in pieces."""
+    import json
+
+    return json.dumps(record, indent=2, allow_nan=False).rsplit("[]", 1)
+
+
+def _emit_rows(record: dict, rows: Iterable[list[str]], fmt: str, out: Optional[str]) -> None:
+    """Write `record` with `rows`, one or more, as its payload's "rows",
+    which `record` holds empty, in writes of about 64 KiB. Every entry is a
+    reduced fraction, which no format quotes: JSON gets each row at the
+    indent of its depth, CSV the context as "# key=value" lines, then one
+    row per line."""
+
+    def pieces() -> Iterator[str]:
+        if fmt == "json":
+            head, tail = _splice(record)
+            for n, row in enumerate(rows):
+                yield ("," if n else head + "[") + '\n      [\n        "' + '",\n        "'.join(row) + '"\n      ]'
+            yield "\n    ]" + tail + "\n"
+        else:
+            yield from [f"# {key}={value}\n" for key, value in record["context"].items()]
+            yield from (",".join(row) + "\r\n" for row in rows)
+
+    def chunks() -> Iterator[str]:
+        buf, size = [], 0
+        for piece in pieces():
+            buf.append(piece)
+            size += len(piece)
+            if size >= 65536:
+                yield "".join(buf)
+                buf, size = [], 0
+        yield "".join(buf)
+
+    _write_output(chunks(), out)
 
 
 # ---- subcommands -----------------------------------------------------------
@@ -115,9 +140,10 @@ def cmd_table(args) -> int:
     _check_sizes(args, "n_max", "r")
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
-    ctx = StirlingContext(oracle, lam, args.r)
-    payload = {"rows": [[_format(v, den) for v in nums] for nums, den in _gf_rows(ctx, args.n_max, 0)]}
-    _emit(_record("table", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), payload), args.format, args.out)
+    cols = list(_columns(StirlingContext(oracle, lam, args.r), args.n_max))  # all before the first write
+    rows = ([_format(col[n], den) for col, den in cols[: n + 1]] for n in range(args.n_max + 1))
+    record = _record("table", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), {"rows": []})
+    _emit_rows(record, rows, args.format, args.out)
     return 0
 
 
@@ -152,11 +178,7 @@ def cmd_bell(args) -> int:
             "tolerance": result.tolerance,
             "converged": result.converged,
         }
-    _emit(
-        _record("bell", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), payload, diagnostics),
-        "json",
-        args.out,
-    )
+    _emit(_record("bell", _context_dict(oracle, {"lambda": str(lam), "r": args.r}), payload, diagnostics), args.out)
     return 0
 
 
@@ -187,12 +209,12 @@ def cmd_verify(args) -> int:
         while batch := [rep.to_dict() for rep in islice(reports, 256)]:
             pieces.append(sep + "    " + encode(batch)[2:-2].replace("\n", "\n    "))
             sep = ",\n"
-        head, tail = encode(_record("verify", None, {"summary": summary, "reports": []})).rsplit("[]", 1)
+        head, tail = _splice(_record("verify", None, {"summary": summary, "reports": []}))
         _write_output([head, *pieces, "\n    ]" if pieces else "[]", tail, "\n"], args.out)
     else:
         for _ in reports:  # the summary keeps no report
             pass
-        _emit(_record("verify", None, {"summary": summary}), "json", args.out)
+        _emit(_record("verify", None, {"summary": summary}), args.out)
     # opt-in identities report findings; only the rest gate the exit status
     gating_failures = sum(s["fail"] for name, s in summary.items() if IdentityId(name) not in OPT_IN_IDENTITIES)
     return 1 if gating_failures else 0
@@ -208,8 +230,8 @@ def cmd_moments(args) -> int:
     context = _context_dict(oracle, {})
     if args.sum is not None:
         context["sum"] = args.sum
-    payload = {"rows": [[str(v) for v in values]], "upto": args.upto}
-    _emit(_record("moments", context, payload), args.format, args.out)
+    record = _record("moments", context, {"rows": [], "upto": args.upto})
+    _emit_rows(record, [[str(v) for v in values]], args.format, args.out)
     return 0
 
 

@@ -18,8 +18,8 @@ holds the raw sum moments E[S_j^m]. The rows are ints over one denominator
 D_n per order n (`_SumTable`), a layout no other module reads. The public
 reads return one reduced Fraction per entry. The private reads return
 `kernel.Row`s: `_single_row` the single-copy row (all the generating function
-reads), `_sum_row` a row j, and `_differences` the Theorem 2.1 rows
-(`stirling`) by integer differences, kept in the table for every context.
+reads, grown alone), `_sum_row` a row j, and `_differences` the Theorem 2.1
+rows (`stirling`) by integer differences, kept in the table for every context.
 """
 
 from __future__ import annotations
@@ -220,14 +220,14 @@ class MomentOracle:
         """E[(S_j)_{n,lam}] from the lam table, grown to (j, n) if needed."""
         if j == 0:  # S_0 = 0, which needs no moment of Y
             return Fraction(1 if n == 0 else 0)
+        if j == 1:  # `single` alone, not rows[1], which is built through the weights
+            return self._table(lam, -1, n).single[n]
         table = self._table(lam, j, n)
-        if j == 1:  # not rows[1], which is built through the weights
-            return table.single[n]
         return Fraction(table.rows[j][n], table.den[n])
 
     def _single_row(self, lam: Fraction, n: int) -> Row:
         """E[(Y)_{m,lam}], m = 0..n, over the lcm of their denominators."""
-        return _over_lcm(self._table(lam, 1, n).single[: n + 1])
+        return _over_lcm(self._table(lam, -1, n).single[: n + 1])
 
     def _sum_row(self, lam: Fraction, j: int, n: int) -> Row:
         """E[(S_j)_{m,lam}], m = 0..n, over D_n (each D_m divides it)."""
@@ -256,7 +256,7 @@ class MomentOracle:
         return row
 
     def _table(self, lam: Fraction, j: int, n: int) -> _SumTable:
-        """The lam table, grown to hold E[(S_j)_{n,lam}]."""
+        """The lam table, grown to hold E[(S_j)_{n,lam}], or for j = -1 E[(Y)_{n,lam}]."""
         # keyed by two ints, not the Fraction: Fraction.__hash__ is pure
         # Python, and every moment read looks a table up
         key = (lam.numerator, lam.denominator)
@@ -306,9 +306,12 @@ class _SumTable:
     the single-copy row through the integer weights
     C(k,q) num(single[q]) D_k / (d_q D_{k-q}); so row 1 is single[k] D_k.
 
-    Growth runs under the owning oracle's lock and only appends: single[k],
-    D_k and the order-k weights come before any order-k entry of a row, so a
-    reader that sees an entry without the lock also sees its denominator.
+    `single` grows alone for a single-copy read (the generating function,
+    E[(S_1)_{n,lam}]); D_k and the weights are made from it only when a row is
+    read. Growth runs under the owning oracle's lock and only appends:
+    single[k], D_k and the order-k weights come before any order-k entry of a
+    row, so a reader that sees an entry without the lock also sees its
+    denominator.
     """
 
     def __init__(self, lam: Fraction):
@@ -321,22 +324,24 @@ class _SumTable:
         self.differences: dict[tuple[int, int], Row] = {}  # see `_differences`
 
     def holds(self, j: int, n: int) -> bool:
-        """Whether E[(S_j)_{n,lam}] is in the table."""
-        return j < len(self.rows) and n < len(self.rows[j])
+        """Whether E[(S_j)_{n,lam}] is in the table; for j = -1, E[(Y)_{n,lam}]."""
+        return n < len(self.single) if j < 0 else j < len(self.rows) and n < len(self.rows[j])
 
     def grow(self, oracle: MomentOracle, j: int, n: int) -> None:
-        """Hold rows 0..j to at least order n."""
+        """Hold `single` and rows 0..j (none for j = -1) to at least order n."""
         lam, single, den, weights, rows = self.lam, self.single, self.den, self.weights, self.rows
-        # lam = p/c: E[(Y)_{k,lam}] = sum_q s1(k,q) p^(k-q) c^q (M E[Y^q])
-        # over c^k M, M the lcm of the moment denominators to order n
-        p, c = lam.numerator, lam.denominator
-        if len(single) <= n:  # the raw moments to order n over their lcm M, once per call
+        if len(single) <= n:
+            # lam = p/c: E[(Y)_{k,lam}] = sum_q s1(k,q) p^(k-q) c^q (M E[Y^q])
+            # over c^k M, M the lcm of the raw moment denominators to order n
+            p, c = lam.numerator, lam.denominator
             moments, m_den = _over_lcm([oracle.moment(q) for q in range(n + 1)])
-        for k in range(len(single), n + 1):
-            coeffs = [stirling1_signed(k, q) * v for q, v in enumerate(moments[: k + 1])]
-            f = Fraction(_homogeneous(coeffs, c, p), c**k * m_den)
-            d = math.lcm(f.denominator, *(single[q].denominator * den[k - q] for q in range(1, k)))
-            single.append(f)
+            for k in range(len(single), n + 1):
+                coeffs = [stirling1_signed(k, q) * v for q, v in enumerate(moments[: k + 1])]
+                single.append(Fraction(_homogeneous(coeffs, c, p), c**k * m_den))
+        if j < 0:
+            return
+        for k in range(len(den), n + 1):
+            d = math.lcm(single[k].denominator, *(single[q].denominator * den[k - q] for q in range(1, k)))
             den.append(d)
             weights.append([
                 math.comb(k, q) * single[q].numerator * (d // (single[q].denominator * den[k - q]))
@@ -354,4 +359,3 @@ class _SumTable:
             prev, row = rows[i - 1], rows[i]
             for k in range(len(row), n + 1):
                 row.append(sum(map(operator.mul, weights[k], prev)))
-

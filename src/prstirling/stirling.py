@@ -4,9 +4,9 @@ The generating function is the production route: with
 A(t) = E[e_lam^Y(t)] - 1, column k of the triangle is
 sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r. `_columns` builds
 the columns in exact integers over one denominator per column, reading only
-the single-copy moments E[(Y)_{n,lam}]; `_gf_rows` makes rows of one build
-for `stirling_triangle` (`table`) and `_triangle_row` (`bell`; rows 0..max_n
-for `verify`).
+the single-copy moments E[(Y)_{n,lam}]. The `table` command formats each
+entry straight from its column; `_gf_rows` makes rows of one build for
+`stirling_triangle` and `_triangle_row` (`bell`; rows 0..max_n for `verify`).
 
 Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
 are witnesses, integer sums a row n at a time: `identities` checks them
@@ -22,10 +22,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
 from .kernel import RationalLike, Row, _homogeneous, stirling1_signed
 from .moments import MomentOracle
+
+_ZERO = Fraction(0)  # the lam key of the raw sum moments
 
 
 class StirlingContext:
@@ -95,7 +98,7 @@ def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> Row:
     if n < 0 or k0 < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k0})")
     p, c = ctx.lam.numerator, ctx.lam.denominator
-    sums, sums_den = ctx.oracle._sum_row(Fraction(0), ctx.r, max(n - k0, 0))
+    sums, sums_den = ctx.oracle._sum_row(_ZERO, ctx.r, max(n - k0, 0))
     inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
     rows = [ctx.oracle._differences(ctx.lam, 0, l, max(ks)) for l in range(k0, n + 1)]
     den = math.lcm(*[d for _, d in rows])
@@ -129,14 +132,15 @@ def _columns(ctx: StirlingContext, n_max: int) -> Iterator[tuple[list[int], int]
     """Columns k = 0..n_max of the triangle from the generating function,
     each as integer numerators of orders 0..n_max over one denominator."""
     a, den = ctx.oracle._single_row(ctx.lam, n_max)
-    # weighted[n][q] = C(n, q) a[q], where a[q] / den = E[(Y)_{q,lam}]
-    weighted = [[math.comb(n, q) * a[q] for q in range(n + 1)] for n in range(n_max + 1)]
+    # backward[n][i] = C(n, q) a[q] for q = n - i, where a[q] / den = E[(Y)_{q,lam}]
+    backward = [[math.comb(n, q) * a[q] for q in range(n, -1, -1)] for n in range(n_max + 1)]
 
     def convolve(col: list[int], first: int, low: int) -> list[int]:
         """(a * col)[n] = sum_q C(n, q) a[q] col[n - q] over q >= first
         (first = 1 drops a[0], giving A) and n - q >= low (col is zero
-        below order low)."""
-        return [sum(w[q] * col[n - q] for q in range(first, n - low + 1)) for n, w in enumerate(weighted)]
+        below order low), so zero below order low + first."""
+        tail, zeros = col[low:], [0] * (low + first)
+        return zeros + [sum(map(mul, backward[n][low : n - first + 1], tail)) for n in range(low + first, n_max + 1)]
 
     def reduced(col: list[int], col_den: int) -> tuple[list[int], int]:
         g = math.gcd(col_den, *col)

@@ -155,9 +155,11 @@ def test_a_perturbed_moment_numerator_fails_thm_2_5():
 def test_the_generating_function_never_reads_the_sum_weights():
     oracle, lam = MomentOracle.uniform_discrete([0, 1, 3]), F(2, 5)
     reference = stirling.stirling_triangle(StirlingContext(oracle, lam, 0), 6)
-    # the triangle grew the lam table, weights included, to order 6; the
-    # order-3 weight of row j - 1's order-0 entry (which is 1) feeds every
+    # the triangle grows only the single-copy row; a Theorem 2.1 entry
+    # (6, 1) grows the weights and rows 0 and 1 to order 6. The order-3
+    # weight of row j - 1's order-0 entry (which is 1) feeds every
     # E[(S_j)_{3,lam}] with j >= 2, and none of them is built yet
+    prob_r_stirling2(StirlingContext(oracle, lam, 0), 6, 1)
     oracle._tables[lam.numerator, lam.denominator].weights[3][0] += 1
     for r in range(3):
         ctx = StirlingContext(oracle, lam, r)
@@ -268,15 +270,15 @@ def test_thm_2_8_builds_fewer_fractions_than_it_makes_checks(monkeypatch):
 
 @pytest.mark.parametrize(
     "identity,reports,bound",
-    [(IdentityId.T2_1_vs_T2_2, 2880, 929), (IdentityId.T2_5, 640, 289), (IdentityId.T2_7, 2560, 929)],
+    [(IdentityId.T2_1_vs_T2_2, 2880, 289), (IdentityId.T2_5, 640, 289), (IdentityId.T2_7, 2560, 289)],
     ids=str,
 )
 def test_a_suite_run_builds_fractions_only_for_its_inputs(monkeypatch, identity, reports, bound):
     """The rows every checker reads are integers, so a run at max-n 7 builds
     the Fractions of its inputs: the grid, the raw moments and the
-    single-copy entries (289), plus a zero lambda per T2_1_vs_T2_2 row for
-    the sum moments, and |lambda| per T2_7 row for the series' start index
-    (640 each)."""
+    single-copy entries (289). No row reads its sum moments through a new
+    zero lambda, and no series start index goes through |lambda| as a
+    Fraction."""
     run, summary, built = count_suite_fractions(monkeypatch, identity)
     assert len(run) == summary[identity.value]["pass"] == reports
     assert 0 < built <= bound

@@ -24,6 +24,7 @@ from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, s
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
     StirlingContext,
+    _columns,
     _row,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
@@ -296,6 +297,19 @@ def test_contexts_share_the_rows(monkeypatch):
     monkeypatch.undo()
     assert table.differences[0, 5] is kept and [len(row) for row in table.rows] == lengths
     assert entries == stirling_triangle(StirlingContext(oracle, lam, 0), 5)[5][:5]
+
+
+@pytest.mark.parametrize("read", [stirling_triangle, bell_coeffs, lambda ctx, n: list(_columns(ctx, n))])
+def test_the_generating_function_grows_only_the_single_copy_row(read):
+    """The triangle (`stirling_triangle`, `bell`, and the columns `table`
+    formats) reads E[(Y)_{n,lam}] alone: its lam table holds no D_k, weight
+    or row past order 0."""
+    oracle, lam = MomentOracle.poisson(F(1, 2)), F(-1, 3)
+    read(StirlingContext(oracle, lam, 2), 6)
+    assert list(oracle._tables) == [(lam.numerator, lam.denominator)]
+    table = oracle._tables[lam.numerator, lam.denominator]
+    assert len(table.single) == 7
+    assert table.den == [1] and table.weights == [[1]] and table.rows == [[1]]
 
 
 @pytest.mark.parametrize("n,k", [(80, 1), (40, 0), (30, 5), (12, 12)])
