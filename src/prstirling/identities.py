@@ -12,8 +12,8 @@ Each identity holds for one row n at many points: `run_suite` runs it
 through a row checker that reads the row's shared inputs once, and keeps
 each context's generating-function rows from one build. T2_8 is checked a
 context at a time (`_thm_2_8`): its via-shift rows and S^Y rows are each read
-and put over one denominator once for all rows n. The public `verify_*`
-functions are the one-point case (`_one`).
+and put over one denominator once for all rows n. `run_suite` is the only
+way in: one point is a one-context `SuiteGrid`.
 
 Each exact check is decided in integers: rows are `kernel.Row`s, each side
 one integer or one row over one denominator, and `passed` comes by
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from operator import mul, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -138,9 +137,9 @@ def _same(a: Row, b: Row) -> bool:
 
 class _Items(dict):
     """Point items (name, text) by (name, value), one shared tuple per
-    distinct item, for a one-point check or for one identity in a suite run
-    (which gives T2_6 its x items). The text of an oracle is its expression;
-    `head` gives the (dist, lambda, r) items that begin a context's points."""
+    distinct item, for one identity in a suite run (which gives T2_6 its x
+    items). The text of an oracle is its expression; `head` gives the
+    (dist, lambda, r) items that begin a context's points."""
 
     def __missing__(self, key: tuple) -> tuple[str, str]:
         name, value = key
@@ -151,19 +150,19 @@ class _Items(dict):
         return self["dist", ctx.oracle], self["lambda", ctx.lam], self["r", ctx.r]
 
 
-# ---- individual checkers: each takes a context, the head of its points and
-# the items, and returns a list of reports; `_one` runs one at one point.
-
-
-def _one(check: Callable[..., list], ctx: StirlingContext, *args) -> VerificationReport:
-    items = _Items()
-    return check(ctx, items.head(ctx), items, *args)[0]
+# ---- row checkers: each takes a context, the head of its points and the
+# items, and returns a list of reports.
 
 
 def _shifted(ctx: StirlingContext, head: tuple, items: _Items, identity: IdentityId, n: int) -> list:
-    """sum_k S^(r,Y)(n+r,k+r) (x)_k against y(x + r), y = sum_k S^Y(n,k) (x)_k
-    or the printed double sum of T2_9_paper_form, as canonical monomial
-    coefficient vectors over the rows' denominators."""
+    """T2_4: sum_k S^(r,Y)(n+r,k+r) (x)_k == sum_k S^Y(n,k) (x+r)_k, as
+    canonical monomial coefficient vectors over the rows' denominators.
+
+    T2_9 expands the r-shifted triangle row in falling factorials against
+    the double sum over first-kind numbers and the r = 0 triangle. Its
+    corrected form pairs s1(j,i) with the column-j entry, as the derivation
+    does, which is T2_4's right-hand side summed in the other order; its
+    paper form (T2_9_paper_form) takes the column-i entry, as printed."""
     row0 = _row(ctx, 0, n)
     if identity is IdentityId.T2_9_paper_form:
         y = Row([s2 * sum(stirling1_signed(j, i) for j in range(i, n + 1)) for i, s2 in enumerate(row0.nums)], row0.den)
@@ -174,63 +173,42 @@ def _shifted(ctx: StirlingContext, head: tuple, items: _Items, identity: Identit
 
 
 def _expansion(ctx: StirlingContext, head: tuple, items: _Items, identity: IdentityId, n: int) -> list:
-    """For Y = ctx.oracle = point(1), the triangle row against the n + 1
-    falling-basis coefficients of the monic (x + r)_{n,lam}, computed purely
-    in the exact kernel."""
+    """ReductionY1: for Y fixed at 1 (ctx.oracle = point(1)), the triangle
+    row equals the falling-factorial coefficients of the r-shifted degenerate
+    falling factorial (x + r)_{n,lam}. ClassicalLambda0 is the case lam = 0,
+    the plain shifted power (x + r)^n. The right side is computed purely in
+    the exact kernel."""
     lhs, rhs = _row(ctx, ctx.r, n), _convert(_shift(_degenerate_falling(n, ctx.lam), ctx.r), Basis.FALLING_FACTORIAL)
     return [VerificationReport(identity, head + (items["n", n],), _same(lhs, rhs), lhs, rhs)]
 
 
-def verify_formula_agreement(ctx: StirlingContext, n: int, k: int, which: IdentityId) -> VerificationReport:
-    """Production formula vs. one of the two independent routes."""
-    return _one(_agreement, ctx, which, n, k)
-
-
-def _agreement(ctx: StirlingContext, head: tuple, items: _Items, which: IdentityId, n: int, *ks: int) -> list:
-    """`verify_formula_agreement` at each k in ks (all of row n if none), in
+def _agreement(ctx: StirlingContext, head: tuple, items: _Items, which: IdentityId, n: int) -> list:
+    """Theorem 2.1 against the double-sum route `_via_conv` (T2_1_vs_T2_2)
+    or the shift route `_via_shift` (T2_1_vs_T2_3) at every k of row n, in
     one route call: each entry of the Theorem 2.1 row against the route's,
     both rows over one denominator."""
-    ks = ks or range(n + 1)
-    route = {IdentityId.T2_1_vs_T2_2: _via_conv, IdentityId.T2_1_vs_T2_3: _via_shift}.get(which)
-    if route is None:
-        raise ValueError(f"not a formula-agreement identity: {which}")
-    (routed, rhs_den), (row, den) = route(ctx, n, ks), ctx.oracle._differences(ctx.lam, ctx.r, n, max(ks))
+    route = _via_conv if which is IdentityId.T2_1_vs_T2_2 else _via_shift
+    (routed, rhs_den), (row, den) = route(ctx, n, range(n + 1)), _row(ctx, ctx.r, n)
     point, reports = head + (items["n", n],), []
-    for k, rhs in zip(ks, routed):
-        lhs = row[k] if k <= n else 0  # zero past the row
+    for k, (lhs, rhs) in enumerate(zip(row, routed)):
         passed = lhs * rhs_den == rhs * den
         reports.append(VerificationReport(which, point + (items["k", k],), passed, lhs, rhs, None, den, rhs_den))
     return reports
 
 
-def verify_thm_2_4(ctx: StirlingContext, n: int) -> VerificationReport:
-    """sum_k S^(r,Y)(n+r,k+r) (x)_k == sum_k S^Y(n,k) (x+r)_k, as monomial
-    coefficient vectors."""
-    return _one(_shifted, ctx, IdentityId.T2_4, n)
-
-
-def verify_thm_2_5(ctx: StirlingContext, n: int) -> VerificationReport:
-    """Bell coefficient vector (the generating-function triangle row) equals
-    the Theorem 2.1 row entrywise."""
-    return _one(_thm_2_5, ctx, n)
-
-
 def _thm_2_5(ctx: StirlingContext, head: tuple, items: _Items, n: int) -> list:
-    """T2_5; both rows stay in their stores, so the report holds them."""
+    """T2_5: the Bell coefficient vector (the generating-function triangle
+    row) equals the Theorem 2.1 row entrywise. Both rows stay in their
+    stores, so the report holds them."""
     lhs, rhs = _triangle_row(ctx, n), _row(ctx, ctx.r, n)
     return [VerificationReport(IdentityId.T2_5, head + (items["n", n],), _same(lhs, rhs), lhs, rhs)]
 
 
-def verify_thm_2_6(ctx: StirlingContext, n: int, x: RationalLike) -> VerificationReport:
-    """Direct evaluation vs. the binomial-convolution form."""
-    x = Fraction(x)
-    return _one(_thm_2_6, ctx, [(x, ("x", str(x)))], n)
-
-
 def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, points: Sequence[tuple], n: int) -> list:
-    """T2_6 at each (x, its point item) of row n, reading the row's inputs
-    once: at x = p/q the production row over D is one integer over D q^n,
-    decided against the convolution's integer pair."""
+    """T2_6: direct evaluation against the binomial-convolution form, at
+    each (x, its point item) of row n, reading the row's inputs once: at
+    x = p/q the production row over D is one integer over D q^n, decided
+    against the convolution's integer pair."""
     row, point, reports = _triangle_row(ctx, n), head + (items["n", n],), []
     for (x, x_item), (rhs, rhs_den) in zip(points, _via_convolution(ctx, n, [x for x, _ in points])):
         lhs, lhs_den = _at(row, x.numerator, x.denominator)
@@ -239,15 +217,11 @@ def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, points: Sequence[
     return reports
 
 
-def verify_thm_2_7(ctx: StirlingContext, n: int, x: float, tolerance: float) -> VerificationReport:
-    """Truncated series vs. exact evaluation, within relative tolerance."""
-    return _one(_thm_2_7, ctx, [x], tolerance, n)
-
-
 def _thm_2_7(ctx: StirlingContext, head: tuple, items: _Items, xs: Sequence[float], tolerance: float, n: int) -> list:
-    """T2_7 at each x of row n, reading the row's inputs once. The exact side
-    is the production row at x = p/q, one integer over D q^n, whose int / int
-    quotient rounds once, as float(Fraction) does."""
+    """T2_7: the truncated Dobinski series against exact evaluation, within
+    relative tolerance, at each x of row n, reading the row's inputs once.
+    The exact side is the production row at x = p/q, one integer over
+    D q^n, whose int / int quotient rounds once, as float(Fraction) does."""
     row, point, reports = _triangle_row(ctx, n), head + (items["n", n],), []
     for x, result in zip(xs, _dobinski(ctx, n, xs, tolerance)):
         exact = truediv(*_at(row, *x.as_integer_ratio()))
@@ -257,68 +231,30 @@ def _thm_2_7(ctx: StirlingContext, head: tuple, items: _Items, xs: Sequence[floa
     return reports
 
 
-def verify_thm_2_8(ctx: StirlingContext, n: int, m: int, k: int) -> VerificationReport:
-    """C(m+k,m) S^(r,Y)(n+r,m+k+r) == sum_{l=m}^{n-k} C(n,l) S^(r,Y)(l+r,m+r) S^Y(n-l,k)."""
-    if n < m + k:
-        raise ValueError(f"requires n >= m + k, got n={n}, m={m}, k={k}")
-    return _one(_thm_2_8, ctx, [n], [m], [k])
-
-
-def _thm_2_8(
-    ctx: StirlingContext, head: tuple, items: _Items, ns: Sequence[int], ms: Sequence[int], ks: Sequence[int]
-) -> list:
-    """T2_8 at each (n, m, k) with m + k <= n, for one context and in
-    integers: the via-shift rows and the rows of S^Y are each read once and
-    put over one denominator, and each column of them is taken once."""
-    m0, k0 = min(ms), min(ks)
-    shifted = [_via_shift(ctx, l, range(l + 1)) for l in range(m0, max(ns) - k0 + 1)]  # l = n - k at most
+def _thm_2_8(ctx: StirlingContext, head: tuple, items: _Items, max_n: int) -> list:
+    """T2_8: C(m+k,m) S^(r,Y)(n+r,m+k+r) ==
+    sum_{l=m}^{n-k} C(n,l) S^(r,Y)(l+r,m+r) S^Y(n-l,k), at every (n, m, k)
+    with m + k <= n <= max_n, for one context and in integers: the via-shift
+    rows and the rows of S^Y are each read once and put over one
+    denominator, and each column of them is taken once."""
+    shifted = [_via_shift(ctx, l, range(l + 1)) for l in range(max_n + 1)]
     a_den = math.lcm(*[d for _, d in shifted])
     # (m, its item, S^(r,Y)(l+r,m+r) for l = m..) and (k, its item, S^Y(j,k) for j = k..)
-    a_cols = [(m, items["m", m], [row[m] * (a_den // d) for row, d in shifted[m - m0 :]]) for m in ms]
-    s2y = [_row(ctx, 0, j) for j in range(max(ns) - m0 + 1)]
+    a_cols = [(m, items["m", m], [row[m] * (a_den // d) for row, d in shifted[m:]]) for m in range(max_n + 1)]
+    s2y = [_row(ctx, 0, j) for j in range(max_n + 1)]
     b_den = math.lcm(*[d for _, d in s2y])
-    b_cols = [(k, items["k", k], [row[k] * (b_den // d) for row, d in s2y[k:]]) for k in ks]
+    b_cols = [(k, items["k", k], [row[k] * (b_den // d) for row, d in s2y[k:]]) for k in range(max_n + 1)]
     identity, rhs_den, reports = IdentityId.T2_8, a_den * b_den, []
-    for n in ns:
+    for n in range(max_n + 1):
         (row, row_den), point = _row(ctx, ctx.r, n), head + (items["n", n],)
-        for m, m_item, a in a_cols:
-            if m + k0 > n:
-                continue
-            weighted = [math.comb(n, l) * v for l, v in enumerate(a[: n - k0 - m + 1], m)]
-            for k, k_item, b in b_cols:
-                if m + k > n:
-                    continue
+        for m, m_item, a in a_cols[: n + 1]:
+            weighted = [math.comb(n, l) * v for l, v in enumerate(a[: n - m + 1], m)]
+            for k, k_item, b in b_cols[: n - m + 1]:
                 lhs = math.comb(m + k, m) * row[m + k]
                 rhs = sum(map(mul, weighted, b[n - m - k :: -1]))  # S^Y(n - l, k), l = m..n - k
                 point_mk, passed = point + (m_item, k_item), lhs * rhs_den == rhs * row_den
                 reports.append(VerificationReport(identity, point_mk, passed, lhs, rhs, None, row_den, rhs_den))
     return reports
-
-
-def verify_thm_2_9(ctx: StirlingContext, n: int, form: str = "corrected") -> VerificationReport:
-    """Falling-factorial expansion of the r-shifted triangle row vs. the
-    double sum over first-kind numbers and the r = 0 triangle.
-
-    form='corrected' pairs s1(j,i) with the column-j entry (as the derivation
-    does), which is Theorem 2.4's right-hand side summed in the other order;
-    form='paper' uses the column-i entry as printed.
-    """
-    if form not in ("corrected", "paper"):
-        raise ValueError(f"form must be 'corrected' or 'paper', got {form!r}")
-    identity = IdentityId.T2_9_corrected if form == "corrected" else IdentityId.T2_9_paper_form
-    return _one(_shifted, ctx, identity, n)
-
-
-def verify_reduction_point_one(lam: RationalLike, r: int, n: int) -> VerificationReport:
-    """For Y fixed at 1, the triangle row must match the coefficients of the
-    r-shifted degenerate falling factorial in the falling-factorial basis."""
-    return _one(_expansion, StirlingContext(MomentOracle.point(1), lam, r), IdentityId.ReductionY1, n)
-
-
-def verify_classical_limit(r: int, n: int) -> VerificationReport:
-    """lam = 0, Y = 1: the triangle row must match the falling-factorial
-    expansion of the plain shifted power (x+r)^n."""
-    return _one(_expansion, StirlingContext(MomentOracle.point(1), 0, r), IdentityId.ClassicalLambda0, n)
 
 
 # ---- suite -----------------------------------------------------------------
@@ -391,7 +327,7 @@ def _reports(
         IdentityId.T2_5: lambda: each(contexts, rows(_thm_2_5)),
         IdentityId.T2_6: lambda: each(contexts, rows(_thm_2_6, x_points)),
         IdentityId.T2_7: lambda: each(contexts, rows(_thm_2_7, grid.dobinski_xs, grid.dobinski_tol)),
-        IdentityId.T2_8: lambda: each(contexts, lambda c, h, items: _thm_2_8(c, h, items, ns, ns, ns)),
+        IdentityId.T2_8: lambda: each(contexts, lambda c, h, items: _thm_2_8(c, h, items, grid.max_n)),
         IdentityId.T2_9_corrected: lambda: each(contexts, rows(_shifted, IdentityId.T2_9_corrected)),
         IdentityId.T2_9_paper_form: lambda: each(contexts, rows(_shifted, IdentityId.T2_9_paper_form)),
     }

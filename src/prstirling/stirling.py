@@ -4,9 +4,10 @@ The generating function is the production route: with
 A(t) = E[e_lam^Y(t)] - 1, column k of the triangle is
 sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r. `_columns` builds
 the columns in exact integers over one denominator per column, reading only
-the single-copy moments E[(Y)_{n,lam}]. The `table` command formats each
-entry straight from its column; `_gf_rows` makes rows of one build for
-`stirling_triangle` and `_triangle_row` (`bell`; rows 0..max_n for `verify`).
+the single-copy moments E[(Y)_{n,lam}]. The `table` command and
+`stirling_triangle` take each entry straight from its column; `_triangle_row`
+puts rows of one build over their columns' lcm (`bell`; rows 0..max_n for
+`verify`).
 
 Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
 are witnesses, integer sums a row n at a time: `identities` checks them
@@ -165,24 +166,20 @@ def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
     """Rows n = 0..n_max of the triangle, row n having entries k = 0..n."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [[Fraction(v, den) for v in nums] for nums, den in _gf_rows(ctx, n_max, 0)]
-
-
-def _gf_rows(ctx: StirlingContext, n_max: int, low: int) -> list[Row]:
-    """Rows n = low..n_max of the triangle, from one `_columns` build."""
     cols = list(_columns(ctx, n_max))
-    lcms = list(accumulate([d for _, d in cols], math.lcm))  # row n is over the lcm of columns 0..n
-    return [Row(tuple([c[n] * (lcms[n] // d) for c, d in cols[: n + 1]]), lcms[n]) for n in range(low, n_max + 1)]
+    return [[Fraction(col[n], den) for col, den in cols[: n + 1]] for n in range(n_max + 1)]
 
 
 def _triangle_row(ctx: StirlingContext, n: int, fill: bool = False) -> Row:
-    """Row n of the generating-function triangle, kept in the context; a miss
-    keeps row n, or with fill rows 0..n, of one build. Of equal rows that
-    threads build at once, the first stored is the one all return."""
+    """Row n of the generating-function triangle, over the lcm of its
+    columns' denominators, kept in the context; a miss keeps row n, or with
+    fill rows 0..n, of one `_columns` build. Of equal rows that threads build
+    at once, the first stored is the one all return."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n not in ctx._rows:
-        low = 0 if fill else n
-        for i, row in enumerate(_gf_rows(ctx, n, low), low):
-            ctx._rows.setdefault(i, row)
+        cols = list(_columns(ctx, n))
+        lcms = list(accumulate([d for _, d in cols], math.lcm))  # row i is over the lcm of columns 0..i
+        for i in range(0 if fill else n, n + 1):
+            ctx._rows.setdefault(i, Row(tuple([c[i] * (lcms[i] // d) for c, d in cols[: i + 1]]), lcms[i]))
     return ctx._rows[n]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from prstirling.bell import bell_dobinski, bell_eval, bell_via_convolution, bell_coeffs
 from prstirling.cli import main
 from prstirling.distparse import parse_rational
-from prstirling.identities import verify_thm_2_4, verify_thm_2_8, verify_thm_2_9
+from prstirling.identities import IdentityId, SuiteGrid, run_suite
 from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument
 from prstirling.moments import MomentOracle
 from prstirling.stirling import (
@@ -34,6 +34,8 @@ PRESETS = {
 }
 LAMBDAS = [F(-1, 2), F(0), F(1, 3), F(1), F(2)]
 RS = [0, 1, 2, 3]
+# every context below, at n = 0..8
+GRID = SuiteGrid(dists=tuple(PRESETS), lambdas=tuple(map(str, LAMBDAS)), rs=tuple(RS), max_n=8)
 
 
 def contexts(max_r=3):
@@ -94,32 +96,22 @@ def test_criterion_2_reductions():
 
 
 def test_criterion_3_polynomial_identities():
-    bad = 0
-    for ctx in contexts():
-        for n in range(9):
-            if not verify_thm_2_4(ctx, n).passed:
-                bad += 1
-            if not verify_thm_2_9(ctx, n, "corrected").passed:
-                bad += 1
-    witness = verify_thm_2_9(
-        StirlingContext(PRESETS["bernoulli(1/2)"], F(1, 3), 0), 2, "paper"
-    )
+    reports, _ = run_suite(GRID, [IdentityId.T2_4, IdentityId.T2_9_corrected])
+    bad = sum(not rep.passed for rep in reports)
+    one = SuiteGrid(dists=("bernoulli(1/2)",), lambdas=("1/3",), rs=(0,), max_n=2)
+    witness = run_suite(one, [IdentityId.T2_9_paper_form])[0][-1]  # n = 2
     report(
         "3 polynomial identities",
-        bad == 0 and not witness.passed,
-        f"bad={bad} paper_form_counterexample={'found' if not witness.passed else 'missing'}",
+        bad == 0 and len(reports) == 2 * 80 * 9 and not witness.passed,
+        f"bad={bad} checks={len(reports)} paper_form_counterexample={'found' if not witness.passed else 'missing'}",
     )
 
 
 def test_criterion_4_recurrence():
-    bad = 0
-    for ctx in contexts():
-        for n in range(9):
-            for m in range(n + 1):
-                for k in range(n - m + 1):
-                    if not verify_thm_2_8(ctx, n, m, k).passed:
-                        bad += 1
-    report("4 recurrence identity", bad == 0, f"bad={bad}")
+    reports, _ = run_suite(GRID, [IdentityId.T2_8])
+    bad = sum(not rep.passed for rep in reports)
+    # (n, m, k) with m + k <= n <= 8: 165 per context
+    report("4 recurrence identity", bad == 0 and len(reports) == 80 * 165, f"bad={bad} checks={len(reports)}")
 
 
 def test_criterion_5_bell_consistency():

@@ -1,14 +1,20 @@
-"""No dead imports or private helpers in the package: every name a module
-imports is used in that module, and every private module-level function is
-used somewhere in the package. Read from the sources with `ast`, as no
-linter is assumed."""
+"""No dead code in the package: every name a module imports is used in that
+module, every private module-level function is used somewhere in the
+package, and every public module-level function or class is exported,
+used elsewhere in the package, or the console-script entry. Read from the
+sources with `ast`, as no linter is assumed."""
 
 import ast
+import tomllib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prstirling"
+import prstirling
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prstirling"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -22,6 +28,19 @@ def _used(nodes) -> set[str]:
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
+
+
+def _unnamed(kinds, wanted) -> list[str]:
+    """The module-level definitions of the given kinds, chosen by name, that
+    no other module-level statement of the package names."""
+    uses = {id(node): _used([node]) for tree in TREES.values() for node in tree.body}
+    named = Counter(name for names in uses.values() for name in names)  # statements naming each name
+    return [
+        f"{module}: {node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, kinds) and wanted(node.name) and named[node.name] == (node.name in uses[id(node)])
+    ]
 
 
 def test_the_package_sources_are_found():
@@ -41,13 +60,15 @@ def test_every_imported_name_is_used(name):
 
 
 def test_every_private_function_is_used():
-    unused = []
-    for name, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
-                # uses outside its own body, in this module or any other
-                elsewhere = [n for n in tree.body if n is not node]
-                others = [t for other, t in TREES.items() if other != name]
-                if node.name not in _used(elsewhere + others):
-                    unused.append(f"{name}: {node.name}")
-    assert unused == []
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    assert _unnamed(ast.FunctionDef, private) == []
+
+
+def test_every_public_function_or_class_is_exported_used_or_the_entry_point():
+    """A public definition that is neither in `prstirling.__all__`, nor named
+    by other code of the package, nor the `[project.scripts]` entry is a
+    second way in that nothing reaches."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    entries = {target.rpartition(":")[2] for target in scripts.values()}
+    public = lambda name: not name.startswith("_") and name not in prstirling.__all__ and name not in entries
+    assert _unnamed((ast.FunctionDef, ast.ClassDef), public) == []

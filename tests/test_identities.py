@@ -10,15 +10,6 @@ from prstirling.identities import (
     SuiteGrid,
     default_grid,
     run_suite,
-    verify_classical_limit,
-    verify_formula_agreement,
-    verify_reduction_point_one,
-    verify_thm_2_4,
-    verify_thm_2_5,
-    verify_thm_2_6,
-    verify_thm_2_7,
-    verify_thm_2_8,
-    verify_thm_2_9,
 )
 from prstirling.distparse import parse_dist, parse_rational
 from prstirling.moments import MomentOracle
@@ -33,39 +24,51 @@ from oracles import row_values
 
 F = Fraction
 
-BERN = MomentOracle.bernoulli(F(1, 2))
-UNIF = MomentOracle.uniform_discrete([0, 1, 2])
+
+def check_at(check, ctx, *args):
+    """The reports of one row checker at one context instance."""
+    items = identities._Items()
+    return check(ctx, items.head(ctx), items, *args)
+
+
+def grid_at(dist, lam, rs, max_n, **rest):
+    """The suite grid of one distribution and one lambda."""
+    return SuiteGrid(dists=(dist,), lambdas=(lam,), rs=tuple(rs), max_n=max_n, **rest)
+
+
+def at_n(reports, n):
+    """The reports of row n."""
+    return [rep for rep in reports if dict(rep.point)["n"] == str(n)]
 
 
 def test_thm_2_4_trivial_cases():
-    ctx = StirlingContext(BERN, F(1, 3), 2)
-    assert verify_thm_2_4(ctx, 0).passed
-    ctx0 = StirlingContext(BERN, F(1, 3), 0)
-    assert verify_thm_2_4(ctx0, 4).passed
+    reports, _ = run_suite(grid_at("bernoulli(1/2)", "1/3", [2], 0), [IdentityId.T2_4])
+    assert [rep.passed for rep in reports] == [True]
+    reports, _ = run_suite(grid_at("bernoulli(1/2)", "1/3", [0], 4), [IdentityId.T2_4])
+    assert at_n(reports, 4)[0].passed
 
 
 def test_thm_2_4_example():
-    assert verify_thm_2_4(StirlingContext(BERN, F(1, 3), 2), 5).passed
+    reports, _ = run_suite(grid_at("bernoulli(1/2)", "1/3", [2], 5), [IdentityId.T2_4])
+    assert at_n(reports, 5)[0].passed
 
 
 def test_thm_2_8_cases():
-    ctx = StirlingContext(UNIF, F(1), 1)
-    assert verify_thm_2_8(ctx, 4, 0, 0).passed
-    assert verify_thm_2_8(ctx, 5, 3, 0).passed
-    assert verify_thm_2_8(ctx, 6, 2, 2).passed
-    with pytest.raises(ValueError):
-        verify_thm_2_8(ctx, 2, 2, 1)
+    reports, summary = run_suite(grid_at("uniform{0,1,2}", "1", [1], 6), [IdentityId.T2_8])
+    assert summary["T2_8"] == {"pass": 84, "fail": 0, "total": 84}  # (n, m, k) with m + k <= n <= 6
+    points = {(p["n"], p["m"], p["k"]) for p in (dict(rep.point) for rep in reports)}
+    assert {("4", "0", "0"), ("5", "3", "0"), ("6", "2", "2")} <= points
+    assert ("2", "2", "1") not in points
 
 
 def test_thm_2_9_corrected_passes():
-    for r in range(3):
-        for n in range(6):
-            ctx = StirlingContext(BERN, F(1, 3), r)
-            assert verify_thm_2_9(ctx, n, "corrected").passed
+    reports, _ = run_suite(grid_at("bernoulli(1/2)", "1/3", range(3), 5), [IdentityId.T2_9_corrected])
+    assert len(reports) == 3 * 6 and all(rep.passed for rep in reports)
 
 
 def test_thm_2_9_paper_form_counterexample():
-    rep = verify_thm_2_9(StirlingContext(BERN, F(1, 3), 0), 2, "paper")
+    reports, _ = run_suite(grid_at("bernoulli(1/2)", "1/3", [0], 2), [IdentityId.T2_9_paper_form])
+    [rep] = at_n(reports, 2)
     assert not rep.passed
     # witness data carries both sides
     assert rep.lhs != rep.rhs
@@ -75,33 +78,29 @@ def test_thm_2_9_paper_form_counterexample():
 
 
 def test_thm_2_9_degree_zero_both_forms():
-    ctx = StirlingContext(BERN, F(1, 3), 1)
-    assert verify_thm_2_9(ctx, 0, "corrected").passed
-    assert verify_thm_2_9(ctx, 0, "paper").passed
+    both = [IdentityId.T2_9_corrected, IdentityId.T2_9_paper_form]
+    reports, _ = run_suite(grid_at("bernoulli(1/2)", "1/3", [1], 0), both)
+    assert [rep.passed for rep in reports] == [True, True]
 
 
 def test_formula_agreement_checker():
-    ctx = StirlingContext(UNIF, F(-1, 2), 2)
-    for n in range(5):
-        for k in range(n + 1):
-            assert verify_formula_agreement(ctx, n, k, IdentityId.T2_1_vs_T2_2).passed
-            assert verify_formula_agreement(ctx, n, k, IdentityId.T2_1_vs_T2_3).passed
+    both = [IdentityId.T2_1_vs_T2_2, IdentityId.T2_1_vs_T2_3]
+    reports, _ = run_suite(grid_at("uniform{0,1,2}", "-1/2", [2], 4), both)
+    assert len(reports) == 2 * 15 and all(rep.passed for rep in reports)  # every (n, k), k <= n <= 4
 
 
 def test_reduction_and_classical_checkers():
-    for r in range(3):
-        for n in range(6):
-            assert verify_reduction_point_one(F(1, 3), r, n).passed
-            assert verify_reduction_point_one(F(-1, 2), r, n).passed
-            assert verify_classical_limit(r, n).passed
+    grid = SuiteGrid(lambdas=("1/3", "-1/2"), rs=(0, 1, 2), max_n=5)
+    reports, summary = run_suite(grid, [IdentityId.ReductionY1, IdentityId.ClassicalLambda0])
+    assert summary["ReductionY1"]["pass"] == 2 * 3 * 6 and summary["ClassicalLambda0"]["pass"] == 3 * 6
+    assert all(rep.passed for rep in reports)
 
 
 def test_thm_2_5_and_2_6_checkers():
-    ctx = StirlingContext(MomentOracle.poisson(1), F(1, 3), 1)
-    for n in range(5):
-        assert verify_thm_2_5(ctx, n).passed
-        for x in (F(-1), F(1, 2), F(2)):
-            assert verify_thm_2_6(ctx, n, x).passed
+    grid = grid_at("poisson(1)", "1/3", [1], 4, xs=("-1", "1/2", "2"))
+    reports, summary = run_suite(grid, [IdentityId.T2_5, IdentityId.T2_6])
+    assert summary["T2_5"]["pass"] == 5 and summary["T2_6"]["pass"] == 5 * 3
+    assert all(rep.passed for rep in reports)
 
 
 def test_witnesses_never_reach_the_generating_function(monkeypatch):
@@ -141,15 +140,16 @@ def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch)
 
 def test_a_perturbed_moment_numerator_fails_thm_2_5():
     lam = F(1, 3)
+    thm_2_5 = identities._thm_2_5
     for r in range(3):
         # a fresh oracle each, as the Theorem 2.1 rows stay with the oracle
-        assert verify_thm_2_5(StirlingContext(MomentOracle.poisson(F(1, 2)), lam, r), 3).passed
+        assert check_at(thm_2_5, StirlingContext(MomentOracle.poisson(F(1, 2)), lam, r), 3)[0].passed
         oracle = MomentOracle.poisson(F(1, 2))
         oracle.degenerate_factorial_moment(2, 3, lam)  # grow row j = 2 to order 3
         oracle._tables[lam.numerator, lam.denominator].rows[2][3] += 1  # E[(S_2)_{3,lam}] off by 1 / D_3
         ctx = StirlingContext(oracle, lam, r)
-        assert verify_thm_2_5(ctx, 2).passed
-        assert not verify_thm_2_5(ctx, 3).passed, r
+        assert check_at(thm_2_5, ctx, 2)[0].passed
+        assert not check_at(thm_2_5, ctx, 3)[0].passed, r
 
 
 def test_the_generating_function_never_reads_the_sum_weights():
@@ -163,8 +163,8 @@ def test_the_generating_function_never_reads_the_sum_weights():
     oracle._tables[lam.numerator, lam.denominator].weights[3][0] += 1
     for r in range(3):
         ctx = StirlingContext(oracle, lam, r)
-        assert verify_thm_2_5(ctx, 2).passed, r
-        assert not verify_thm_2_5(ctx, 3).passed, r
+        assert check_at(identities._thm_2_5, ctx, 2)[0].passed, r
+        assert not check_at(identities._thm_2_5, ctx, 3)[0].passed, r
     assert stirling.stirling_triangle(StirlingContext(oracle, lam, 0), 6) == reference
 
 
@@ -180,10 +180,10 @@ def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):
     monkeypatch.setattr(stirling, "_columns", perturbed)
     for r in range(3):
         ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
-        assert not verify_thm_2_5(ctx, 3).passed
-        assert not verify_thm_2_6(ctx, 3, F(1, 2)).passed
+        assert not check_at(identities._thm_2_5, ctx, 3)[0].passed
+        assert not check_at(identities._thm_2_6, ctx, [(F(1, 2), ("x", "1/2"))], 3)[0].passed
         assert stirling.stirling_triangle(ctx, 3)[3][1] != prob_r_stirling2(ctx, 3, 1)
-        assert verify_thm_2_5(ctx, 0).passed  # no column 1 at n_max 0
+        assert check_at(identities._thm_2_5, ctx, 0)[0].passed  # no column 1 at n_max 0
 
 
 def plus_one_at_1(row):
@@ -193,18 +193,15 @@ def plus_one_at_1(row):
 
 
 def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
-    def corrected(ctx, n):
-        return verify_thm_2_9(ctx, n, "corrected")
-
     for r in (1, 2):
         for shift in (r, 0):
             ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
             row = stirling._row(ctx, shift, 3)
             store = ctx.oracle._tables[ctx.lam.numerator, ctx.lam.denominator].differences
             store[shift, 3] = plus_one_at_1(row)  # stored entry (3, 1)
-            for check in (verify_thm_2_4, corrected):
-                assert not check(ctx, 3).passed, (check, r, shift)
-                assert check(ctx, 2).passed, (check, r, shift)
+            for identity in (IdentityId.T2_4, IdentityId.T2_9_corrected):
+                assert not check_at(identities._shifted, ctx, identity, 3)[0].passed, (identity, r, shift)
+                assert check_at(identities._shifted, ctx, identity, 2)[0].passed, (identity, r, shift)
 
     differences = MomentOracle._differences
 
@@ -213,17 +210,15 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
         return plus_one_at_1(row) if n == 3 and len(row.nums) > 1 else row
 
     monkeypatch.setattr(MomentOracle, "_differences", perturbed)
-    for r in range(3):
-        for lam in (F(-1, 2), F(1, 3)):
-            assert not verify_reduction_point_one(lam, r, 3).passed
-            assert verify_reduction_point_one(lam, r, 2).passed
-        assert not verify_classical_limit(r, 3).passed
-        assert verify_classical_limit(r, 2).passed
+    grid = SuiteGrid(lambdas=("-1/2", "1/3"), rs=(0, 1, 2), max_n=3)
+    reports, summary = run_suite(grid, [IdentityId.ReductionY1, IdentityId.ClassicalLambda0])
+    assert {dict(rep.point)["n"] for rep in reports if not rep.passed} == {"3"}
+    assert summary["ReductionY1"]["fail"] == 2 * 3 and summary["ClassicalLambda0"]["fail"] == 3
 
 
 def test_thm_2_7_checker():
-    ctx = StirlingContext(BERN, F(1, 3), 1)
-    rep = verify_thm_2_7(ctx, 4, 2.0, 1e-9)
+    grid = grid_at("bernoulli(1/2)", "1/3", [1], 4, dobinski_xs=(2.0,), dobinski_tol=1e-9)
+    [rep] = at_n(run_suite(grid, [IdentityId.T2_7])[0], 4)
     assert rep.passed
     assert rep.tolerance == 1e-9
 
@@ -380,22 +375,21 @@ def test_the_suite_builds_each_theorem_2_1_entry_once_per_oracle(monkeypatch, wa
     assert sum(len(row.nums) for table in tables for row in table.differences.values()) == built
 
 
-def test_row_checkers_report_as_the_one_point_checkers():
-    ids = [IdentityId.T2_1_vs_T2_2, IdentityId.T2_1_vs_T2_3, IdentityId.T2_6, IdentityId.T2_7, IdentityId.T2_8]
+def test_a_one_context_grid_reports_as_the_full_grid_at_that_context():
+    """Batching over contexts changes no report: at each sampled (dist,
+    lambda, r) of the grid, a one-context run of every gating identity gives
+    exactly the full run's reports at that context, in order. The Y = 1
+    identities run on point(1), ClassicalLambda0 at lambda 0."""
     grid = default_grid(3)
-    reports, _ = run_suite(grid, ids)
-    lambdas = [parse_rational(s) for s in grid.lambdas]
-    contexts = [StirlingContext(parse_dist(d), lam, r) for d in grid.dists for lam in lambdas for r in grid.rs]
-    rows = [(c, n) for c in contexts for n in range(grid.max_n + 1)]
-    expected = (
-        [verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_2) for c, n in rows for k in range(n + 1)]
-        + [verify_formula_agreement(c, n, k, IdentityId.T2_1_vs_T2_3) for c, n in rows for k in range(n + 1)]
-        + [verify_thm_2_6(c, n, parse_rational(x)) for c, n in rows for x in grid.xs]
-        + [verify_thm_2_7(c, n, x, grid.dobinski_tol) for c, n in rows for x in grid.dobinski_xs]
-        + [verify_thm_2_8(c, n, m, k) for c, n in rows for m in range(n + 1) for k in range(n - m + 1)]
-    )
-    assert len(reports) == len(expected) == 80 * (10 + 10 + 4 * 5 + 4 * 4 + 20)
-    assert reports == expected
+    full = {identity: run_suite(grid, [identity])[0] for identity in GATING}
+    for dist, lam, r in [("bernoulli(1/2)", "-1/2", 3), ("uniform{0,1,2}", "2", 1), ("poisson(1)", "1/3", 0)]:
+        one = grid._replace(dists=(dist,), lambdas=(lam,), rs=(r,))
+        for identity in GATING:
+            y1 = identity in (IdentityId.ReductionY1, IdentityId.ClassicalLambda0)
+            lam_at = "0" if identity is IdentityId.ClassicalLambda0 else lam
+            head = (("dist", "point(1)" if y1 else dist), ("lambda", lam_at), ("r", str(r)))
+            expected = [rep for rep in full[identity] if rep.point[:3] == head]
+            assert expected and run_suite(one, [identity])[0] == expected, (dist, lam, r, identity)
 
 
 @pytest.mark.parametrize("order", [None, 2], ids=["top", "interior"])
@@ -455,7 +449,7 @@ def test_suite_deterministic():
 
 
 def test_report_serialization():
-    rep = verify_thm_2_4(StirlingContext(BERN, F(1, 3), 1), 2)
+    [rep] = at_n(run_suite(grid_at("bernoulli(1/2)", "1/3", [1], 2), [IdentityId.T2_4])[0], 2)
     d = rep.to_dict()
     assert d["identity"] == "T2_4"
     assert d["passed"] is True

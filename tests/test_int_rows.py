@@ -25,7 +25,6 @@ from prstirling.kernel import (
 )
 from prstirling.stirling import (
     StirlingContext,
-    _gf_rows,
     _row,
     _triangle_row,
     _via_conv,
@@ -77,7 +76,8 @@ def test_theorem_2_1_and_route_rows_reduce_to_the_public_entries(name, lam, r):
 def test_generating_function_rows_reduce_to_the_public_results(name, lam, r):
     ctx, public = contexts(name, lam, r)
     triangle = stirling_triangle(public, N_MAX)
-    assert [row_values(row) for row in _gf_rows(ctx, N_MAX, 0)] == triangle
+    _triangle_row(ctx, N_MAX, fill=True)
+    assert [row_values(ctx._rows[n]) for n in range(N_MAX + 1)] == triangle
     for n in range(N_MAX + 1):
         row = _triangle_row(ctx, n)
         assert row_values(row) == list(bell_coeffs(public, n).coefficients) == triangle[n], n

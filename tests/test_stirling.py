@@ -10,16 +10,8 @@ import pytest
 
 import prstirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
-from prstirling.identities import (
-    IdentityId,
-    verify_formula_agreement,
-    verify_thm_2_4,
-    verify_thm_2_5,
-    verify_thm_2_6,
-    verify_thm_2_7,
-    verify_thm_2_8,
-    verify_thm_2_9,
-)
+from prstirling import identities
+from prstirling.identities import IdentityId
 from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument, stirling2
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
@@ -34,6 +26,7 @@ from prstirling.stirling import (
 )
 
 from oracles import partition_count, row_values, theorem_2_1_entry
+from test_identities import check_at
 from test_moments import count_fractions
 
 F = Fraction
@@ -345,15 +338,14 @@ def test_a_context_holds_no_other_context(r):
     itself, so no context keeps another one alive."""
     ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
     n = 4
-    for k in range(n + 1):
-        verify_formula_agreement(ctx, n, k, IdentityId.T2_1_vs_T2_2)
-        verify_formula_agreement(ctx, n, k, IdentityId.T2_1_vs_T2_3)
-    for check in (verify_thm_2_4, verify_thm_2_5, verify_thm_2_9):
-        check(ctx, n)
-    verify_thm_2_9(ctx, n, "paper")
-    verify_thm_2_6(ctx, n, F(1, 2))
-    verify_thm_2_7(ctx, n, 1.0, 1e-9)
-    verify_thm_2_8(ctx, n, 1, 2)
+    for which in (IdentityId.T2_1_vs_T2_2, IdentityId.T2_1_vs_T2_3):
+        check_at(identities._agreement, ctx, which, n)
+    for which in (IdentityId.T2_4, IdentityId.T2_9_corrected, IdentityId.T2_9_paper_form):
+        check_at(identities._shifted, ctx, which, n)
+    check_at(identities._thm_2_5, ctx, n)
+    check_at(identities._thm_2_6, ctx, [(F(1, 2), ("x", "1/2"))], n)
+    check_at(identities._thm_2_7, ctx, [1.0], 1e-9, n)
+    check_at(identities._thm_2_8, ctx, n)
     bell_coeffs(ctx, n)
     bell_via_convolution(ctx, n, F(1, 2))
     bell_dobinski(ctx, n, 1.0, 1e-9)
@@ -376,7 +368,7 @@ def test_an_oracle_dies_with_its_contexts():
             prob_r_stirling2(ctx, 6, 3)
             prob_r_stirling2_via_shift(ctx, 6, 3)
             bell_via_convolution(ctx, 6, F(1, 2))
-            assert verify_thm_2_8(ctx, 6, 1, 2).passed
+            assert all(rep.passed for rep in check_at(identities._thm_2_8, ctx, 6))
             prob_stirling2(oracle, F(1, 3), 6, 3)
             alive = weakref.ref(oracle)
             del oracle, ctx
