@@ -4,10 +4,10 @@
 `kernel.Row` kept per context, see `stirling`) as a monomial
 `kernel.Polynomial`, and `bell_eval` evaluates that row by Horner in ints,
 one Fraction per value. The convolution form over the r = 0 Theorem 2.1 rows
-and the truncated Dobinski-style series are witnesses that share no code
-with it above the kernel. Each reads row n's inputs once for any number of
-points x (`_via_convolution`, `_dobinski`); the public functions are the
-one-point case. The series is the only float computation in the package and
+(`_via_convolution`, a coefficient row by `stirling._convolution`) and the
+truncated Dobinski-style series are witnesses that share no code with it
+above the kernel. `_dobinski` reads row n's inputs once for any number of
+points x. The series is the only float computation in the package and
 reports its own convergence diagnostics. Its moments E[(S_{k+r})_{n,lam}] are
 one polynomial in k + r, read once from the r = 0 Theorem 2.1 row n, so the
 iid-sum table stays at rows 0..n whatever x is.
@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .kernel import Basis, Polynomial, RationalLike, Row, _at, _convert, _homogeneous, _polynomial, binomial
-from .stirling import StirlingContext, _row, _triangle_row
+from .kernel import Basis, Polynomial, RationalLike, Row, _at, _convert, _homogeneous, _polynomial
+from .stirling import StirlingContext, _convolution, _row, _triangle_row
 
 MAX_TERMS = 10000  # the series stops here, unconverged, whatever the stopping rule
 
@@ -42,24 +42,17 @@ def bell_eval(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
 def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
     """Same value through the binomial convolution with the r = 0 polynomials,
     sum_{m=0}^{n} C(n,m) E[(S_r)_{m,lam}] Bel^Y_{n-m}(x)."""
-    return Fraction(*_via_convolution(ctx, n, [Fraction(x)])[0])
+    x = Fraction(x)
+    return Fraction(*_at(_via_convolution(ctx, n), x.numerator, x.denominator))
 
 
-def _via_convolution(ctx: StirlingContext, n: int, xs: Sequence[Fraction]) -> list[tuple[int, int]]:
-    """`bell_via_convolution` at each x, an int pair: the moments over D_n
-    and the rows of every Bel^Y_{n-m} used over their lcm S make one integer
-    c[i] per x^i, so that at x = p/q the value is one integer over D_n S q^n."""
+def _via_convolution(ctx: StirlingContext, n: int) -> Row:
+    """The monomial coefficients of `bell_via_convolution`: the moments
+    E[(S_r)_{m,lam}] from the lam table, convolved with the r = 0 rows by
+    `stirling._convolution`, one integer per x^i over one denominator."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    moments, moments_den = ctx.oracle._sum_row(ctx.lam, ctx.r, n)
-    rows = {m: _row(ctx, 0, n - m) for m, v in enumerate(moments) if v}
-    s_den = math.lcm(*[den for _, den in rows.values()])
-    coeffs = [0] * (n + 1)
-    for m, (row, den) in rows.items():
-        weight = binomial(n, m) * moments[m] * (s_den // den)
-        for i, s in enumerate(row):
-            coeffs[i] += weight * s
-    return [_at(Row(coeffs, moments_den * s_den), x.numerator, x.denominator) for x in xs]
+    return _convolution(ctx, n, n, ctx.oracle._sum_row(ctx.lam, ctx.r, n))
 
 
 class DobinskiResult(NamedTuple):

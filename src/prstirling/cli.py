@@ -157,8 +157,8 @@ def cmd_bell(args) -> int:
         raise ValueError(f"--tol: tolerance must be finite and > 0, got {args.tol}")
     if args.tol < sys.float_info.min:
         raise ValueError(f"--tol: tolerance must be a normal float (>= {sys.float_info.min}), got {args.tol}")
-    if args.dobinski and args.x_float is None:
-        raise ValueError("--dobinski requires --x-float")
+    if args.dobinski != (args.x_float is not None):
+        raise ValueError("--dobinski requires --x-float" if args.dobinski else "--x-float requires --dobinski")
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     ctx = StirlingContext(oracle, lam, args.r)

@@ -5,8 +5,10 @@ paths (disjoint above the exact kernel), so agreement is evidence rather than
 tautology. The production route of `table` and `bell` (the generating-function
 triangle) enters through the row `bell_coeffs` reads: T2_5 checks it against
 Theorem 2.1, T2_6 against the binomial-convolution form and T2_7 against the
-Dobinski series. Every other identity checks witnesses against each other.
-Failures are data: reports carry both sides and the full parameter point.
+Dobinski series. Every other identity checks witnesses against each other;
+T2_1_vs_T2_2 and T2_6 share one convolution step (`stirling._convolution`)
+but read its moments from different tables. Failures are data: reports carry
+both sides and the full parameter point.
 
 Each identity holds for one row n at many points: `run_suite` runs it
 through a row checker that reads the row's shared inputs once, and keeps
@@ -188,7 +190,7 @@ def _agreement(ctx: StirlingContext, head: tuple, items: _Items, which: Identity
     one route call: each entry of the Theorem 2.1 row against the route's,
     both rows over one denominator."""
     route = _via_conv if which is IdentityId.T2_1_vs_T2_2 else _via_shift
-    (routed, rhs_den), (row, den) = route(ctx, n, range(n + 1)), _row(ctx, ctx.r, n)
+    (routed, rhs_den), (row, den) = route(ctx, n, n), _row(ctx, ctx.r, n)
     point, reports = head + (items["n", n],), []
     for k, (lhs, rhs) in enumerate(zip(row, routed)):
         passed = lhs * rhs_den == rhs * den
@@ -205,13 +207,12 @@ def _thm_2_5(ctx: StirlingContext, head: tuple, items: _Items, n: int) -> list:
 
 
 def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, points: Sequence[tuple], n: int) -> list:
-    """T2_6: direct evaluation against the binomial-convolution form, at
-    each (x, its point item) of row n, reading the row's inputs once: at
-    x = p/q the production row over D is one integer over D q^n, decided
-    against the convolution's integer pair."""
-    row, point, reports = _triangle_row(ctx, n), head + (items["n", n],), []
-    for (x, x_item), (rhs, rhs_den) in zip(points, _via_convolution(ctx, n, [x for x, _ in points])):
-        lhs, lhs_den = _at(row, x.numerator, x.denominator)
+    """T2_6: direct evaluation against the binomial-convolution form at
+    each (x, its point item) of row n: at x = p/q each coefficient row is one
+    integer over its denominator times q^n."""
+    row, conv, point, reports = _triangle_row(ctx, n), _via_convolution(ctx, n), head + (items["n", n],), []
+    for x, x_item in points:
+        (lhs, lhs_den), (rhs, rhs_den) = _at(row, x.numerator, x.denominator), _at(conv, x.numerator, x.denominator)
         passed = lhs * rhs_den == rhs * lhs_den
         reports.append(VerificationReport(IdentityId.T2_6, point + (x_item,), passed, lhs, rhs, None, lhs_den, rhs_den))
     return reports
@@ -237,7 +238,7 @@ def _thm_2_8(ctx: StirlingContext, head: tuple, items: _Items, max_n: int) -> li
     with m + k <= n <= max_n, for one context and in integers: the via-shift
     rows and the rows of S^Y are each read once and put over one
     denominator, and each column of them is taken once."""
-    shifted = [_via_shift(ctx, l, range(l + 1)) for l in range(max_n + 1)]
+    shifted = [_via_shift(ctx, l, l) for l in range(max_n + 1)]
     a_den = math.lcm(*[d for _, d in shifted])
     # (m, its item, S^(r,Y)(l+r,m+r) for l = m..) and (k, its item, S^Y(j,k) for j = k..)
     a_cols = [(m, items["m", m], [row[m] * (a_den // d) for row, d in shifted[m:]]) for m in range(max_n + 1)]
@@ -333,7 +334,7 @@ def _reports(
     }
     if {IdentityId.T2_5, IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
         for ctx in contexts:  # the rows the production side reads, from one build per context
-            _triangle_row(ctx, grid.max_n, fill=True)
+            _triangle_row(ctx, grid.max_n)
     for identity in wanted:
         passed = total = 0
         for rep in suite[identity]():

@@ -240,12 +240,12 @@ class MomentOracle:
         of j -> E[(S_j)_{n,lam}], that is of Theorem 2.1 row n at that shift,
         S^(shift,Y)(n+shift, i+shift) = (1/i!) sum_j C(i,j) (-1)^(i-j) E[(S_{j+shift})_{n,lam}].
         Kept in the lam table under (shift, n); a miss differences rows
-        shift..shift+k over D_n, all entries over D_n k! reduced by their gcd.
-        Threads read equal rows."""
+        shift..shift+k, or past a kept prefix all of row n (k = n), over D_n,
+        all entries over D_n k! reduced by their gcd. Threads read equal rows."""
         table = self._tables.get((lam.numerator, lam.denominator))
         row = table.differences.get((shift, n)) if table else None
-        k = min(k, n)
-        if row is None or len(row.nums) <= k:
+        if row is None or len(row.nums) <= min(k, n):
+            k = min(k, n) if row is None else n
             table = self._table(lam, shift + k, n)
             diffs, nums, den = [r[n] for r in table.rows[shift : shift + k + 1]], [], factorial(k) * table.den[n]
             for i in range(k + 1):

@@ -6,25 +6,23 @@ sum_n S(n+r, k+r) t^n / n! = (1/k!) A(t)^k (A(t) + 1)^r. `_columns` builds
 the columns in exact integers over one denominator per column, reading only
 the single-copy moments E[(Y)_{n,lam}]. The `table` command and
 `stirling_triangle` take each entry straight from its column; `_triangle_row`
-puts rows of one build over their columns' lcm (`bell`; rows 0..max_n for
-`verify`).
+keeps rows 0..n of one build, each over its columns' lcm (`bell`, `verify`).
 
 Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
-are witnesses, integer sums a row n at a time: `identities` checks them
-against the generating function and each other, and none reaches `_columns`.
-A Theorem 2.1 row depends on (Y, lam, shift, n) only, so the oracle keeps it
-(`MomentOracle._differences`) for every context on that lam. Each row is a
-`kernel.Row`; only the public functions build Fractions. The only
-process-global state is the kernel triangles.
+are witnesses, none reaching `_columns`: each row form gives entries 0..k of
+row n as a `kernel.Row`, and `_via_conv` and the Bell convolution share one
+binomial convolution with the r = 0 rows (`_convolution`), each with moments
+of its own. A Theorem 2.1 row depends on (Y, lam, shift, n) only, so the
+oracle keeps it (`MomentOracle._differences`) for every context on that lam.
+The only process-global state is the kernel triangles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .kernel import RationalLike, Row, _homogeneous, stirling1_signed
 from .moments import MomentOracle
@@ -83,49 +81,56 @@ def _row(ctx: StirlingContext, shift: int, n: int) -> Row:
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the double-sum route (`_via_conv`)."""
-    (num,), den = _via_conv(ctx, n, [k])
-    return Fraction(num, den)
+    nums, den = _via_conv(ctx, n, k)
+    return Fraction(nums[k] if k <= n else 0, den)
 
 
-def _via_conv(ctx: StirlingContext, n: int, ks: Sequence[int]) -> Row:
-    """Entries (n+r, k+r), k in ks, by
-
-    sum_{l=k}^{n} C(n,l) S^Y(l,k) sum_{m=0}^{n-l} lam^(n-m-l) s1(n-l,m) E[S_r^m]
-
-    with lam = p/c and E[S_r^m] over one denominator E: the inner sum times
-    c^(n-l) E is one integer per n - l, and with the r = 0 rows l = k0..n
-    over their lcm D, each entry is one integer over c^(n-k0) D E."""
-    k0 = min(ks)
-    if n < 0 or k0 < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {k0})")
+def _via_conv(ctx: StirlingContext, n: int, k: int) -> Row:
+    """Entries (n+r, i+r), i = 0..min(k, n), by `_convolution` with
+    E[(S_r)_{d,lam}] = sum_m lam^(d-m) s1(d,m) E[S_r^m]: for lam = p/c and
+    E[S_r^m] over one denominator E, each is one integer over c^n E."""
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     p, c = ctx.lam.numerator, ctx.lam.denominator
-    sums, sums_den = ctx.oracle._sum_row(_ZERO, ctx.r, max(n - k0, 0))
-    inner = [_homogeneous([stirling1_signed(d, m) * sums[m] for m in range(d + 1)], c, p) for d in range(len(sums))]
-    rows = [ctx.oracle._differences(ctx.lam, 0, l, max(ks)) for l in range(k0, n + 1)]
-    den = math.lcm(*[d for _, d in rows])
-    weights = [math.comb(n, l) * (den // d) * c ** (l - k0) * inner[n - l] for l, (_, d) in enumerate(rows, k0)]
-    return Row(
-        [sum([w * s[k] for w, (s, _) in zip(weights[k - k0 :], rows[k - k0 :])]) for k in ks],  # w weighs S^Y(l,k)
-        c ** max(n - k0, 0) * den * sums_den,
-    )
+    raw, raw_den = ctx.oracle._sum_row(_ZERO, ctx.r, n)
+    moments = [_homogeneous([stirling1_signed(d, m) * raw[m] for m in range(d + 1)], c, p) for d in range(n + 1)]
+    return _convolution(ctx, n, min(k, n), Row([c ** (n - d) * v for d, v in enumerate(moments)], c**n * raw_den))
+
+
+def _convolution(ctx: StirlingContext, n: int, k: int, moments: Row) -> Row:
+    """Entries 0..k of sum_{m=0}^{n} C(n,m) E[(S_r)_{m,lam}] S^Y(n-m, .), from
+    the given moment row: one integer per entry over moments.den S, S the lcm
+    of the r = 0 rows' denominators. `_via_conv` and `bell._via_convolution` read it."""
+    rows = {m: ctx.oracle._differences(ctx.lam, 0, n - m, k) for m, v in enumerate(moments.nums) if v}
+    den = math.lcm(*[d for _, d in rows.values()])
+    out = [0] * (k + 1)
+    for m, (row, d) in rows.items():
+        weight = math.comb(n, m) * moments.nums[m] * (den // d)
+        for i, s in enumerate(row[: k + 1]):
+            out[i] += weight * s
+    return Row(out, moments.den * den)
 
 
 def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the shift route (`_via_shift`)."""
-    (num,), den = _via_shift(ctx, n, [k])
-    return Fraction(num, den)
+    nums, den = _via_shift(ctx, n, k)
+    return Fraction(nums[k] if k <= n else 0, den)
 
 
-def _via_shift(ctx: StirlingContext, n: int, ks: Sequence[int]) -> Row:
-    """Entries (n+r, k+r), k in ks, over the denominator of r = 0 row n, by
+def _via_shift(ctx: StirlingContext, n: int, k: int) -> Row:
+    """Entries (n+r, i+r), i = 0..min(k, n), over the denominator of r = 0 row n, by
 
-    sum_{m=0}^{min(n-k, r)} C(m+k,m) C(r,m) m! S^Y(n, m+k)"""
-    if n < 0 or min(ks) < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {min(ks)})")
-    r = ctx.r
-    s2y, den = ctx.oracle._differences(ctx.lam, 0, n, max(ks) + r)
+    sum_{m=0}^{min(n-i, r)} C(m+i,m) C(r,m) m! S^Y(n, m+i)"""
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
+    r, k = ctx.r, min(k, n)
+    s2y, den = ctx.oracle._differences(ctx.lam, 0, n, k + r)
     return Row(
-        [sum([math.comb(m + k, m) * math.perm(r, m) * s2y[m + k] for m in range(min(n - k, r) + 1)]) for k in ks], den
+        [
+            sum([math.comb(m + i, m) * math.perm(r, m) * s2y[m + i] for m in range(min(n - i, r) + 1)])
+            for i in range(k + 1)
+        ],
+        den,
     )
 
 
@@ -170,16 +175,16 @@ def stirling_triangle(ctx: StirlingContext, n_max: int) -> list[list[Fraction]]:
     return [[Fraction(col[n], den) for col, den in cols[: n + 1]] for n in range(n_max + 1)]
 
 
-def _triangle_row(ctx: StirlingContext, n: int, fill: bool = False) -> Row:
+def _triangle_row(ctx: StirlingContext, n: int) -> Row:
     """Row n of the generating-function triangle, over the lcm of its
-    columns' denominators, kept in the context; a miss keeps row n, or with
-    fill rows 0..n, of one `_columns` build. Of equal rows that threads build
-    at once, the first stored is the one all return."""
+    columns' denominators, kept in the context; a miss keeps rows 0..n of
+    one `_columns` build. Of equal rows that threads build at once, the
+    first stored is the one all return."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n not in ctx._rows:
-        cols = list(_columns(ctx, n))
-        lcms = list(accumulate([d for _, d in cols], math.lcm))  # row i is over the lcm of columns 0..i
-        for i in range(0 if fill else n, n + 1):
-            ctx._rows.setdefault(i, Row(tuple([c[i] * (lcms[i] // d) for c, d in cols[: i + 1]]), lcms[i]))
+        cols, den = list(_columns(ctx, n)), 1
+        for i, (_, d) in enumerate(cols):
+            den = math.lcm(den, d)  # row i is over the lcm of columns 0..i
+            ctx._rows.setdefault(i, Row(tuple([c[i] * (den // e) for c, e in cols[: i + 1]]), den))
     return ctx._rows[n]

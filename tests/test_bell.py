@@ -9,9 +9,10 @@ from prstirling.bell import (
 )
 from prstirling.kernel import Basis, Polynomial
 from prstirling.moments import MomentOracle
-from prstirling.stirling import StirlingContext, prob_r_stirling2
+from prstirling import stirling
+from prstirling.stirling import StirlingContext, prob_r_stirling2, stirling_triangle
 
-from oracles import bell_number
+from oracles import bell_number, row_values
 
 F = Fraction
 
@@ -82,6 +83,26 @@ def test_coefficients_match_triangle_row():
             assert poly.coefficients == tuple(
                 prob_r_stirling2(ctx, n, k) for k in range(n + 1)
             )
+
+
+def test_bell_coeffs_keeps_the_lower_rows_of_its_one_build(monkeypatch):
+    """A first `bell_coeffs` at n keeps rows 0..n of one `_columns` build in
+    the context, and a later read of a lower row builds nothing."""
+    columns, builds = stirling._columns, []
+
+    def counted(ctx, n_max):
+        builds.append(n_max)
+        return columns(ctx, n_max)
+
+    monkeypatch.setattr(stirling, "_columns", counted)
+    ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(-1, 3), 2)
+    top = bell_coeffs(ctx, 8)
+    lower = [bell_coeffs(ctx, n) for n in range(8)]
+    assert builds == [8] and sorted(ctx._rows) == list(range(9))
+    monkeypatch.undo()
+    triangle = stirling_triangle(StirlingContext(MomentOracle.poisson(F(1, 2)), F(-1, 3), 2), 8)
+    assert [row_values(ctx._rows[n]) for n in range(9)] == triangle
+    assert [list(p.coefficients) for p in lower + [top]] == triangle
 
 
 def test_convolution_agreement():

@@ -224,17 +224,18 @@ def test_verify_unknown_identity(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--x-float", "inf"], "finite x >= 0"),
-        (["--x-float", "nan"], "finite x >= 0"),
-        (["--x-float", "1", "--tol", "nan"], "tolerance must be finite and > 0"),
-        (["--x-float", "1", "--tol", "inf"], "tolerance must be finite and > 0"),
-        (["--x-float", "1", "--tol", "0"], "tolerance must be finite and > 0"),
-        ([], "--dobinski requires --x-float"),
+        (["--dobinski", "--x-float", "inf"], "finite x >= 0"),
+        (["--dobinski", "--x-float", "nan"], "finite x >= 0"),
+        (["--dobinski", "--x-float", "1", "--tol", "nan"], "tolerance must be finite and > 0"),
+        (["--dobinski", "--x-float", "1", "--tol", "inf"], "tolerance must be finite and > 0"),
+        (["--dobinski", "--x-float", "1", "--tol", "0"], "tolerance must be finite and > 0"),
+        (["--dobinski"], "--dobinski requires --x-float"),
+        (["--x-float", "2"], "error: --x-float requires --dobinski\n"),
     ],
-    ids=["x-inf", "x-nan", "tol-nan", "tol-inf", "tol-zero", "no-x-float"],
+    ids=["x-inf", "x-nan", "tol-nan", "tol-inf", "tol-zero", "no-x-float", "x-float-alone"],
 )
 def test_bell_dobinski_bad_inputs_are_one_error_line(capsys, argv, message):
-    code, out, err = run_cli(capsys, "bell", "--n", "2", "--dist", "poisson(1)", "--dobinski", *argv)
+    code, out, err = run_cli(capsys, "bell", "--n", "2", "--dist", "poisson(1)", *argv)
     assert one_error_line(code, out, err)
     assert message in err
 

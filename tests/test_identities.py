@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling import identities, moments, stirling
+from prstirling import bell, identities, moments, stirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
@@ -12,6 +12,7 @@ from prstirling.identities import (
     run_suite,
 )
 from prstirling.distparse import parse_dist, parse_rational
+from prstirling.kernel import Row
 from prstirling.moments import MomentOracle
 from prstirling.stirling import (
     StirlingContext,
@@ -132,10 +133,52 @@ def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch)
         assert bell_coeffs(ctx, 6).coefficients == tuple(rows[6])
         assert bell_eval(ctx, 5, F(-1, 2)) == bell_coeffs(ctx, 5)(F(-1, 2))
         filled = StirlingContext(ctx.oracle, ctx.lam, r)
-        stirling._triangle_row(filled, 6, fill=True)
+        stirling._triangle_row(filled, 6)
         assert [row_values(filled._rows[n]) for n in range(7)] == rows
     with pytest.raises(AssertionError, match="integer moment numerators"):
         prob_r_stirling2(ctx, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "perturbed,failing",
+    [
+        ("convolution", {IdentityId.T2_1_vs_T2_2, IdentityId.T2_6}),
+        ("raw moments", {IdentityId.T2_1_vs_T2_2}),
+        ("lambda moments", {IdentityId.T2_6}),
+    ],
+    ids=["convolution", "raw-moments", "lambda-moments"],
+)
+def test_the_shared_convolution_and_each_moment_source_are_evidence(monkeypatch, perturbed, failing):
+    """T2_1_vs_T2_2 and T2_6 share `stirling._convolution` but not its
+    moments: a defect in that step fails every row of both, and a defect in
+    one moment source (the raw sum moments at lam = 0, or the lam table)
+    fails every row of the identity that reads it and nothing else."""
+    lam = F(1, 3)
+    if perturbed == "convolution":
+        convolution = stirling._convolution
+
+        def off(ctx, n, k, moments):
+            nums, den = convolution(ctx, n, k, moments)
+            return Row([nums[0] + 1, *nums[1:]], den)
+
+        monkeypatch.setattr(stirling, "_convolution", off)
+        monkeypatch.setattr(bell, "_convolution", off)
+    else:
+        sum_row, source = MomentOracle._sum_row, F(0) if perturbed == "raw moments" else lam
+
+        def off(self, at, j, n):  # E[(S_j)_{n,at}] off by 1 / D_n
+            nums, den = sum_row(self, at, j, n)
+            return Row([*nums[:-1], nums[-1] + 1], den) if at == source else Row(nums, den)
+
+        monkeypatch.setattr(MomentOracle, "_sum_row", off)
+    rs, max_n = (0, 2), 3
+    # run_suite parses its own oracles, so no row kept by another test is read
+    grid = grid_at("poisson(1)", str(lam), rs, max_n, xs=("-1", "1/2"))
+    reports, _ = run_suite(grid, [IdentityId.T2_1_vs_T2_2, IdentityId.T2_6])
+    every_row = {(str(r), str(n)) for r in rs for n in range(max_n + 1)}
+    for identity in (IdentityId.T2_1_vs_T2_2, IdentityId.T2_6):
+        failed = [dict(rep.point) for rep in reports if rep.identity is identity and not rep.passed]
+        assert {(p["r"], p["n"]) for p in failed} == (every_row if identity in failing else set()), identity
 
 
 def test_a_perturbed_moment_numerator_fails_thm_2_5():
@@ -227,10 +270,10 @@ def test_thm_2_8_reads_each_via_shift_row_once_per_context(monkeypatch):
     calls = []
     via_shift = identities._via_shift
 
-    def counted(ctx, n, ks):
-        assert list(ks) == list(range(n + 1))  # the whole via-shift row l = n
+    def counted(ctx, n, k):
+        assert k == n  # the whole via-shift row l = n
         calls.append((ctx, n))
-        return via_shift(ctx, n, ks)
+        return via_shift(ctx, n, k)
 
     monkeypatch.setattr(identities, "_via_shift", counted)
     run_suite(default_grid(5), [IdentityId.T2_8])

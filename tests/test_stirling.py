@@ -317,6 +317,25 @@ def test_a_lone_entry_grows_the_table_only_to_its_column(n, k):
     assert value == stirling_triangle(StirlingContext(oracle, lam, r), n)[n][k]
 
 
+def test_ascending_lone_reads_store_the_row_at_most_twice():
+    """Entries k = 0..n read one at a time, in order: the first read keeps
+    its prefix and the next the whole row, which serves every later read."""
+    oracle, lam, r, n = MomentOracle.poisson(F(1, 2)), F(1, 3), 1, 12
+    oracle.degenerate_factorial_moment(1, 0, lam)  # make the lam table
+    stores = []
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            stores.append(key)
+            super().__setitem__(key, value)
+
+    oracle._tables[lam.numerator, lam.denominator].differences = Counted()
+    ctx = StirlingContext(oracle, lam, r)
+    entries = [prob_r_stirling2(ctx, n, k) for k in range(n + 1)]
+    assert stores == [(r, n), (r, n)]
+    assert entries == stirling_triangle(StirlingContext(oracle, lam, r), n)[n]
+
+
 @pytest.mark.parametrize("name", sorted(TRIANGLE_ORACLES))
 def test_theorem_2_1_rows_match_the_alternating_binomial_sum(name):
     """Rows by forward differences against the literal sum over
