@@ -9,8 +9,9 @@ deterministic for identical invocations.
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
 `stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
 each imported inside its subcommand; JSON output imports `json`, and no
-request imports `csv`. Output goes out in writes of about 64 KiB, and
-`table` formats each entry straight from its column as it writes.
+request imports `csv`. `_emit` writes every JSON record, splicing in a list
+written in pieces (`table` and `moments` rows, `verify` reports), and every
+output leaves `_write_output` in writes of about 64 KiB.
 
 Every value is computed before the first write, so a failure gives one
 `error:` line and never half a document. A `verify` summary keeps no
@@ -26,6 +27,7 @@ import os
 import re
 import sys
 import tempfile
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .distparse import ParseError, parse_dist, parse_rational
@@ -63,57 +65,12 @@ def _json_float(value: float) -> Optional[float]:
 
 
 def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
-    """Write the pieces of one finished output in order, to stdout or to
-    `out` through a temp file renamed into place."""
-    if out is None:
-        sys.stdout.writelines(pieces)
-        return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prstirling-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(pieces)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _emit(record: dict, out: Optional[str]) -> None:
-    """Write `record` as one JSON document."""
-    import json
-
-    _write_output([json.dumps(record, indent=2, allow_nan=False), "\n"], out)
-
-
-def _splice(record: dict) -> list[str]:
-    """The JSON text of `record`, cut at its last empty list for a list written in pieces."""
-    import json
-
-    return json.dumps(record, indent=2, allow_nan=False).rsplit("[]", 1)
-
-
-def _emit_rows(record: dict, rows: Iterable[list[str]], fmt: str, out: Optional[str]) -> None:
-    """Write `record` with `rows`, one or more, as its payload's "rows",
-    which `record` holds empty, in writes of about 64 KiB. Every entry is a
-    reduced fraction, which no format quotes: JSON gets each row at the
-    indent of its depth, CSV the context as "# key=value" lines, then one
-    row per line."""
-
-    def pieces() -> Iterator[str]:
-        if fmt == "json":
-            head, tail = _splice(record)
-            for n, row in enumerate(rows):
-                yield ("," if n else head + "[") + '\n      [\n        "' + '",\n        "'.join(row) + '"\n      ]'
-            yield "\n    ]" + tail + "\n"
-        else:
-            yield from [f"# {key}={value}\n" for key, value in record["context"].items()]
-            yield from (",".join(row) + "\r\n" for row in rows)
+    """Write the pieces of one finished output in order, in writes of about
+    64 KiB, to stdout or to `out` through a temp file renamed into place."""
 
     def chunks() -> Iterator[str]:
         buf, size = [], 0
-        for piece in pieces():
+        for piece in pieces:
             buf.append(piece)
             size += len(piece)
             if size >= 65536:
@@ -121,7 +78,52 @@ def _emit_rows(record: dict, rows: Iterable[list[str]], fmt: str, out: Optional[
                 buf, size = [], 0
         yield "".join(buf)
 
-    _write_output(chunks(), out)
+    if out is None:
+        sys.stdout.writelines(chunks())
+        return
+    directory = os.path.dirname(os.path.abspath(out))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prstirling-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(chunks())
+        os.replace(tmp, out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _emit(record: dict, out: Optional[str], items: Optional[Iterable[str]] = None) -> None:
+    """Write `record` as one JSON document, its last "[]" filled with `items`,
+    if given, as they come: each the JSON text of its elements, opening on a
+    new line at their depth. With no item the list stays "[]"."""
+    import json
+
+    text = json.dumps(record, indent=2, allow_nan=False)
+    if items is None:
+        return _write_output([text, "\n"], out)
+    head, tail = text.rsplit("[]", 1)
+    close = "\n" + head[head.rfind("\n") + 1 :].split('"')[0] + "]"  # at the indent of the list's key
+
+    def pieces() -> Iterator[str]:
+        sep = head + "["
+        for item in items:
+            yield sep + item
+            sep = ","
+        yield (close if sep == "," else head + "[]") + tail + "\n"
+
+    _write_output(pieces(), out)
+
+
+def _emit_rows(record: dict, rows: Iterable[list[str]], fmt: str, out: Optional[str]) -> None:
+    """Write `record` with `rows` as its payload's "rows", which it holds
+    empty. No entry (a reduced fraction) needs quoting: JSON gets each row at
+    its depth, CSV the context as "# key=value" lines, then a row per line."""
+    if fmt == "json":
+        _emit(record, out, ('\n      [\n        "' + '",\n        "'.join(row) + '"\n      ]' for row in rows))
+    else:
+        context = [f"# {key}={value}\n" for key, value in record["context"].items()]
+        _write_output(chain(context, (",".join(row) + "\r\n" for row in rows)), out)
 
 
 # ---- subcommands -----------------------------------------------------------
@@ -200,17 +202,13 @@ def cmd_verify(args) -> int:
     reports = _reports(default_grid(args.max_n), wanted, summary)
     if args.report == "json":
         import json
-        from itertools import islice
 
-        # a few hundred reports per encode call (one call per report is
-        # slower, one for all holds them all), each batch re-indented to the
-        # depth of the record's report list; only the text outlives a batch
-        encode, pieces, sep = json.JSONEncoder(indent=2, allow_nan=False).encode, [], "[\n"
+        # 256 reports per encode call (one call per report is slower, one for
+        # all holds them all), re-indented to their depth; only text is kept
+        encode, batches = json.JSONEncoder(indent=2, allow_nan=False).encode, []
         while batch := [rep.to_dict() for rep in islice(reports, 256)]:
-            pieces.append(sep + "    " + encode(batch)[2:-2].replace("\n", "\n    "))
-            sep = ",\n"
-        head, tail = _splice(_record("verify", None, {"summary": summary, "reports": []}))
-        _write_output([head, *pieces, "\n    ]" if pieces else "[]", tail, "\n"], args.out)
+            batches.append(encode(batch)[1:-2].replace("\n", "\n    "))
+        _emit(_record("verify", None, {"summary": summary, "reports": []}), args.out, batches)
     else:
         for _ in reports:  # the summary keeps no report
             pass

@@ -476,6 +476,33 @@ def test_suite_default_passes():
         assert counts["pass"] == counts["total"] > 0
 
 
+# One instance of every distribution kind, as the CLI parses it: the seven
+# preset families and a formal sequence (no random variable has these
+# moments) of 90 moments, enough for n 80 at r 3.
+EVERY_KIND = {
+    "point": "point(3/2)",
+    "bernoulli": "bernoulli(1/3)",
+    "binomial": "binomial(6,2/3)",
+    "uniform{}": "uniform{0,1,2,3,5}",
+    "uniform[]": "uniform[1/2,3]",
+    "poisson": "poisson(5/2)",
+    "geometric": "geometric(3/5)",
+    "moments": "moments[" + ",".join(["1"] + [str(F((-1) ** m * (m + 2), 3 * m + 1)) for m in range(1, 90)]) + "]",
+}
+
+
+@pytest.mark.parametrize("kind", EVERY_KIND)
+def test_the_witnesses_agree_deep_on_every_kind(kind):
+    """The default grid stops at n 6 and has four of the eight kinds; `table`
+    and `bell` serve rows far deeper. At n 80 the generating-function row
+    equals Theorem 2.1 (T2_5), and Theorem 2.1 the shift route (T2_1_vs_T2_3)."""
+    ctx = StirlingContext(parse_dist(EVERY_KIND[kind]), F(-3, 2), 3)
+    [report] = check_at(identities._thm_2_5, ctx, 80)
+    assert report.passed
+    reports = check_at(identities._agreement, ctx, IdentityId.T2_1_vs_T2_3, 80)
+    assert len(reports) == 81 and all(rep.passed for rep in reports)
+
+
 def test_suite_paper_form_reports_failures():
     reports, summary = run_suite(SuiteGrid(max_n=3), [IdentityId.T2_9_paper_form])
     assert summary["T2_9_paper_form"]["fail"] > 0

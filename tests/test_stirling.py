@@ -12,12 +12,15 @@ import prstirling
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling import identities
 from prstirling.identities import IdentityId
+from prstirling.distparse import parse_dist
 from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument, stirling2
 from prstirling.moments import DistributionError, MomentOracle
 from prstirling.stirling import (
     StirlingContext,
     _columns,
     _row,
+    _triangle_row,
+    _via_shift,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
@@ -26,7 +29,7 @@ from prstirling.stirling import (
 )
 
 from oracles import partition_count, row_values, theorem_2_1_entry
-from test_identities import check_at
+from test_identities import EVERY_KIND, check_at
 from test_moments import count_fractions
 
 F = Fraction
@@ -223,6 +226,17 @@ def test_column_zero_at_a_huge_shift(lam):
     r, n_max = 5_000_000, 4
     rows = stirling_triangle(StirlingContext(MomentOracle.point(1), lam, r), n_max)
     assert [row[0] for row in rows] == [math.prod([r - i * lam for i in range(n)]) for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("r", [10**5, 5 * 10**6])
+@pytest.mark.parametrize("kind", EVERY_KIND)
+def test_the_production_row_at_a_huge_shift_is_the_shift_route(kind, r):
+    """At such r Theorem 2.1 would grow r + n iid-sum rows; the shift route
+    reads only r = 0 rows, so it is the witness there, on every kind."""
+    ctx = StirlingContext(parse_dist(EVERY_KIND[kind]), F(-3, 2), r)
+    (nums, den), (shifted, shifted_den) = _triangle_row(ctx, 30), _via_shift(ctx, 30, 30)
+    assert len(nums) == len(shifted) == 31
+    assert all(a * shifted_den == b * den for a, b in zip(nums, shifted))
 
 
 def test_deep_triangle_reduces_to_degenerate_r_stirling():

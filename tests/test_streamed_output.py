@@ -1,10 +1,13 @@
-"""`table` and `moments` write their rows as text joined by hand, in pieces.
+"""`table` and `moments` write their rows as text joined by hand, in pieces,
+and every JSON record, with or without such pieces, leaves one writer.
 
 The references here are the serializers that text replaces: the whole record
 through `json.dumps(record, indent=2)`, and `csv.writer` rows after one
 `# key=value` line per context field. Every output must match them byte for
-byte, to stdout and through `--out`. A `table` must also reach stdout in
-bounded writes, holding no more than its columns and one piece of text.
+byte, to stdout and through `--out`: the `table` and `moments` grid below, and
+`bell` and `verify` summary records built from the public functions. A
+`table` must also reach stdout in bounded writes, holding no more than its
+columns and one piece of text.
 """
 
 import csv
@@ -16,8 +19,10 @@ import tracemalloc
 
 import pytest
 
-from prstirling.cli import _context_dict, main
+from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval
+from prstirling.cli import _context_dict, _emit, main
 from prstirling.distparse import parse_dist, parse_rational
+from prstirling.identities import OPT_IN_IDENTITIES, IdentityId, default_grid, run_suite
 from prstirling.kernel import stirling1_signed
 from prstirling.stirling import StirlingContext, stirling_triangle
 
@@ -102,11 +107,9 @@ def test_the_grid_covers_every_case():
     assert any(",-" in _reference(argv) for argv in tables)  # some negative entry
 
 
-@pytest.mark.parametrize("index", range(len(GRID)))
-def test_output_matches_the_replaced_serializers(index, capsys, tmp_path):
-    argv = GRID[index]
-    expected = _reference(argv)
-    if index % 3 == 0:  # every third request through --out
+def _check_output(argv: list[str], expected: str, to_file: bool, capsys, tmp_path) -> None:
+    """The request writes exactly `expected`, to stdout or through --out."""
+    if to_file:
         path = tmp_path / "out"
         assert main(argv + ["--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
@@ -116,6 +119,66 @@ def test_output_matches_the_replaced_serializers(index, capsys, tmp_path):
     else:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("index", range(len(GRID)))
+def test_output_matches_the_replaced_serializers(index, capsys, tmp_path):
+    # every third request through --out
+    _check_output(GRID[index], _reference(GRID[index]), index % 3 == 0, capsys, tmp_path)
+
+
+BELL = ["bell", "--n", "7", "--r", "2", "--lambda=-3/2", "--dist", "uniform[1/2,3]"]
+WHOLE_RECORDS = {
+    "bell": BELL,
+    "bell-x": BELL + ["--x=-5/3"],
+    "bell-dobinski": BELL + ["--dobinski", "--x-float", "2.5"],
+    "verify-summary": ["verify", "--max-n", "4"],
+}
+
+
+def _whole_reference(argv: list[str]) -> str:
+    """The record of a `bell` or `verify` summary request, built from the
+    public functions and written by `json.dumps` in one piece."""
+    if argv[0] == "verify":
+        wanted = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
+        _, summary = run_suite(default_grid(int(_option(argv, "--max-n"))), wanted)
+        record = {"schema_version": "1", "command": "verify", "payload": {"summary": summary}}
+    else:
+        oracle, lam = parse_dist(_option(argv, "--dist")), parse_rational(_option(argv, "--lambda"))
+        r, n = int(_option(argv, "--r")), int(_option(argv, "--n"))
+        ctx = StirlingContext(oracle, lam, r)
+        payload = {"n": n, "coefficients": [str(c) for c in bell_coeffs(ctx, n).coefficients]}
+        context = _context_dict(oracle, {"lambda": str(lam), "r": r})
+        record = {"schema_version": "1", "command": "bell", "context": context, "payload": payload}
+        if _option(argv, "--x") is not None:
+            x = parse_rational(_option(argv, "--x"))
+            payload["x"], payload["value"] = str(x), str(bell_eval(ctx, n, x))
+        if "--dobinski" in argv:
+            x_float = float(_option(argv, "--x-float"))
+            result = bell_dobinski(ctx, n, x_float, 1e-9)  # the default --tol
+            assert result.converged  # so the approximation is a finite float
+            record["diagnostics"] = {
+                "x_float": x_float,
+                "approximation": result.value,
+                "terms_used": result.terms_used,
+                "last_term": result.last_term,
+                "tolerance": result.tolerance,
+                "converged": result.converged,
+            }
+    return json.dumps(record, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("name", WHOLE_RECORDS)
+def test_a_whole_record_is_the_json_of_the_public_results(name, to_file, capsys, tmp_path):
+    argv = WHOLE_RECORDS[name]
+    _check_output(argv, _whole_reference(argv), to_file, capsys, tmp_path)
+
+
+def test_a_list_given_no_items_stays_empty(capsys):
+    record = {"schema_version": "1", "command": "verify", "payload": {"summary": {}, "reports": []}}
+    _emit(record, None, iter([]))
+    assert capsys.readouterr().out == json.dumps(record, indent=2) + "\n"
 
 
 class _Recorder:
