@@ -3,11 +3,12 @@
 A random variable is represented purely by its raw moment sequence. Presets
 keep all moments rational; a custom oracle accepts any raw moment sequence, in
 which case results are formal moment identities (no positive-definiteness
-check). `GRAMMAR` is the distribution grammar, one row per family: the parser
-(`distparse`) walks it and `MomentOracle.describe` prints through it. Each
-preset's raw moment of order m is one integer sum over one denominator (b^m
-for a binomial or Poisson parameter a/b, a^m for a geometric one, L^m over the
-common denominator L of a uniform's points), made one Fraction.
+check). A family is one constructor, which checks the parameters and hands
+the oracle its raw-moment function m -> E[Y^m], and one row of syntax in the
+grammar `GRAMMAR`, which the parser (`distparse`) walks and `describe` prints
+through. A preset's moment of order m is one integer sum over one denominator
+(b^m for a binomial or Poisson parameter a/b, a^m for a geometric one, L^m
+over the common denominator L of a uniform's points), made one Fraction.
 
 Every downstream formula consumes the degenerate factorial moments
 E[(S_j)_{n,lam}] of the sum S_j of j iid copies. As (x)_{n,lam} is of binomial
@@ -48,9 +49,10 @@ class MomentOracle:
     single thread would.
     """
 
-    def __init__(self, kind: str, params: tuple[Fraction, ...]):
+    def __init__(self, kind: str, params: tuple[Fraction, ...], raw: Callable[[int], Fraction]):
         self.kind = kind
         self.params = params
+        self._raw = raw  # m -> E[Y^m] for m >= 1, made by the constructor
         self._moments: list[Fraction] = [Fraction(1)]
         # _tables[num, den of lam] holds E[(S_j)_{n,lam}]; lam = 0 holds E[S_j^n].
         self._tables: dict[tuple[int, int], _SumTable] = {}
@@ -61,14 +63,15 @@ class MomentOracle:
     @staticmethod
     def point(c: RationalLike) -> "MomentOracle":
         """Degenerate distribution at c."""
-        return MomentOracle("point", (Fraction(c),))
+        c = Fraction(c)
+        return MomentOracle("point", (c,), lambda m: c**m)
 
     @staticmethod
     def bernoulli(p: RationalLike) -> "MomentOracle":
         p = Fraction(p)
         if not 0 <= p <= 1:
             raise DistributionError(f"bernoulli parameter must lie in [0, 1], got {p}")
-        return MomentOracle("bernoulli", (p,))
+        return MomentOracle("bernoulli", (p,), lambda m: p)
 
     @staticmethod
     def binomial_dist(n: int, p: RationalLike) -> "MomentOracle":
@@ -79,27 +82,49 @@ class MomentOracle:
             raise DistributionError(f"binomial count must be >= 0, got {n}")
         if not 0 <= p <= 1:
             raise DistributionError(f"binomial parameter must lie in [0, 1], got {p}")
-        return MomentOracle("binomial", (Fraction(n), p))
+        a, b = p.numerator, p.denominator
+
+        def raw(m: int) -> Fraction:
+            # E[(X)_j] = (n)_j p^j, converted through the second-kind triangle
+            # to raw moments; (n)_j = 0 for j > n. With p = a/b the sum is
+            # sum_j S2(m,j) (n)_j a^j b^(m-j) over b^m.
+            return Fraction(_homogeneous([stirling2(m, j) * math.perm(n, j) for j in range(m + 1)], a, b), b**m)
+
+        return MomentOracle("binomial", (Fraction(n), p), raw)
 
     @staticmethod
     def uniform_discrete(support: Sequence[RationalLike]) -> "MomentOracle":
-        if not support:
+        points = tuple(Fraction(v) for v in support)
+        if not points:
             raise DistributionError("discrete uniform requires a nonempty support")
-        return MomentOracle("uniform_discrete", tuple(Fraction(v) for v in support))
+        vs, den = _over_lcm(points)  # the points V_i / L over their common denominator L
+        return MomentOracle("uniform_discrete", points, lambda m: Fraction(sum([v**m for v in vs]), den**m * len(vs)))
 
     @staticmethod
     def uniform_continuous(a: RationalLike, b: RationalLike) -> "MomentOracle":
         a, b = Fraction(a), Fraction(b)
         if a >= b:
             raise DistributionError(f"continuous uniform requires a < b, got [{a}, {b}]")
-        return MomentOracle("uniform_continuous", (a, b))
+        (lo, hi), den = _over_lcm((a, b))
+
+        def raw(m: int) -> Fraction:
+            # [A/L, B/L]: (B^(m+1) - A^(m+1)) over (m+1) (B - A) L^m
+            return Fraction(hi ** (m + 1) - lo ** (m + 1), (m + 1) * (hi - lo) * den**m)
+
+        return MomentOracle("uniform_continuous", (a, b), raw)
 
     @staticmethod
     def poisson(mu: RationalLike) -> "MomentOracle":
         mu = Fraction(mu)
         if mu < 0:
             raise DistributionError(f"poisson mean must be >= 0, got {mu}")
-        return MomentOracle("poisson", (mu,))
+        a, b = mu.numerator, mu.denominator
+
+        def raw(m: int) -> Fraction:
+            # E[(X)_j] = mu^j; with mu = a/b, sum_j S2(m,j) a^j b^(m-j) over b^m
+            return Fraction(_homogeneous([stirling2(m, j) for j in range(m + 1)], a, b), b**m)
+
+        return MomentOracle("poisson", (mu,), raw)
 
     @staticmethod
     def geometric(p: RationalLike) -> "MomentOracle":
@@ -107,7 +132,15 @@ class MomentOracle:
         p = Fraction(p)
         if not 0 < p <= 1:
             raise DistributionError(f"geometric parameter must lie in (0, 1], got {p}")
-        return MomentOracle("geometric", (p,))
+        a, b = p.numerator, p.denominator
+
+        def raw(m: int) -> Fraction:
+            # E[(X)_j] = j! (1-p)^(j-1) / p^j for j >= 1, converted through
+            # the second-kind triangle to raw moments; with p = a/b the sum
+            # is b sum_{j>=1} S2(m,j) j! (b-a)^(j-1) a^(m-j) over a^m.
+            return Fraction(b * _homogeneous([stirling2(m, j) * factorial(j) for j in range(1, m + 1)], b - a, a), a**m)
+
+        return MomentOracle("geometric", (p,), raw)
 
     @staticmethod
     def from_moments(moments: Sequence[RationalLike]) -> "MomentOracle":
@@ -122,7 +155,13 @@ class MomentOracle:
             raise DistributionError("custom moment sequence must be nonempty")
         if ms[0] != 1:
             raise DistributionError(f"moment of order 0 must equal 1, got {ms[0]}")
-        return MomentOracle("moments", ms)
+
+        def raw(m: int) -> Fraction:
+            if m >= len(ms):
+                raise DistributionError(f"custom oracle provides moments up to order {len(ms) - 1}, requested {m}")
+            return ms[m]
+
+        return MomentOracle("moments", ms, raw)
 
     # ---- identity -----------------------------------------------------
 
@@ -156,50 +195,8 @@ class MomentOracle:
         if m >= len(self._moments):
             with self._lock:
                 while len(self._moments) <= m:
-                    self._moments.append(self._compute_moment(len(self._moments)))
+                    self._moments.append(self._raw(len(self._moments)))
         return self._moments[m]
-
-    def _compute_moment(self, m: int) -> Fraction:
-        """E[Y^m] for m >= 1 as one integer sum over one denominator, made
-        one Fraction."""
-        k, ps = self.kind, self.params
-        if k == "point":
-            return ps[0] ** m
-        if k == "bernoulli":
-            return ps[0]
-        if k == "binomial":
-            # E[(X)_j] = (n)_j p^j, converted through the second-kind triangle
-            # to raw moments; (n)_j = 0 for j > n. With p = a/b the sum is
-            # sum_j S2(m,j) (n)_j a^j b^(m-j) over b^m.
-            n, a, b = ps[0].numerator, ps[1].numerator, ps[1].denominator
-            coeffs = [stirling2(m, j) * math.perm(n, j) for j in range(m + 1)]
-            return Fraction(_homogeneous(coeffs, a, b), b**m)
-        if k == "uniform_discrete":
-            # support points v / L over their common denominator L
-            vs, den = _over_lcm(ps)
-            return Fraction(sum([v**m for v in vs]), den**m * len(vs))
-        if k == "uniform_continuous":
-            # [A/L, B/L]: (B^(m+1) - A^(m+1)) over (m+1) (B - A) L^m
-            (a, b), den = _over_lcm(ps)
-            return Fraction(b ** (m + 1) - a ** (m + 1), (m + 1) * (b - a) * den**m)
-        if k == "poisson":
-            # E[(X)_j] = mu^j; with mu = a/b, sum_j S2(m,j) a^j b^(m-j) over b^m
-            mu = ps[0]
-            coeffs = [stirling2(m, j) for j in range(m + 1)]
-            return Fraction(_homogeneous(coeffs, mu.numerator, mu.denominator), mu.denominator**m)
-        if k == "geometric":
-            # E[(X)_j] = j! (1-p)^(j-1) / p^j for j >= 1, converted through
-            # the second-kind triangle to raw moments; with p = a/b the sum
-            # is b sum_{j>=1} S2(m,j) j! (b-a)^(j-1) a^(m-j) over a^m.
-            a, b = ps[0].numerator, ps[0].denominator
-            coeffs = [stirling2(m, j) * factorial(j) for j in range(1, m + 1)]
-            return Fraction(b * _homogeneous(coeffs, b - a, a), a**m)
-        # custom sequence
-        if m >= len(ps):
-            raise DistributionError(
-                f"custom oracle provides moments up to order {len(ps) - 1}, requested {m}"
-            )
-        return ps[m]
 
     def sum_moment(self, j: int, m: int) -> Fraction:
         """Exact E[S_j^m] for S_j the sum of j independent copies of Y: the
@@ -270,7 +267,8 @@ class MomentOracle:
 
 class Family(NamedTuple):
     """One production of the distribution grammar,
-    `name opening arg "," arg ... closing`. `args` holds the type of each
+    `name opening arg "," arg ... closing`, syntax only: the family's checks
+    and moments live in `make`, its constructor. `args` holds the type of each
     argument, int or Fraction; (Fraction, ...) is a nonempty list of
     rationals, passed to `make` as one sequence."""
 

@@ -329,8 +329,8 @@ def test_a_suite_run_builds_one_y1_oracle(monkeypatch, identity):
     built, init = [], MomentOracle.__init__
 
     def counted(self, *args):
-        built.append(args)
         init(self, *args)
+        built.append((self.kind, self.params))
 
     monkeypatch.setattr(MomentOracle, "__init__", counted)
     grid = default_grid(7)

@@ -141,6 +141,14 @@ def test_invalid_parameters():
         MomentOracle.from_moments([2, 1])
 
 
+def test_an_empty_iterator_support_is_rejected():
+    """The emptiness check reads the points, not the input: an empty iterator
+    once passed it and built `uniform{}`, whose first moment divided by zero."""
+    with pytest.raises(DistributionError, match=r"^discrete uniform requires a nonempty support$"):
+        MomentOracle.uniform_discrete(iter([]))
+    assert MomentOracle.uniform_discrete(iter([0, 1, 2])).moment(2) == F(5, 3)
+
+
 @pytest.mark.parametrize("count", [F(3, 2), 2.5, F(3), "3"])
 def test_binomial_count_must_be_an_int(count):
     """A non-integer count once described itself as given but took the

@@ -8,11 +8,14 @@ identity's fail count. A mutant runs in a fresh interpreter, so that no
 patched value reaches the kernel's process-global triangles or a store that
 another test reads.
 
-A mutant that survives is marked `xfail(strict=True)` with the roadmap item
-that will kill it; once that item lands the mutant XPASSes and the marker
-has to go. The kernel is shared by both sides of every check, so a kernel
-mutant can survive `verify` by design: the kernel reference tests
-(`tests/oracles.py`) are its evidence.
+Each mutant counts the calls that apply its defect, and a mutant that is
+never reached fails, as does one whose interpreter fails to run. A mutant
+that survives is marked `xfail(strict=True, raises=Survived)` with the
+roadmap item that will kill it: only a clean run that no gating identity
+fails is its expected failure, and once that item lands the mutant XPASSes
+and the marker has to go. The kernel is shared by both sides of every
+check, so a kernel mutant can survive `verify` by design: the kernel
+reference tests (`tests/oracles.py`) are its evidence.
 """
 
 import json
@@ -26,6 +29,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Run by the child before the mutant's patch; the patch adds 1 to `calls`
+# each time it applies its defect.
+PRELUDE = """
+import json
+calls = 0
+"""
+
 # Run by the child after the mutant's patch: the patched names are bound
 # before `identities` (and through it `bell`) imports them.
 SUITE = """
@@ -33,7 +43,7 @@ from prstirling.identities import OPT_IN_IDENTITIES, IdentityId, _reports, defau
 summary = {}
 for _ in _reports(default_grid(5), [i for i in IdentityId if i not in OPT_IN_IDENTITIES], summary):
     pass
-print(json.dumps({name: [s["fail"], s["total"]] for name, s in summary.items()}))
+print(json.dumps([calls, {name: [s["fail"], s["total"]] for name, s in summary.items()}]))
 """
 
 GATING_TOTALS = {
@@ -49,29 +59,45 @@ GATING_TOTALS = {
     "T2_9_corrected": 480,
 }
 
+
+class Survived(Exception):
+    """A mutant ran, was reached, and no gating identity failed."""
+
+
 # One row per mutant: the patch, run before the suite, and each failing
 # identity's fail count. The unpatched row shows that the patch is what fails.
 MUTANTS = [
     pytest.param("", {}, id="unpatched"),
     pytest.param(
-        # Poisson E[Y^3] + 1: every route reads the same raw moments, so all
-        # 13,744 checks pass
+        # Poisson E[Y^3] + 1 in the raw-moment function its constructor makes,
+        # reached through the grammar row the parser reads: every route reads
+        # the same raw moments, so all 13,744 checks pass
         """
-        from prstirling.moments import MomentOracle
-        compute = MomentOracle._compute_moment
-        def mutant(self, m):
-            return compute(self, m) + (1 if self.kind == "poisson" and m == 3 else 0)
-        MomentOracle._compute_moment = mutant
+        from prstirling.moments import GRAMMAR, MomentOracle
+        def mutant(mu):
+            oracle = MomentOracle.poisson(mu)
+            raw = oracle._raw
+            def mutated(m):
+                global calls
+                calls += m == 3
+                return raw(m) + (1 if m == 3 else 0)
+            oracle._raw = mutated
+            return oracle
+        GRAMMAR["poisson"] = GRAMMAR["poisson"]._replace(make=mutant)
         """,
         None,
         id="poisson_raw_moment",
-        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2: witnesses that do not trust the moment layer"),
+        marks=pytest.mark.xfail(
+            strict=True, raises=Survived, reason="ROADMAP item 2: witnesses that do not trust the moment layer"
+        ),
     ),
     pytest.param(
         # s(3,1) + 1 where the single-copy row E[(Y)_{k,lam}] reads it
         """
         from prstirling import kernel, moments
         def mutant(n, k):
+            global calls
+            calls += (n, k) == (3, 1)
             return kernel.stirling1_signed(n, k) + (1 if (n, k) == (3, 1) else 0)
         moments.stirling1_signed = mutant
         """,
@@ -85,8 +111,10 @@ MUTANTS = [
         from prstirling.moments import _SumTable
         grow = _SumTable.grow
         def mutant(self, oracle, j, n):
+            global calls
             grow(self, oracle, j, n)
             if len(self.rows) > 2 and len(self.rows[2]) > 3 and not hasattr(self, "mutated"):
+                calls += 1
                 self.rows[2][3] += 1
                 self.mutated = True
         _SumTable.grow = mutant
@@ -111,8 +139,10 @@ MUTANTS = [
         from prstirling import stirling
         via_shift = stirling._via_shift
         def mutant(ctx, n, k):
+            global calls
             nums, den = via_shift(ctx, n, k)
             if n >= 2 and ctx.r >= 1 and len(nums) > 1:
+                calls += 1
                 nums = [nums[0], nums[1] + den, *nums[2:]]
             return stirling.Row(nums, den)
         stirling._via_shift = mutant
@@ -125,7 +155,11 @@ MUTANTS = [
         """
         from prstirling import bell
         homogeneous = bell._homogeneous
-        bell._homogeneous = lambda coeffs, a, b: homogeneous(coeffs, a + 1, b)
+        def mutant(coeffs, a, b):
+            global calls
+            calls += 1
+            return homogeneous(coeffs, a + 1, b)
+        bell._homogeneous = mutant
         """,
         {"T2_7": 1594},
         id="dobinski_index",
@@ -133,22 +167,59 @@ MUTANTS = [
 ]
 
 
-def _run(patch: str) -> dict[str, list[int]]:
-    """Each gating identity's [fail, total] with `patch` applied, from a fresh interpreter."""
+def _run(patch: str) -> tuple[int, dict[str, list[int]]]:
+    """The calls that applied the defect and each gating identity's
+    [fail, total] with `patch` applied, from a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import json\n" + textwrap.dedent(patch) + SUITE
+    code = PRELUDE + textwrap.dedent(patch) + SUITE
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    calls, counts = json.loads(proc.stdout.splitlines()[-1])
+    return calls, counts
+
+
+def check_mutant(patch: str, failing: dict[str, int] | None) -> None:
+    """Raise `Survived` if a reached mutant fails no gating identity, and
+    fail an assertion on anything else that is not `failing`."""
+    calls, counts = _run(patch)
+    assert calls > 0 if patch else calls == 0, "the patch was never reached"
+    assert {identity: total for identity, (_, total) in counts.items()} == GATING_TOTALS  # every check ran
+    fails = {identity: fail for identity, (fail, _) in counts.items() if fail}
+    if failing is None:  # a survivor: any gating failure kills it
+        if not fails:
+            raise Survived(f"{calls} calls applied the defect")
+    else:
+        assert fails == failing
 
 
 @pytest.mark.parametrize("patch, failing", MUTANTS)
 def test_verify_fails_the_identities_that_read_the_mutant(patch, failing):
-    counts = _run(patch)
-    assert {identity: total for identity, (_, total) in counts.items()} == GATING_TOTALS  # every check ran
-    fails = {identity: fail for identity, (fail, _) in counts.items() if fail}
-    if failing is None:  # a survivor: any gating failure kills it
-        assert fails
-    else:
-        assert fails == failing
+    check_mutant(patch, failing)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        # a target that is not there: the child fails before the suite runs
+        """
+        from prstirling.moments import MomentOracle
+        MomentOracle._compute_moment
+        """,
+        # a target that the gating identities never call
+        """
+        from prstirling import moments
+        poisson = moments.MomentOracle.poisson
+        def mutant(mu):
+            global calls
+            calls += 1
+            return poisson(mu)
+        moments.MomentOracle.poisson = staticmethod(mutant)
+        """,
+    ],
+    ids=["missing_target", "unreached"],
+)
+def test_a_mutant_that_crashes_or_is_never_reached_is_no_survivor(patch):
+    """Neither counts as the expected failure of a strict xfail survivor."""
+    with pytest.raises(AssertionError):
+        check_mutant(patch, None)
