@@ -8,15 +8,17 @@ deterministic for identical invocations.
 
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
 `stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
-each imported inside its subcommand; JSON output imports `json`, and no
-request imports `csv`. `_emit` writes every JSON record, splicing in a list
-written in pieces (`table` and `moments` rows, `verify` reports), and every
-output leaves `_write_output` in writes of about 64 KiB.
+each imported inside its subcommand (`identities` loads `bell` only for
+T2_6 and T2_7, whose checkers import it). JSON output imports `json`, and
+no request imports `csv`. `_emit` writes every JSON record, splicing in a
+list written in pieces (`table` and `moments` rows, `verify` reports), and
+every output leaves `_write_output` in writes of about 64 KiB; a piece of
+64 KiB or more, such as a batch of `verify` reports, is written as it is.
 
 Every value is computed before the first write, so a failure gives one
 `error:` line and never half a document. A `verify` summary keeps no
 report, and `--report json` keeps only the reports' text: `--suite all`
-peaks at 16.3 MB RSS at max-n 5, and at 23.9 MB as JSON at max-n 7.
+peaks at 16.3 MB RSS at max-n 5, and at 23.7 MB as JSON at max-n 7.
 """
 
 from __future__ import annotations
@@ -66,11 +68,15 @@ def _json_float(value: float) -> Optional[float]:
 
 def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
     """Write the pieces of one finished output in order, in writes of about
-    64 KiB, to stdout or to `out` through a temp file renamed into place."""
+    64 KiB, to stdout or to `out` through a temp file renamed into place. A
+    piece of 64 KiB or more is written as it is, never joined."""
 
     def chunks() -> Iterator[str]:
         buf, size = [], 0
         for piece in pieces:
+            if len(piece) >= 65536 and buf:  # flush, so the piece goes alone (a join of one is no copy)
+                yield "".join(buf)
+                buf, size = [], 0
             buf.append(piece)
             size += len(piece)
             if size >= 65536:
@@ -108,7 +114,8 @@ def _emit(record: dict, out: Optional[str], items: Optional[Iterable[str]] = Non
     def pieces() -> Iterator[str]:
         sep = head + "["
         for item in items:
-            yield sep + item
+            yield sep
+            yield item
             sep = ","
         yield (close if sep == "," else head + "[]") + tail + "\n"
 

@@ -31,8 +31,11 @@ Identities of one shape share one checker: T2_4 and T2_9_corrected are one
 polynomial identity summed in two orders (`_shifted`, whose paper form of
 T2_9 takes the printed double sum), and ClassicalLambda0 is ReductionY1 at
 lam = 0 (`_expansion`). `run_suite` builds each input once, such as the one
-point(1) oracle whose Y = 1 rows both read. A suite run leaves behind only
-the kernel Stirling triangles.
+point(1) oracle whose Y = 1 rows both read. Before its first check it
+grows, once, each iid-sum table the selected identities read, to the
+highest row and order they read there (`_reports`), so no check grows a
+table. A suite run leaves behind only the kernel Stirling triangles, and it loads
+`bell` only for T2_6 and T2_7, whose checkers call it.
 
 The suite is one stream of reports in canonical order (`_reports`), which
 tallies each identity's counts as its reports pass. `run_suite` lists it;
@@ -47,11 +50,10 @@ from enum import Enum
 from operator import mul, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bell import _dobinski, _via_convolution
 from .kernel import Basis, RationalLike, Row, _at, _convert, _degenerate_falling, _format, _shift, stirling1_signed
 from .distparse import parse_dist, parse_rational
 from .moments import MomentOracle
-from .stirling import StirlingContext, _row, _triangle_row, _via_conv, _via_shift
+from .stirling import _ZERO, StirlingContext, _row, _triangle_row, _via_conv, _via_shift
 
 
 class IdentityId(str, Enum):
@@ -210,6 +212,8 @@ def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, points: Sequence[
     """T2_6: direct evaluation against the binomial-convolution form at
     each (x, its point item) of row n: at x = p/q each coefficient row is one
     integer over its denominator times q^n."""
+    from .bell import _via_convolution
+
     row, conv, point, reports = _triangle_row(ctx, n), _via_convolution(ctx, n), head + (items["n", n],), []
     for x, x_item in points:
         (lhs, lhs_den), (rhs, rhs_den) = _at(row, x.numerator, x.denominator), _at(conv, x.numerator, x.denominator)
@@ -223,6 +227,8 @@ def _thm_2_7(ctx: StirlingContext, head: tuple, items: _Items, xs: Sequence[floa
     relative tolerance, at each x of row n, reading the row's inputs once.
     The exact side is the production row at x = p/q, one integer over
     D q^n, whose int / int quotient rounds once, as float(Fraction) does."""
+    from .bell import _dobinski
+
     row, point, reports = _triangle_row(ctx, n), head + (items["n", n],), []
     for x, result in zip(xs, _dobinski(ctx, n, xs, tolerance)):
         exact = truediv(*_at(row, *x.as_integer_ratio()))
@@ -300,9 +306,10 @@ def _reports(
     identity's pass/fail/total counts go into `summary` after its last
     report, so a consumer keeps only the reports it keeps."""
     wanted = sorted(set(identities), key=lambda i: i.value)
+    max_n = grid.max_n
     lambdas = [parse_rational(s) for s in grid.lambdas]
     x_points = [(x, ("x", str(x))) for x in map(parse_rational, grid.xs)]  # T2_6's items once per run
-    ns = range(grid.max_n + 1)
+    ns = range(max_n + 1)
     oracles = [parse_dist(d) for d in grid.dists]
     contexts = [StirlingContext(o, lam, r) for o in oracles for lam in lambdas for r in grid.rs]
     one = MomentOracle.point(1)  # Y = 1 for ReductionY1 and ClassicalLambda0, whose rows they share
@@ -317,27 +324,41 @@ def _reports(
     def ones(lams: Sequence[RationalLike]) -> list[StirlingContext]:
         return [StirlingContext(one, lam, r) for lam in lams for r in grid.rs]
 
-    # identity -> its reports in order; generators, so only the selected
+    def shifted(c: StirlingContext) -> int:  # Theorem 2.1 rows 0..max_n at shift r
+        return c.r + max_n
+
+    # identity -> (the top iid-sum row it reads in a context's lam table,
+    # its reports at a context); generators, so only the selected
     # identities run, the row checkers one row per call and T2_8 one context
     suite = {
-        IdentityId.ClassicalLambda0: lambda: each(ones([0]), rows(_expansion, IdentityId.ClassicalLambda0)),
-        IdentityId.ReductionY1: lambda: each(ones(lambdas), rows(_expansion, IdentityId.ReductionY1)),
-        IdentityId.T2_1_vs_T2_2: lambda: each(contexts, rows(_agreement, IdentityId.T2_1_vs_T2_2)),
-        IdentityId.T2_1_vs_T2_3: lambda: each(contexts, rows(_agreement, IdentityId.T2_1_vs_T2_3)),
-        IdentityId.T2_4: lambda: each(contexts, rows(_shifted, IdentityId.T2_4)),
-        IdentityId.T2_5: lambda: each(contexts, rows(_thm_2_5)),
-        IdentityId.T2_6: lambda: each(contexts, rows(_thm_2_6, x_points)),
-        IdentityId.T2_7: lambda: each(contexts, rows(_thm_2_7, grid.dobinski_xs, grid.dobinski_tol)),
-        IdentityId.T2_8: lambda: each(contexts, lambda c, h, items: _thm_2_8(c, h, items, grid.max_n)),
-        IdentityId.T2_9_corrected: lambda: each(contexts, rows(_shifted, IdentityId.T2_9_corrected)),
-        IdentityId.T2_9_paper_form: lambda: each(contexts, rows(_shifted, IdentityId.T2_9_paper_form)),
+        IdentityId.ClassicalLambda0: (shifted, rows(_expansion, IdentityId.ClassicalLambda0)),
+        IdentityId.ReductionY1: (shifted, rows(_expansion, IdentityId.ReductionY1)),
+        IdentityId.T2_1_vs_T2_2: (shifted, rows(_agreement, IdentityId.T2_1_vs_T2_2)),
+        IdentityId.T2_1_vs_T2_3: (shifted, rows(_agreement, IdentityId.T2_1_vs_T2_3)),
+        IdentityId.T2_4: (shifted, rows(_shifted, IdentityId.T2_4)),
+        IdentityId.T2_5: (shifted, rows(_thm_2_5)),
+        IdentityId.T2_6: (lambda c: max(c.r, max_n), rows(_thm_2_6, x_points)),  # E[(S_r)_{m,lam}], r = 0 rows
+        IdentityId.T2_7: (lambda c: max_n, rows(_thm_2_7, grid.dobinski_xs, grid.dobinski_tol)),  # r = 0 rows
+        IdentityId.T2_8: (shifted, lambda c, h, items: _thm_2_8(c, h, items, max_n)),
+        IdentityId.T2_9_corrected: (shifted, rows(_shifted, IdentityId.T2_9_corrected)),
+        IdentityId.T2_9_paper_form: (shifted, rows(_shifted, IdentityId.T2_9_paper_form)),
     }
+    y1 = {IdentityId.ClassicalLambda0: [0], IdentityId.ReductionY1: lambdas}  # their lambdas on Y = 1
+    runs = [(identity, ones(y1[identity]) if identity in y1 else contexts) for identity in wanted]
+    # each table grown once, before the first check, to the top row read
+    # there; T2_1_vs_T2_2 also reads the raw sum moments (`_via_conv`), rows
+    # 0..r of the lam = 0 table
+    reads = [(suite[identity][0](c), c.oracle, c.lam) for identity, cs in runs for c in cs]
+    if IdentityId.T2_1_vs_T2_2 in wanted:
+        reads += [(c.r, c.oracle, _ZERO) for c in contexts]
+    for j, oracle, lam in sorted(reads, key=lambda read: read[0], reverse=True):  # a table's top row first
+        oracle._table(lam, j, max_n)
     if {IdentityId.T2_5, IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
         for ctx in contexts:  # the rows the production side reads, from one build per context
-            _triangle_row(ctx, grid.max_n)
-    for identity in wanted:
+            _triangle_row(ctx, max_n)
+    for identity, cs in runs:
         passed = total = 0
-        for rep in suite[identity]():
+        for rep in each(cs, suite[identity][1]):
             passed += rep.passed
             total += 1
             yield rep

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,89 @@ def test_the_suite_builds_each_theorem_2_1_entry_once_per_oracle(monkeypatch, wa
     monkeypatch.setattr(moments, "_SumTable", Recorded)
     run_suite(default_grid(max_n), wanted)
     assert sum(len(row.nums) for table in tables for row in table.differences.values()) == built
+
+
+def _grown(monkeypatch, grid, wanted):
+    """Run the suite, checking that it grows each iid-sum table it reads
+    once, and to no row or order past the checks' reads; the summary and
+    each table's (lambda, top row). The checks' reads are
+    the `MomentOracle._table` calls other than those `_reports` makes
+    itself, ahead of the first check."""
+    grows, reads = {}, {}
+    grow, table = moments._SumTable.grow, MomentOracle._table
+
+    def counted(self, oracle, j, n):
+        grows[id(self)] = grows.get(id(self), 0) + 1
+        grow(self, oracle, j, n)
+
+    def recorded(self, lam, j, n):
+        held = table(self, lam, j, n)
+        if sys._getframe(1).f_code.co_name != "_reports":
+            _, top_j, top_n = reads.get(id(held), (held, -1, 0))
+            reads[id(held)] = held, max(top_j, j), max(top_n, n)
+        return held
+
+    monkeypatch.setattr(moments._SumTable, "grow", counted)
+    monkeypatch.setattr(MomentOracle, "_table", recorded)
+    summary = run_suite(grid, wanted)[1]
+    assert grows == dict.fromkeys(reads, 1)  # each table read is grown once, and no other
+    for held, j, n in reads.values():  # rows 0..j, the single-copy row and D_k to order n, no further
+        assert len(held.single) == len(held.den) == n + 1
+        assert [len(row) for row in held.rows] == [n + 1] * (j + 1)
+    return summary, sorted((held.lam, len(held.rows) - 1) for held, _, _ in reads.values())
+
+
+LAMBDAS = sorted(map(F, default_grid().lambdas))
+
+
+@pytest.mark.parametrize("identity", GATING, ids=[i.value for i in GATING])
+def test_a_suite_run_grows_each_table_it_reads_once(monkeypatch, identity):
+    """Each table grows once, to the top row its identity reads at order
+    max_n: r + max_n for a Theorem 2.1 row at shift r, max(r, max_n) for
+    T2_6 and max_n for T2_7, with max r = 3; ReductionY1 reads the five
+    lambda tables of one point(1) oracle, ClassicalLambda0 its lambda = 0
+    table, and every other identity the 20 (Y, lambda) tables."""
+    summary, tables = _grown(monkeypatch, default_grid(5), [identity])
+    top = {IdentityId.T2_6: 5, IdentityId.T2_7: 5}.get(identity, 8)
+    if identity is IdentityId.ClassicalLambda0:
+        assert tables == [(F(0), top)]
+    else:
+        copies = 1 if identity is IdentityId.ReductionY1 else 4  # oracles per lambda
+        assert tables == [(lam, top) for lam in LAMBDAS for _ in range(copies)]
+    assert summary[identity.value]["fail"] == 0
+
+
+def test_t2_1_vs_t2_2_grows_the_raw_sum_table_to_the_top_shift(monkeypatch):
+    """Off the grid's lambdas, T2_1_vs_T2_2 still reads the raw sum moments
+    E[S_r^m] (`_via_conv`): rows 0..max r of the lambda = 0 table."""
+    grid = grid_at("uniform{0,1,2}", "1/3", [0, 2], 4)
+    tables = _grown(monkeypatch, grid, [IdentityId.T2_1_vs_T2_2])[1]
+    assert tables == [(F(0), 2), (F(1, 3), 6)]
+
+
+@pytest.mark.parametrize(
+    "change, wanted, totals, tables",
+    [
+        ({"rs": ()}, GATING, {}, []),
+        ({"lambdas": ()}, GATING, {"ClassicalLambda0": 24}, [(F(0), 8)]),
+        ({"dists": ()}, GATING, {"ClassicalLambda0": 24, "ReductionY1": 120}, [(lam, 8) for lam in LAMBDAS]),
+        (
+            {"dists": ("poisson(1)",), "lambdas": ("1/3",), "rs": (0, 100000), "max_n": 2, "dobinski_xs": (1.0,)},
+            [IdentityId.T2_7],
+            {"T2_7": 6},
+            [(F(1, 3), 2)],
+        ),
+    ],
+    ids=["no_r", "no_lambda", "no_dist", "r_100000"],
+)
+def test_a_custom_grid_grows_only_what_it_reads(monkeypatch, change, wanted, totals, tables):
+    """An empty rs runs nothing and grows nothing; with no lambda only
+    ClassicalLambda0 runs, and with no distribution only the two Y = 1
+    identities. T2_7 reads r = 0 rows, so r = 100000 grows no row past
+    max_n (its series there stops unconverged at MAX_TERMS)."""
+    summary, grown = _grown(monkeypatch, default_grid(5)._replace(**change), wanted)
+    assert {name: s["total"] for name, s in summary.items()} == totals
+    assert grown == tables
 
 
 def test_a_one_context_grid_reports_as_the_full_grid_at_that_context():

@@ -37,7 +37,8 @@ calls = 0
 """
 
 # Run by the child after the mutant's patch: the patched names are bound
-# before `identities` (and through it `bell`) imports them.
+# before `identities` imports them, or its T2_6 and T2_7 checkers import
+# theirs from `bell`.
 SUITE = """
 from prstirling.identities import OPT_IN_IDENTITIES, IdentityId, _reports, default_grid
 summary = {}
@@ -105,31 +106,34 @@ MUTANTS = [
         id="single_copy_s1",
     ),
     pytest.param(
-        # E[(S_2)_{3,lam}] raised by 1 / D_3 in each table, once, so rows
-        # j >= 3 built after it carry it on
+        # E[(S_2)_{3,lam}] raised by 1 / D_3 in each table, once, as soon
+        # as row 2 reaches order 3 and before any row j >= 3 is built past
+        # order 2, so every row j >= 3 is built from it
         """
         from prstirling.moments import _SumTable
         grow = _SumTable.grow
         def mutant(self, oracle, j, n):
             global calls
+            if not hasattr(self, "mutated"):
+                grow(self, oracle, min(j, 2), n)
+                if len(self.rows) > 2 and len(self.rows[2]) > 3:
+                    calls += 1
+                    self.rows[2][3] += 1
+                    self.mutated = True
             grow(self, oracle, j, n)
-            if len(self.rows) > 2 and len(self.rows[2]) > 3 and not hasattr(self, "mutated"):
-                calls += 1
-                self.rows[2][3] += 1
-                self.mutated = True
         _SumTable.grow = mutant
         """,
         {
-            "ClassicalLambda0": 11,
-            "ReductionY1": 55,
-            "T2_1_vs_T2_2": 615,
-            "T2_1_vs_T2_3": 359,
-            "T2_4": 180,
-            "T2_5": 224,
-            "T2_6": 969,
+            "ClassicalLambda0": 12,
+            "ReductionY1": 60,
+            "T2_1_vs_T2_2": 591,
+            "T2_1_vs_T2_3": 353,
+            "T2_4": 179,
+            "T2_5": 240,
+            "T2_6": 1014,
             "T2_7": 939,
-            "T2_8": 1887,
-            "T2_9_corrected": 180,
+            "T2_8": 1829,
+            "T2_9_corrected": 179,
         },
         id="sum_row_2",
     ),

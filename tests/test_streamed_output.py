@@ -20,6 +20,7 @@ import tracemalloc
 import pytest
 
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval
+from prstirling import cli
 from prstirling.cli import _context_dict, _emit, main
 from prstirling.distparse import parse_dist, parse_rational
 from prstirling.identities import OPT_IN_IDENTITIES, IdentityId, default_grid, run_suite
@@ -197,6 +198,36 @@ class _Recorder:
 
     def flush(self) -> None:
         pass
+
+
+class _Writes(_Recorder):
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.texts.append(text)
+        return super().write(text)
+
+
+def test_verify_writes_each_large_batch_unjoined(monkeypatch):
+    """`verify --report json` hands `_emit` its reports as batches of JSON
+    text; each batch of 64 KiB or more leaves `_write_output` as one write of
+    that very string, neither joined to its separator nor copied."""
+    batches, emit = [], cli._emit
+
+    def recorded(record, out, items=None):
+        batches.extend(items or ())
+        emit(record, out, items)
+
+    writes = _Writes()
+    monkeypatch.setattr(cli, "_emit", recorded)
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(["verify", "--suite", "all", "--max-n", "7", "--report", "json"]) == 0
+    large = [text for text in writes.texts if len(text) >= 65536]
+    assert len(large) > 50 and [id(text) for text in large] == [id(b) for b in batches if len(b) >= 65536]
 
 
 # tracemalloc peaks of one request, its columns included. Writing the whole
