@@ -8,8 +8,8 @@ deterministic for identical invocations.
 
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
 `stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
-each imported inside its subcommand (`identities` loads `bell` only for
-T2_6 and T2_7, whose checkers import it). JSON output imports `json`, and
+each imported inside its subcommand (`identities` loads `bell` once per
+run, only for T2_6 and T2_7). JSON output imports `json`, and
 no request imports `csv`. `_emit` writes every JSON record, splicing in a
 list written in pieces (`table` and `moments` rows, `verify` reports), and
 every output leaves `_write_output` in writes of about 64 KiB; a piece of

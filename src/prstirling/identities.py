@@ -34,8 +34,9 @@ lam = 0 (`_expansion`). `run_suite` builds each input once, such as the one
 point(1) oracle whose Y = 1 rows both read. Before its first check it
 grows, once, each iid-sum table the selected identities read, to the
 highest row and order they read there (`_reports`), so no check grows a
-table. A suite run leaves behind only the kernel Stirling triangles, and it loads
-`bell` only for T2_6 and T2_7, whose checkers call it.
+table. A suite run leaves behind only the kernel Stirling triangles. It loads
+`bell` once, and only when T2_6 or T2_7 is selected, and hands those two
+checkers their witnesses.
 
 The suite is one stream of reports in canonical order (`_reports`), which
 tallies each identity's counts as its reports pass. `run_suite` lists it;
@@ -208,29 +209,27 @@ def _thm_2_5(ctx: StirlingContext, head: tuple, items: _Items, n: int) -> list:
     return [VerificationReport(IdentityId.T2_5, head + (items["n", n],), _same(lhs, rhs), lhs, rhs)]
 
 
-def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, points: Sequence[tuple], n: int) -> list:
-    """T2_6: direct evaluation against the binomial-convolution form at
-    each (x, its point item) of row n: at x = p/q each coefficient row is one
-    integer over its denominator times q^n."""
-    from .bell import _via_convolution
-
-    row, conv, point, reports = _triangle_row(ctx, n), _via_convolution(ctx, n), head + (items["n", n],), []
+def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, conv: Callable, points: Sequence[tuple], n: int) -> list:
+    """T2_6: direct evaluation against the binomial-convolution form `conv`
+    (`bell._via_convolution`) at each (x, its point item) of row n: at x = p/q
+    each coefficient row is one integer over its denominator times q^n."""
+    row, by_conv, point, reports = _triangle_row(ctx, n), conv(ctx, n), head + (items["n", n],), []
     for x, x_item in points:
-        (lhs, lhs_den), (rhs, rhs_den) = _at(row, x.numerator, x.denominator), _at(conv, x.numerator, x.denominator)
+        (lhs, lhs_den), (rhs, rhs_den) = _at(row, x.numerator, x.denominator), _at(by_conv, x.numerator, x.denominator)
         passed = lhs * rhs_den == rhs * lhs_den
         reports.append(VerificationReport(IdentityId.T2_6, point + (x_item,), passed, lhs, rhs, None, lhs_den, rhs_den))
     return reports
 
 
-def _thm_2_7(ctx: StirlingContext, head: tuple, items: _Items, xs: Sequence[float], tolerance: float, n: int) -> list:
-    """T2_7: the truncated Dobinski series against exact evaluation, within
-    relative tolerance, at each x of row n, reading the row's inputs once.
-    The exact side is the production row at x = p/q, one integer over
-    D q^n, whose int / int quotient rounds once, as float(Fraction) does."""
-    from .bell import _dobinski
-
+def _thm_2_7(ctx: StirlingContext, head: tuple, items: _Items, dobinski: Callable, grid: SuiteGrid, n: int) -> list:
+    """T2_7: the truncated Dobinski series `dobinski` (`bell._dobinski`)
+    against exact evaluation, within the grid's relative tolerance, at each
+    of its x of row n, reading the row's inputs once. The exact side is the
+    production row at x = p/q, one integer over D q^n, whose int / int
+    quotient rounds once, as float(Fraction) does."""
+    xs, tolerance = grid.dobinski_xs, grid.dobinski_tol
     row, point, reports = _triangle_row(ctx, n), head + (items["n", n],), []
-    for x, result in zip(xs, _dobinski(ctx, n, xs, tolerance)):
+    for x, result in zip(xs, dobinski(ctx, n, xs, tolerance)):
         exact = truediv(*_at(row, *x.as_integer_ratio()))
         passed = result.converged and abs(result.value - exact) <= tolerance * (abs(exact) or 1.0)
         x_items = (items["x", x], items["terms", result.terms_used])
@@ -324,6 +323,10 @@ def _reports(
     def ones(lams: Sequence[RationalLike]) -> list[StirlingContext]:
         return [StirlingContext(one, lam, r) for lam in lams for r in grid.rs]
 
+    conv = dobinski = None  # the witnesses of T2_6 and T2_7: `bell` is loaded once per run, for them only
+    if {IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
+        from .bell import _dobinski as dobinski, _via_convolution as conv
+
     def shifted(c: StirlingContext) -> int:  # Theorem 2.1 rows 0..max_n at shift r
         return c.r + max_n
 
@@ -337,8 +340,8 @@ def _reports(
         IdentityId.T2_1_vs_T2_3: (shifted, rows(_agreement, IdentityId.T2_1_vs_T2_3)),
         IdentityId.T2_4: (shifted, rows(_shifted, IdentityId.T2_4)),
         IdentityId.T2_5: (shifted, rows(_thm_2_5)),
-        IdentityId.T2_6: (lambda c: max(c.r, max_n), rows(_thm_2_6, x_points)),  # E[(S_r)_{m,lam}], r = 0 rows
-        IdentityId.T2_7: (lambda c: max_n, rows(_thm_2_7, grid.dobinski_xs, grid.dobinski_tol)),  # r = 0 rows
+        IdentityId.T2_6: (lambda c: max(c.r, max_n), rows(_thm_2_6, conv, x_points)),  # E[(S_r)_{m,lam}], r = 0 rows
+        IdentityId.T2_7: (lambda c: max_n, rows(_thm_2_7, dobinski, grid)),  # r = 0 rows
         IdentityId.T2_8: (shifted, lambda c, h, items: _thm_2_8(c, h, items, max_n)),
         IdentityId.T2_9_corrected: (shifted, rows(_shifted, IdentityId.T2_9_corrected)),
         IdentityId.T2_9_paper_form: (shifted, rows(_shifted, IdentityId.T2_9_paper_form)),

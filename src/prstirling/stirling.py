@@ -10,11 +10,13 @@ keeps rows 0..n of one build, each over its columns' lcm (`bell`, `verify`).
 
 Theorem 2.1 (`prob_r_stirling2`) and the `_via_conv` and `_via_shift` routes
 are witnesses, none reaching `_columns`: each row form gives entries 0..k of
-row n as a `kernel.Row`, and `_via_conv` and the Bell convolution share one
-binomial convolution with the r = 0 rows (`_convolution`), each with moments
-of its own. A Theorem 2.1 row depends on (Y, lam, shift, n) only, so the
-oracle keeps it (`MomentOracle._differences`) for every context on that lam.
-The only process-global state is the kernel triangles.
+row n as a `kernel.Row`, and its public entry reads it through
+`_route_entry`, the one place indices are checked: an entry past the row is
+0 before any read. `_via_conv` and the Bell convolution share one binomial
+convolution with the r = 0 rows (`_convolution`), each with moments of its
+own. A Theorem 2.1 row depends on (Y, lam, shift, n) only, so the oracle
+keeps it (`MomentOracle._differences`) for every context on that lam. The
+only process-global state is the kernel triangles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .kernel import RationalLike, Row, _homogeneous, stirling1_signed
 from .moments import MomentOracle
@@ -66,12 +68,22 @@ def prob_stirling2(oracle: MomentOracle, lam: RationalLike, n: int, k: int) -> F
 def prob_r_stirling2(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The (n+r, k+r) entry of the probabilistic degenerate r-Stirling triangle
     by Theorem 2.1, kept with the oracle. Zero for k > n."""
+    return _route_entry(_explicit, ctx, n, k)
+
+
+def _route_entry(row_form: Callable[..., Row], ctx: StirlingContext, n: int, k: int) -> Fraction:
+    """Entry k of row n by a route's row form, which gets only 0 <= k <= n."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    nums, den = ctx.oracle._differences(ctx.lam, ctx.r, n, k)
+    nums, den = row_form(ctx, n, k)
     return Fraction(nums[k], den)
+
+
+def _explicit(ctx: StirlingContext, n: int, k: int) -> Row:
+    """Entries 0..k, at least, of row n by Theorem 2.1 at shift r."""
+    return ctx.oracle._differences(ctx.lam, ctx.r, n, k)
 
 
 def _row(ctx: StirlingContext, shift: int, n: int) -> Row:
@@ -81,20 +93,17 @@ def _row(ctx: StirlingContext, shift: int, n: int) -> Row:
 
 def prob_r_stirling2_via_conv(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the double-sum route (`_via_conv`)."""
-    nums, den = _via_conv(ctx, n, k)
-    return Fraction(nums[k] if k <= n else 0, den)
+    return _route_entry(_via_conv, ctx, n, k)
 
 
 def _via_conv(ctx: StirlingContext, n: int, k: int) -> Row:
-    """Entries (n+r, i+r), i = 0..min(k, n), by `_convolution` with
+    """Entries (n+r, i+r), i = 0..k, 0 <= k <= n, by `_convolution` with
     E[(S_r)_{d,lam}] = sum_m lam^(d-m) s1(d,m) E[S_r^m]: for lam = p/c and
     E[S_r^m] over one denominator E, each is one integer over c^n E."""
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     p, c = ctx.lam.numerator, ctx.lam.denominator
     raw, raw_den = ctx.oracle._sum_row(_ZERO, ctx.r, n)
     moments = [_homogeneous([stirling1_signed(d, m) * raw[m] for m in range(d + 1)], c, p) for d in range(n + 1)]
-    return _convolution(ctx, n, min(k, n), Row([c ** (n - d) * v for d, v in enumerate(moments)], c**n * raw_den))
+    return _convolution(ctx, n, k, Row([c ** (n - d) * v for d, v in enumerate(moments)], c**n * raw_den))
 
 
 def _convolution(ctx: StirlingContext, n: int, k: int, moments: Row) -> Row:
@@ -113,18 +122,14 @@ def _convolution(ctx: StirlingContext, n: int, k: int, moments: Row) -> Row:
 
 def prob_r_stirling2_via_shift(ctx: StirlingContext, n: int, k: int) -> Fraction:
     """The same entry by the shift route (`_via_shift`)."""
-    nums, den = _via_shift(ctx, n, k)
-    return Fraction(nums[k] if k <= n else 0, den)
+    return _route_entry(_via_shift, ctx, n, k)
 
 
 def _via_shift(ctx: StirlingContext, n: int, k: int) -> Row:
-    """Entries (n+r, i+r), i = 0..min(k, n), over the denominator of r = 0 row n, by
+    """Entries (n+r, i+r), i = 0..k, 0 <= k <= n, over the denominator of r = 0 row n, by
 
     sum_{m=0}^{min(n-i, r)} C(m+i,m) C(r,m) m! S^Y(n, m+i)"""
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    r, k = ctx.r, min(k, n)
-    s2y, den = ctx.oracle._differences(ctx.lam, 0, n, k + r)
+    r, (s2y, den) = ctx.r, ctx.oracle._differences(ctx.lam, 0, n, k + ctx.r)
     return Row(
         [
             sum([math.comb(m + i, m) * math.perm(r, m) * s2y[m + i] for m in range(min(n - i, r) + 1)])

@@ -82,7 +82,8 @@ def test_verify_loads_no_dataclasses():
 
 @pytest.mark.parametrize("suite, loads_bell", [("T2_4", False), ("T2_6", True), ("T2_7", True), ("all", True)])
 def test_verify_loads_bell_only_for_the_identities_that_call_it(suite, loads_bell):
-    """`identities` imports `bell` inside the T2_6 and T2_7 checkers only."""
+    """`identities` imports `bell` once per run, and only when T2_6 or T2_7
+    is selected."""
     loaded = _fresh(_cli(["verify", "--suite", suite, "--max-n", "1"]))
     assert "prstirling.identities" in loaded
     assert ("prstirling.bell" in loaded) == loads_bell

@@ -225,7 +225,7 @@ def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):
     for r in range(3):
         ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
         assert not check_at(identities._thm_2_5, ctx, 3)[0].passed
-        assert not check_at(identities._thm_2_6, ctx, [(F(1, 2), ("x", "1/2"))], 3)[0].passed
+        assert not check_at(identities._thm_2_6, ctx, bell._via_convolution, [(F(1, 2), ("x", "1/2"))], 3)[0].passed
         assert stirling.stirling_triangle(ctx, 3)[3][1] != prob_r_stirling2(ctx, 3, 1)
         assert check_at(identities._thm_2_5, ctx, 0)[0].passed  # no column 1 at n_max 0
 
@@ -258,6 +258,22 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
     reports, summary = run_suite(grid, [IdentityId.ReductionY1, IdentityId.ClassicalLambda0])
     assert {dict(rep.point)["n"] for rep in reports if not rep.passed} == {"3"}
     assert summary["ReductionY1"]["fail"] == 2 * 3 and summary["ClassicalLambda0"]["fail"] == 3
+
+
+def test_a_suite_run_imports_bell_once(monkeypatch):
+    """The T2_6 and T2_7 checkers get their `bell` witnesses from one import
+    statement per run, not one per row."""
+    bell_imports, real_import = [], __import__
+
+    def counted(name, globals=None, locals=None, fromlist=(), level=0):
+        if name.rpartition(".")[2] == "bell" or "bell" in (fromlist or ()):
+            bell_imports.append(name)
+        return real_import(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr("builtins.__import__", counted)
+    run_suite(default_grid(5), [IdentityId.T2_6, IdentityId.T2_7])
+    monkeypatch.undo()
+    assert len(bell_imports) == 1
 
 
 def test_thm_2_7_checker():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import prstirling
-from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling.bell import _dobinski, _via_convolution, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
 from prstirling import identities
 from prstirling.identities import IdentityId
 from prstirling.distparse import parse_dist
@@ -98,6 +98,21 @@ def test_three_way_agreement_small_grid(name):
                     a = prob_r_stirling2(ctx, n, k)
                     assert prob_r_stirling2_via_conv(ctx, n, k) == a
                     assert prob_r_stirling2_via_shift(ctx, n, k) == a
+
+
+@pytest.mark.parametrize("route", [prob_r_stirling2, prob_r_stirling2_via_conv, prob_r_stirling2_via_shift])
+def test_every_route_reads_nothing_past_the_row(route):
+    """An entry past the row is 0 before any read, on every route, even
+    where row n would grow r = 200,000 iid-sum rows; bad indices give every
+    route the same error."""
+    oracle = MomentOracle.poisson(F(5, 2))
+    ctx = StirlingContext(oracle, F(1, 3), 200_000)
+    assert route(ctx, 3, 4) == 0
+    assert oracle._tables == {}
+    for n, k in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError) as err:
+            route(ctx, n, k)
+        assert str(err.value) == f"indices must be >= 0, got ({n}, {k})"
 
 
 def test_reduction_to_degenerate_r_stirling():
@@ -376,8 +391,8 @@ def test_a_context_holds_no_other_context(r):
     for which in (IdentityId.T2_4, IdentityId.T2_9_corrected, IdentityId.T2_9_paper_form):
         check_at(identities._shifted, ctx, which, n)
     check_at(identities._thm_2_5, ctx, n)
-    check_at(identities._thm_2_6, ctx, [(F(1, 2), ("x", "1/2"))], n)
-    check_at(identities._thm_2_7, ctx, [1.0], 1e-9, n)
+    check_at(identities._thm_2_6, ctx, _via_convolution, [(F(1, 2), ("x", "1/2"))], n)
+    check_at(identities._thm_2_7, ctx, _dobinski, identities.SuiteGrid(dobinski_xs=(1.0,), dobinski_tol=1e-9), n)
     check_at(identities._thm_2_8, ctx, n)
     bell_coeffs(ctx, n)
     bell_via_convolution(ctx, n, F(1, 2))
