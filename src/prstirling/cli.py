@@ -9,27 +9,27 @@ deterministic for identical invocations.
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
 `stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
 each imported inside its subcommand (`identities` loads `bell` once per
-run, only for T2_6 and T2_7). JSON output imports `json`, and
-no request imports `csv`. `_emit` writes every JSON record, splicing in a
-list written in pieces (`table` and `moments` rows, `verify` reports), and
-every output leaves `_write_output` in writes of about 64 KiB; a piece of
-64 KiB or more, such as a batch of `verify` reports, is written as it is.
+run, only for T2_6 and T2_7). `_parse` reads the flags from `_COMMANDS`,
+and `_json` writes every JSON record, so no request imports `argparse` or
+`csv`, and only `verify --report json` imports `json`. `_emit` splices a
+list written in pieces into a record (`table` and `moments` rows, `verify`
+reports); every output leaves `_write_output` in writes of about 64 KiB (a
+piece of 64 KiB or more as it is), and only `--out` imports `tempfile`.
 
-Every value is computed before the first write, so a failure gives one
-`error:` line and never half a document. A `verify` summary keeps no
-report, and `--report json` keeps only the reports' text: `--suite all`
-peaks at 16.3 MB RSS at max-n 5, and at 23.7 MB as JSON at max-n 7.
+Every value is computed before the first write, so a failure (a bad
+command line too) gives one `error:` line and never half a document. A
+`verify` summary keeps no report, and `--report json` keeps only the
+reports' text: `--suite all` peaks at 16.3 MB RSS at max-n 5, and at
+23.7 MB as JSON at max-n 7.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
-import re
 import sys
-import tempfile
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .distparse import ParseError, parse_dist, parse_rational
@@ -87,6 +87,8 @@ def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
     if out is None:
         sys.stdout.writelines(chunks())
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prstirling-")
     try:
@@ -99,13 +101,39 @@ def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
         raise
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, allow_nan=False)` for a dict with str keys,
+    list, str, int, float, bool or None; `indent` opens a line at its depth.
+    A string other than printable ASCII free of quotes and backslashes is
+    left to `json`."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json
+
+        return json.dumps(value)
+    if value is None or isinstance(value, bool):  # a bool before an int, its base class
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_json(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, list):
+        return "[" + ",".join(inner + _json(item, inner) for item in value) + indent + "]" if value else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(record: dict, out: Optional[str], items: Optional[Iterable[str]] = None) -> None:
     """Write `record` as one JSON document, its last "[]" filled with `items`,
     if given, as they come: each the JSON text of its elements, opening on a
     new line at their depth. With no item the list stays "[]"."""
-    import json
-
-    text = json.dumps(record, indent=2, allow_nan=False)
+    text = _json(record)
     if items is None:
         return _write_output([text, "\n"], out)
     head, tail = text.rsplit("[]", 1)
@@ -136,17 +164,7 @@ def _emit_rows(record: dict, rows: Iterable[list[str]], fmt: str, out: Optional[
 # ---- subcommands -----------------------------------------------------------
 
 
-def _check_sizes(args, *names: str) -> None:
-    """Reject a negative value of each named integer flag, naming the flag,
-    before any computation; a flag not given (None) passes."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-
-
 def cmd_table(args) -> int:
-    _check_sizes(args, "n_max", "r")
     oracle = parse_dist(args.dist)
     lam = parse_rational(args.lam)
     cols = list(_columns(StirlingContext(oracle, lam, args.r), args.n_max))  # all before the first write
@@ -159,7 +177,6 @@ def cmd_table(args) -> int:
 def cmd_bell(args) -> int:
     from .bell import bell_dobinski
 
-    _check_sizes(args, "n", "r")
     if args.x_float is not None and not (math.isfinite(args.x_float) and args.x_float >= 0):
         raise ValueError(f"--x-float must be a finite x >= 0, got {args.x_float}")
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -194,7 +211,6 @@ def cmd_bell(args) -> int:
 def cmd_verify(args) -> int:
     from .identities import OPT_IN_IDENTITIES, IdentityId, _reports, default_grid
 
-    _check_sizes(args, "max_n")
     if args.suite == "all":
         wanted = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
     else:
@@ -226,7 +242,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    _check_sizes(args, "upto", "sum")
     oracle = parse_dist(args.dist)
     if args.sum is not None:
         values = [oracle.sum_moment(args.sum, m) for m in range(args.upto + 1)]
@@ -240,77 +255,102 @@ def cmd_moments(args) -> int:
     return 0
 
 
-# ---- argument parsing ------------------------------------------------------
+# ---- the command line ------------------------------------------------------
+
+_R, _LAMBDA = (int, 0, False, "the shift r"), (str, "0", False, "the degeneracy lambda (rational)")
+_DIST, _FORMAT = (str, None, True, "the distribution of Y, such as poisson(1)"), (("json", "csv"), "json", False, "")
+_TAIL = {"--out": (str, None, False, "write to this file, not stdout"), "--help": (None, None, False, "show this help")}
+
+# command -> (handler, help, flags); a flag is (type, default, required, help),
+# its type int (a count >= 0), float, str, a tuple of choices, bool for a
+# switch, or None for help
+_COMMANDS = {
+    "table": (cmd_table, "emit a triangle of Stirling values", {
+        "--n-max": (int, None, True, "the last row n"), "--r": _R, "--lambda": _LAMBDA, "--dist": _DIST,
+        "--format": _FORMAT, **_TAIL,
+    }),
+    "bell": (cmd_bell, "Bell polynomial coefficients and evaluation", {
+        "--n": (int, None, True, "the degree n"), "--r": _R, "--lambda": _LAMBDA, "--dist": _DIST,
+        "--x": (str, None, False, "exact evaluation point (rational)"),
+        "--dobinski": (bool, False, False, "also run the truncated series"),
+        "--x-float": (float, None, False, "float evaluation point for the series"),
+        "--tol": (float, 1e-9, False, "tolerance of the series"), **_TAIL,
+    }),
+    "verify": (cmd_verify, "run the identity verification suite", {
+        "--suite": (str, "all", False, "'all' or comma-separated identity ids"),
+        "--max-n": (int, 6, False, "the largest n checked"),
+        "--report": (("json", "summary"), "summary", False, "the summary alone, or every report too"), **_TAIL,
+    }),
+    "moments": (cmd_moments, "raw moments of Y or of an iid sum", {
+        "--dist": _DIST, "--upto": (int, None, True, "the last order"),
+        "--sum": (int, None, False, "number of iid copies to sum"), "--format": _FORMAT, **_TAIL,
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prstirling",
-        description="Exact probabilistic degenerate r-Stirling numbers and r-Bell polynomials.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="emit a triangle of Stirling values")
-    p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--r", type=int, default=0)
-    p_table.add_argument("--lambda", dest="lam", default="0")
-    p_table.add_argument("--dist", required=True)
-    p_table.add_argument("--format", choices=["json", "csv"], default="json")
-    p_table.add_argument("--out")
-    p_table.set_defaults(func=cmd_table)
-
-    p_bell = sub.add_parser("bell", help="Bell polynomial coefficients and evaluation")
-    p_bell.add_argument("--n", type=int, required=True)
-    p_bell.add_argument("--r", type=int, default=0)
-    p_bell.add_argument("--lambda", dest="lam", default="0")
-    p_bell.add_argument("--dist", required=True)
-    p_bell.add_argument("--x", help="exact evaluation point (rational)")
-    p_bell.add_argument("--dobinski", action="store_true", help="also run the truncated series")
-    p_bell.add_argument("--x-float", type=float, help="float evaluation point for the series")
-    p_bell.add_argument("--tol", type=float, default=1e-9)
-    p_bell.add_argument("--out")
-    p_bell.set_defaults(func=cmd_bell)
-
-    p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    p_verify.add_argument("--suite", default="all", help="'all' or comma-separated identity ids")
-    p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--report", choices=["json", "summary"], default="summary")
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_moments = sub.add_parser("moments", help="raw moments of Y or of an iid sum")
-    p_moments.add_argument("--dist", required=True)
-    p_moments.add_argument("--upto", type=int, required=True)
-    p_moments.add_argument("--sum", type=int, help="number of iid copies to sum")
-    p_moments.add_argument("--format", choices=["json", "csv"], default="json")
-    p_moments.add_argument("--out")
-    p_moments.set_defaults(func=cmd_moments)
-
-    return parser
+def _help(command: Optional[str]) -> str:
+    """The usage text of `prstirling`, or of one command, from `_COMMANDS`."""
+    usage, about = "COMMAND", "Exact probabilistic degenerate r-Stirling numbers and r-Bell polynomials."
+    rows = [(name, spec[1]) for name, spec in _COMMANDS.items()] + [("-h, --help", _TAIL["--help"][3])]
+    if command is not None:
+        usage, about, rows = command, _COMMANDS[command][1], []
+        for flag, (kind, default, required, text) in _COMMANDS[command][2].items():
+            meta = "|".join(kind) if isinstance(kind, tuple) else {int: "N", float: "X", str: "TEXT"}.get(kind, "")
+            note = "required" if required else "" if default is None or kind is bool else f"default {default}"
+            rows.append((f"{flag} {meta}", f"{text} ({note})" if text and note else text or note))
+    return f"usage: prstirling {usage} [--flag VALUE ...]\n\n{about}\n\n" + "".join(f"  {a:<24}{b}\n" for a, b in rows)
 
 
-def _takes_rational(flag: str) -> bool:
-    """--x, --lambda, or an abbreviation of --lambda (at least --l)."""
-    return flag == "--x" or (len(flag) >= 3 and "--lambda".startswith(flag))
-
-
-def _bind_negative_rationals(argv: Sequence[str]) -> list[str]:
-    """'--lambda -1/2' -> '--lambda=-1/2', likewise for --x and for
-    abbreviations of --lambda: argparse would take the token '-1/2' for an
-    option string."""
-    out: list[str] = []
-    for token in argv:
-        if out and _takes_rational(out[-1]) and re.match(r"-\d", token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The handler (`func`) and flag values (`lam` for --lambda) of a command
+    line, or no `func` and the help `text`. A flag is its name or a unique
+    prefix of it, its value follows "=" or is the next token unless that
+    starts with "--", and the last one given wins. A fault raises ValueError."""
+    if argv[:1] == ["-h"] or argv and len(argv[0]) > 2 and "--help".startswith(argv[0]):
+        return SimpleNamespace(func=None, text=_help(None), out=None)
+    if not argv or argv[0] not in _COMMANDS:
+        said = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{said}; choose from {', '.join(_COMMANDS)}")
+    func, _, flags = _COMMANDS[argv[0]]
+    values = {flag: spec[1] for flag, spec in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        names = ["--help"] if name == "-h" else [f for f in flags if len(name) > 2 and f.startswith(name)]
+        flag = name if name in names else names[0] if len(names) == 1 else None
+        if flag is None:
+            raise ValueError(f"ambiguous flag {name}: {', '.join(names)}" if names else f"unknown argument {token!r}")
+        kind = flags[flag][0]
+        if kind in (bool, None) and eq:
+            raise ValueError(f"{flag} takes no value, got {token!r}")
+        if kind is None:
+            return SimpleNamespace(func=None, text=_help(argv[0]), out=None)
+        if kind is not bool and not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ValueError(f"{flag} expects a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{flag}: invalid choice {value!r}; choose from {', '.join(kind)}")
+        try:
+            values[flag] = True if kind is bool else kind(value) if kind in (int, float) else value
+        except ValueError:
+            raise ValueError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+        if kind is int and values[flag] < 0:
+            raise ValueError(f"{flag} must be >= 0, got {values[flag]}")
+    if missing := [flag for flag, spec in flags.items() if spec[2] and values[flag] is None]:
+        raise ValueError(f"the following flags are required: {', '.join(missing)}")
+    return SimpleNamespace(
+        func=func, **{f[2:].replace("-", "_").replace("lambda", "lam"): v for f, v in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_bind_negative_rationals(sys.argv[1:] if argv is None else argv))
+    out = None
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        out = args.out
+        if args.func is None:
+            sys.stdout.write(args.text)
+            return 0
         return args.func(args)
     except (ParseError, DistributionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -319,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: value beyond float range: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write {out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling.cli import main
+from prstirling.cli import _COMMANDS, main
 from prstirling.distparse import parse_rational
 from prstirling.identities import IdentityId, default_grid, run_suite
 
@@ -374,3 +374,108 @@ def test_table_past_the_given_moments_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "table", "--n-max", "4", "--dist", "moments[1,2,5,7]")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---- the command line itself -------------------------------------------------
+
+BELL = ["bell", "--n", "2", "--dist", "point(1)"]
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        ([], "no command given"),
+        (["tabel", "--n-max", "2"], "unknown command 'tabel'"),
+        (["table", "--n-max", "2", "--dist", "point(1)", "--bogus", "1"], "'--bogus'"),
+        (["table", "--n-max", "2", "stray", "--dist", "point(1)"], "'stray'"),
+        (["table", "--n-max", "2", "--dist", "point(1)", "--"], "unknown argument '--'"),
+        (["table", "--n-max", "2", "--dist"], "--dist expects a value"),
+        (["table", "--n-max", "--dist", "point(1)"], "--n-max expects a value"),
+        (["table", "--dist", "point(1)"], "required: --n-max"),
+        (["moments", "--upto", "2"], "required: --dist"),
+        (["table", "--n-max", "abc", "--dist", "point(1)"], "--n-max: invalid int value 'abc'"),
+        (["bell", "--n", "2", "--dist", "point(1)", "--tol", "tiny"], "--tol: invalid float value 'tiny'"),
+        (["table", "--n-max", "2", "--dist", "point(1)", "--format", "xml"], "--format: invalid choice 'xml'"),
+        (BELL + ["--d", "poisson(1)"], "ambiguous flag --d: --dist, --dobinski"),
+        (BELL + ["--dobinski=1", "--x-float", "1"], "--dobinski takes no value"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-flag", "stray-token", "bare-dashes", "value-missing-at-end",
+        "value-is-a-flag", "required-n-max", "required-dist", "int-abc", "float-tiny", "format-xml",
+        "ambiguous-prefix", "switch-with-value",
+    ],
+)
+def test_every_command_line_fault_is_one_error_line(capsys, argv, fragment):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # pragma: no cover - the failure this test guards against
+        pytest.fail(f"SystemExit({exc.code}) escaped main")
+    out, err = capsys.readouterr()
+    assert one_error_line(code, out, err) and err.endswith("\n"), (code, out, err)
+    assert fragment in err
+
+
+# Every flag of every command once, at inputs that run in milliseconds; each
+# request also writes through --out.
+FULL = {
+    "table": ["--n-max", "3", "--r", "1", "--lambda", "-1/2", "--dist", "poisson(1)", "--format", "csv"],
+    "bell": ["--n", "3", "--r", "1", "--lambda", "-2/3", "--dist", "poisson(1)", "--x", "-1/2",
+             "--dobinski", "--x-float", "2", "--tol", "1e-6"],
+    "verify": ["--suite", "T2_5", "--max-n", "2", "--report", "json"],
+    "moments": ["--dist", "poisson(1)", "--upto", "3", "--sum", "2", "--format", "csv"],
+}
+FLAGS = [(command, flag) for command, argv in FULL.items() for flag in argv + ["--out"] if flag.startswith("--")]
+
+
+def _forms(command, flag, value):
+    """`--flag value`, `--flag=value`, and both for every unique prefix of
+    the flag; a switch has no "=" form."""
+    others = [other for other in _COMMANDS[command][2] if other != flag]
+    names = [flag] + [flag[:k] for k in range(3, len(flag)) if not any(o.startswith(flag[:k]) for o in others)]
+    if value is None:
+        return [[name] for name in names]
+    return [form for name in names for form in ([name, value], [f"{name}={value}"])]
+
+
+def test_the_flag_forms_cover_every_flag():
+    assert {command: {f for c, f in FLAGS if c == command} | {"--help"} for command in FULL} == {
+        command: set(spec[2]) for command, spec in _COMMANDS.items()
+    }
+    assert _forms("bell", "--x", "1") == [["--x", "1"], ["--x=1"]]  # --x is an exact name, not a prefix
+    assert ["--l", "-2/3"] in _forms("bell", "--lambda", "-2/3")
+    assert _forms("bell", "--dobinski", None) == [["--dobinski"]] + [["--dobinski"[:k]] for k in range(4, 10)]
+
+
+@pytest.mark.parametrize("command,flag", FLAGS, ids=[f"{c}{f}" for c, f in FLAGS])
+def test_every_form_of_a_flag_gives_the_same_bytes(capsys, tmp_path, command, flag):
+    out = str(tmp_path / "out")
+    argv = FULL[command] + ["--out", out]
+    at = argv.index(flag)
+    value = None if command == "bell" and flag == "--dobinski" else argv[at + 1]
+    if flag == "--out":
+        value = str(tmp_path / "other")
+
+    def run(form):
+        target = value if flag == "--out" else out
+        code = main([command] + argv[:at] + form + argv[at + (1 if value is None else 2) :])
+        with open(target, "rb") as fh:
+            return code, capsys.readouterr(), fh.read()
+
+    forms = _forms(command, flag, value)
+    expected = run(forms[0])
+    assert expected[0] == 0 and expected[1].out == expected[1].err == "" and expected[2]
+    for form in forms[1:]:
+        assert run(form) == expected, form
+
+
+HELPS = [["--help"], ["-h"], ["--he"]] + [[command, h] for command in FULL for h in ("--help", "-h", "--he")]
+
+
+@pytest.mark.parametrize("argv", HELPS, ids=[" ".join(argv) for argv in HELPS])
+def test_help_names_every_flag_and_exits_zero(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: prstirling ")
+    names = [command for command in FULL] if len(argv) == 1 else [f for c, f in FLAGS if c == argv[0]]
+    assert all(name in out for name in names + ["--help"]), out

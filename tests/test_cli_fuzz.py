@@ -122,10 +122,7 @@ def command_lines(draw):
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main(argv)  # a SystemExit, like any exception, fails the test
     return code, out.getvalue(), err.getvalue()
 
 

@@ -31,12 +31,13 @@ print(json.dumps(_loaded))
 """
 
 
-def _fresh(case: str) -> set[str]:
-    """Run `case` in a fresh interpreter; the modules it loaded."""
+def _fresh(case: str, *flags: str) -> set[str]:
+    """Run `case` in a fresh interpreter started with `flags`; the modules it
+    loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = PROLOGUE + textwrap.dedent(case) + EPILOGUE
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
@@ -56,16 +57,37 @@ def test_table_and_moments_load_neither_bell_nor_identities():
     assert loaded.isdisjoint({"prstirling.identities", "prstirling.bell", "dataclasses", "inspect"})
 
 
-@pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
-def test_each_format_loads_only_its_serializer(fmt, other):
-    """JSON output loads `json`; CSV rows are joined by hand, so a CSV
-    request loads neither serializer."""
+# argparse loads gettext, and its subparsers locale. The children run with
+# -S, so that no module a site hook loads first can hide a load.
+PARSERS_AND_SERIALIZERS = {"argparse", "gettext", "locale", "json", "csv"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_no_request_loads_a_parser_or_serializer(fmt):
+    """Flags are read from one table and records written by hand: no
+    `table`, `moments` or `bell` request, in either format, and no `verify`
+    summary loads argparse, json or csv."""
     loaded = _fresh(_cli(
         ["table", "--n-max", "3", "--dist", "point(1)", "--format", fmt],
         ["moments", "--dist", "poisson(1)", "--upto", "3", "--format", fmt],
-    ))
-    assert (fmt in loaded) == (fmt == "json")
-    assert other not in loaded and "csv" not in loaded
+        ["bell", "--n", "3", "--lambda", "-1/2", "--dist", "point(1)", "--x", "1/2", "--dobinski", "--x-float", "2"],
+        ["verify", "--suite", "T2_5", "--max-n", "2"],
+    ), "-S")
+    assert "prstirling.bell" in loaded and "prstirling.identities" in loaded
+    assert loaded.isdisjoint(PARSERS_AND_SERIALIZERS)
+
+
+def test_only_a_verify_json_report_loads_json():
+    loaded = _fresh(_cli(["verify", "--suite", "T2_5", "--max-n", "2", "--report", "json"]), "-S")
+    assert loaded & PARSERS_AND_SERIALIZERS == {"json"}
+
+
+def test_only_out_loads_tempfile(tmp_path):
+    """Site hooks usually load `tempfile` before the program starts; without
+    them a request to stdout does not, and one with --out does."""
+    argv = ["table", "--n-max", "3", "--dist", "point(1)"]
+    assert "tempfile" not in _fresh(_cli(argv), "-S")
+    assert "tempfile" in _fresh(_cli(argv + ["--out", str(tmp_path / "t.json")]), "-S")
 
 
 def test_bell_does_not_load_identities():

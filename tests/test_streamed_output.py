@@ -7,7 +7,9 @@ through `json.dumps(record, indent=2)`, and `csv.writer` rows after one
 byte, to stdout and through `--out`: the `table` and `moments` grid below, and
 `bell` and `verify` summary records built from the public functions. A
 `table` must also reach stdout in bounded writes, holding no more than its
-columns and one piece of text.
+columns and one piece of text. The writer of the record text, `cli._json`,
+must equal `json.dumps(value, indent=2, allow_nan=False)` on any nesting of
+the kinds a record holds.
 """
 
 import csv
@@ -18,6 +20,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval
 from prstirling import cli
@@ -180,6 +184,30 @@ def test_a_list_given_no_items_stays_empty(capsys):
     record = {"schema_version": "1", "command": "verify", "payload": {"summary": {}, "reports": []}}
     _emit(record, None, iter([]))
     assert capsys.readouterr().out == json.dumps(record, indent=2) + "\n"
+
+
+# ---- `_json` is `json.dumps(value, indent=2, allow_nan=False)` ----------------
+
+# quotes, backslashes, control characters, DEL, and text past ASCII and the BMP
+_TEXT = st.text(st.sampled_from('ab "\\/\x00\x1f\t\n\x7f\u00e9\u20ac\u2028\U0001f600') | st.characters(), max_size=8)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_the_writer_is_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_the_writer_rejects_a_non_finite_float(bad):
+    for value in (bad, [1, bad], {"a": {"b": bad}}):
+        with pytest.raises(ValueError):
+            cli._json(value)
 
 
 class _Recorder:
