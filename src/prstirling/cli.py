@@ -20,13 +20,29 @@ Every value is computed before the first write, so a failure (a bad
 command line too) gives one `error:` line and never half a document. A
 `verify` summary keeps no report, and `--report json` keeps only the
 reports' text: `--suite all` peaks at 16.3 MB RSS at max-n 5, and at
-23.7 MB as JSON at max-n 7.
+23.7 MB as JSON at max-n 7. Running out of memory is one `error:` line too,
+naming the flag that sets the size of the work (exit code 2, no stdout).
+
+`--out` follows a symlink to the file it names. A FIFO or a device there is
+written in place; a regular file is replaced through a temp file renamed
+over it, keeping its mode, and a new file gets 0666 less the umask.
+
+`main` registers `gc.freeze` with `atexit`, once per process, so a
+`prstirling` process exits without the interpreter's shutdown collections
+(they run after atexit callbacks and skip frozen objects), about 5 ms of a
+70 ms request. Nothing relies on them: every file written is closed before
+`main` returns, stdout and stderr are flushed at exit without the GC, and
+Python does not promise to finalize objects alive at exit. A caller that
+runs `main` in process keeps its cyclic GC until it exits.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import math
 import os
+import stat
 import sys
 from itertools import chain, islice
 from types import SimpleNamespace
@@ -68,8 +84,11 @@ def _json_float(value: float) -> Optional[float]:
 
 def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
     """Write the pieces of one finished output in order, in writes of about
-    64 KiB, to stdout or to `out` through a temp file renamed into place. A
-    piece of 64 KiB or more is written as it is, never joined."""
+    64 KiB, to stdout or to `out`. A piece of 64 KiB or more is written as it
+    is, never joined. `out` is followed through symlinks; a FIFO or a device
+    there is written in place, and a regular file (or none) through a temp
+    file renamed into place, which keeps the mode of the file it replaces and
+    gives a new file 0666 less the umask."""
 
     def chunks() -> Iterator[str]:
         buf, size = [], 0
@@ -87,14 +106,27 @@ def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
     if out is None:
         sys.stdout.writelines(chunks())
         return
+    target = os.path.realpath(out)  # a symlink is followed to the file it names
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):  # a FIFO or a device takes the text in place
+        with open(target, "w") as fh:
+            fh.writelines(chunks())
+        return
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prstirling-")
+    if mode is None:  # a new file gets the mode open() gives it; setting the umask is the only way to read it
+        umask = os.umask(0o22)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".prstirling-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
             fh.writelines(chunks())
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -343,10 +375,22 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
         func=func, **{f[2:].replace("-", "_").replace("lambda", "lam"): v for f, v in values.items()})
 
 
+# the flag that sets the size of each command's work
+_SIZE_FLAGS = {"table": "--n-max", "bell": "--n", "verify": "--max-n", "moments": "--upto or --sum"}
+_exit_hook_registered = False
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    out = None
+    # Freeze every object at exit, so the interpreter's shutdown collections
+    # (run after atexit callbacks) skip the heap. Registered once: unregister
+    # leaves its slot behind, and a caller that stays alive keeps its cyclic GC.
+    global _exit_hook_registered
+    if not _exit_hook_registered:
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
+    out, argv = None, sys.argv[1:] if argv is None else argv
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _parse(argv)
         out = args.out
         if args.func is None:
             sys.stdout.write(args.text)
@@ -360,6 +404,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot write {out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        size = _SIZE_FLAGS.get(argv[0] if argv else "", "request")
+        print(f"error: out of memory; try a smaller {size}", file=sys.stderr)
         return 2
 
 

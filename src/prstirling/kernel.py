@@ -172,8 +172,13 @@ def _convert(row: Row, target: Basis) -> Row:
 
 
 def _shift(row: Row, r: int) -> Row:
-    """`shift_argument` of a row: (x + r)^n = sum_k C(n,k) r^(n-k) x^k."""
-    return _linear(row, [[math.comb(n, k) * r ** (n - k) for k in range(n + 1)] for n in range(len(row.nums))])
+    """`shift_argument` of a row, by Horner steps (Taylor shift): d(d+1)/2
+    multiply-adds for degree d, trailing zeros trimmed."""
+    nums = list(row.nums)
+    for i in range(len(nums) - 1):
+        for j in range(len(nums) - 2, i - 1, -1):
+            nums[j] += r * nums[j + 1]
+    return Row(_trimmed(nums), row.den)
 
 
 def _linear(row: Row, images: Sequence[Sequence[int]]) -> Row:

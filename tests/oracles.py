@@ -116,6 +116,16 @@ def shift_reference(coeffs, r):
     return out
 
 
+def shift_binomial(coeffs, r):
+    """Monomial coefficients of sum_n coeffs[n] (x + r)^n, each power by the
+    binomial formula (x + r)^n = sum_k C(n,k) r^(n-k) x^k."""
+    out = [Fraction(0)] * len(coeffs)
+    for n, c in enumerate(coeffs):
+        for k in range(n + 1):
+            out[k] += c * comb(n, k) * Fraction(r) ** (n - k)
+    return out
+
+
 def evaluate(coeffs, x):
     """sum_i coeffs[i] x^i, term by term."""
     return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(coeffs)), Fraction(0))

@@ -1,9 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import stat
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +296,75 @@ def test_out_into_missing_directory_is_one_error_line(capsys, tmp_path):
     assert one_error_line(code, out, err)
     assert str(target) in err
     assert not (tmp_path / "missing").exists()
+
+
+OUT_TABLE = ["table", "--n-max", "3", "--r", "1", "--dist", "uniform{0,1,2}"]
+
+
+def test_out_writes_a_fifo_in_place(capsys, tmp_path):
+    expected = run_cli(capsys, *OUT_TABLE)[1].encode()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        assert run_cli(capsys, *OUT_TABLE, "--out", str(fifo)) == (0, "", "")
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert got == expected
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_out_follows_a_symlink(capsys, tmp_path):
+    expected = run_cli(capsys, *OUT_TABLE)[1]
+    (tmp_path / "real").mkdir()
+    real, link = tmp_path / "real" / "t.json", tmp_path / "t.json"
+    real.write_text("old text\n")
+    link.symlink_to(Path("real") / "t.json")
+    assert run_cli(capsys, *OUT_TABLE, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and real.read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["real", "t.json"]
+    assert [p.name for p in (tmp_path / "real").iterdir()] == ["t.json"]
+
+
+def test_out_gives_a_new_file_the_mode_open_gives_it(capsys, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        assert main(OUT_TABLE + ["--out", str(tmp_path / "new.json")]) == 0
+        with open(tmp_path / "by_open", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o640
+    assert stat.S_IMODE(os.stat(tmp_path / "by_open").st_mode) == 0o640
+
+
+def test_out_keeps_the_mode_of_a_file_it_replaces(capsys, tmp_path):
+    target = tmp_path / "t.json"
+    target.write_text("old text\n")
+    target.chmod(0o604)
+    assert run_cli(capsys, *OUT_TABLE, "--out", str(target))[0] == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o604
+    assert target.read_text() != "old text\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+def test_running_out_of_memory_is_one_error_line():
+    """A child limited to 300 MB of address space runs out of memory; the
+    limit is set in the child alone."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prstirling.cli", "table", "--n-max", "2000", "--dist", "point(1)"],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert one_error_line(proc.returncode, proc.stdout, proc.stderr), proc.stderr
+    assert proc.stderr == "error: out of memory; try a smaller --n-max\n"
 
 
 def test_dobinski_term_past_float_range_is_one_error_line(capsys):

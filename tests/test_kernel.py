@@ -23,6 +23,7 @@ from oracles import (
     falling_to_monomial,
     monomial_to_falling,
     partition_count,
+    shift_binomial,
     shift_reference,
 )
 
@@ -200,8 +201,18 @@ def test_shift_argument_matches_reference(coeffs, r):
     p = Polynomial(Basis.MONOMIAL, tuple(coeffs))
     got = shift_argument(p, r)
     assert got == Polynomial.make(Basis.MONOMIAL, shift_reference(coeffs, r))
+    assert got == Polynomial.make(Basis.MONOMIAL, shift_binomial(coeffs, r))
     assert _all_fractions(got)
     assert shift_argument(p, 0) is p
+
+
+@pytest.mark.parametrize("r", [1, 7, 10**5])
+def test_deep_shift_argument_matches_the_binomial_formula(r):
+    """The Horner steps against the binomial formula past the degrees the
+    property test draws, and at a large r."""
+    coeffs = [F((-1) ** n * (n + 1), n % 5 + 1) for n in range(41)]
+    got = shift_argument(Polynomial.make(Basis.MONOMIAL, coeffs), r)
+    assert got == Polynomial.make(Basis.MONOMIAL, shift_binomial(coeffs, r))
 
 
 @settings(deadline=None, max_examples=150)
