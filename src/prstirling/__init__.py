@@ -14,27 +14,27 @@ import importlib
 # public name -> defining module
 _EXPORTS = {
     "Basis": "kernel",
-    "Polynomial": "kernel",
+    "Polynomial": "polynomial",
     "binomial": "kernel",
-    "convert_basis": "kernel",
-    "degenerate_falling_coeffs": "kernel",
+    "convert_basis": "polynomial",
+    "degenerate_falling_coeffs": "polynomial",
     "factorial": "kernel",
-    "shift_argument": "kernel",
+    "shift_argument": "polynomial",
     "stirling1_signed": "kernel",
     "stirling2": "kernel",
     "DistributionError": "moments",
     "MomentOracle": "moments",
     "StirlingContext": "stirling",
-    "prob_stirling2": "stirling",
-    "prob_r_stirling2": "stirling",
-    "prob_r_stirling2_via_conv": "stirling",
-    "prob_r_stirling2_via_shift": "stirling",
+    "prob_stirling2": "witness",
+    "prob_r_stirling2": "witness",
+    "prob_r_stirling2_via_conv": "witness",
+    "prob_r_stirling2_via_shift": "witness",
     "stirling_triangle": "stirling",
     "DobinskiResult": "bell",
     "bell_coeffs": "bell",
     "bell_dobinski": "bell",
     "bell_eval": "bell",
-    "bell_via_convolution": "bell",
+    "bell_via_convolution": "witness",
     "ParseError": "distparse",
     "parse_dist": "distparse",
     "parse_rational": "distparse",

@@ -2,34 +2,37 @@
 
 `bell_coeffs` returns row n of the generating-function triangle (a
 `kernel.Row` kept per context, see `stirling`) as a monomial
-`kernel.Polynomial`, and `bell_eval` evaluates that row by Horner in ints,
-one Fraction per value. The convolution form over the r = 0 Theorem 2.1 rows
-(`_via_convolution`, a coefficient row by `stirling._convolution`) and the
-truncated Dobinski-style series are witnesses that share no code with it
-above the kernel. `_dobinski` reads row n's inputs once for any number of
-points x. The series is the only float computation in the package and
-reports its own convergence diagnostics. Its moments E[(S_{k+r})_{n,lam}] are
-one polynomial in k + r, read once from the r = 0 Theorem 2.1 row n, so the
-iid-sum table stays at rows 0..n whatever x is.
+`polynomial.Polynomial`, and `bell_eval` evaluates that row by Horner in
+ints, one Fraction per value. The truncated Dobinski-style series is a
+witness that shares no code with them above the kernel, and stays here
+because `bell --dobinski` runs it; the convolution witness of Theorem 2.6
+is `witness.bell_via_convolution`. `_dobinski` reads row n's inputs once
+for any number of points x. The series is the only float computation in the
+package and reports its own convergence diagnostics. Its moments
+E[(S_{k+r})_{n,lam}] are one polynomial in k + r, read once from the r = 0
+Theorem 2.1 row n, so the iid-sum table stays at rows 0..n whatever x is.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .kernel import Basis, Polynomial, RationalLike, Row, _at, _convert, _homogeneous, _polynomial
-from .stirling import StirlingContext, _convolution, _row, _triangle_row
+from .kernel import Basis, RationalLike, _at, _convert, _homogeneous
+from .stirling import StirlingContext, _row, _triangle_row
 
 MAX_TERMS = 10000  # the series stops here, unconverged, whatever the stopping rule
 
 
-def bell_coeffs(ctx: StirlingContext, n: int) -> Polynomial:
-    """Exact coefficients (length n + 1) as a monomial polynomial: coefficient
-    k is the (n+r, k+r) Stirling entry, and the constant term is the
-    degenerate factorial moment E[(S_r)_{n,lam}]."""
+def bell_coeffs(ctx: StirlingContext, n: int):
+    """Exact coefficients (length n + 1) as a monomial `polynomial.Polynomial`:
+    coefficient k is the (n+r, k+r) Stirling entry, and the constant term is
+    the degenerate factorial moment E[(S_r)_{n,lam}]."""
+    from .polynomial import _polynomial
+
     return _polynomial(Basis.MONOMIAL, _triangle_row(ctx, n))
 
 
@@ -39,30 +42,9 @@ def bell_eval(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
     return Fraction(*_at(_triangle_row(ctx, n), x.numerator, x.denominator))
 
 
-def bell_via_convolution(ctx: StirlingContext, n: int, x: RationalLike) -> Fraction:
-    """Same value through the binomial convolution with the r = 0 polynomials,
-    sum_{m=0}^{n} C(n,m) E[(S_r)_{m,lam}] Bel^Y_{n-m}(x)."""
-    x = Fraction(x)
-    return Fraction(*_at(_via_convolution(ctx, n), x.numerator, x.denominator))
-
-
-def _via_convolution(ctx: StirlingContext, n: int) -> Row:
-    """The monomial coefficients of `bell_via_convolution`: the moments
-    E[(S_r)_{m,lam}] from the lam table, convolved with the r = 0 rows by
-    `stirling._convolution`, one integer per x^i over one denominator."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return _convolution(ctx, n, n, ctx.oracle._sum_row(ctx.lam, ctx.r, n))
-
-
-class DobinskiResult(NamedTuple):
-    """Outcome of the truncated series evaluation."""
-
-    value: float
-    terms_used: int
-    last_term: float
-    tolerance: float
-    converged: bool
+DobinskiResult = namedtuple("DobinskiResult", "value terms_used last_term tolerance converged")
+DobinskiResult.__doc__ = """Outcome of the truncated series evaluation: the float `value`, the int
+`terms_used`, the float `last_term` and `tolerance`, and the bool `converged`."""
 
 
 def bell_dobinski(ctx: StirlingContext, n: int, x: float, tolerance: float) -> DobinskiResult:

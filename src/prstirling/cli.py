@@ -7,14 +7,17 @@ which carry the tolerance they were computed at. Output is byte-for-byte
 deterministic for identical invocations.
 
 `table` and `moments` load only `distparse`, `moments`, `kernel` and
-`stirling`; `bell` also loads `bell`, and `verify` also loads `identities`,
-each imported inside its subcommand (`identities` loads `bell` once per
-run, only for T2_6 and T2_7). `_parse` reads the flags from `_COMMANDS`,
-and `_json` writes every JSON record, so no request imports `argparse` or
-`csv`, and only `verify --report json` imports `json`. `_emit` splices a
-list written in pieces into a record (`table` and `moments` rows, `verify`
-reports); every output leaves `_write_output` in writes of about 64 KiB (a
-piece of 64 KiB or more as it is), and only `--out` imports `tempfile`.
+`stirling`; `bell` also loads `bell`, and `verify` also loads `identities`
+and the witness routes (`witness`), each imported inside its subcommand
+(`identities` loads `bell` once per run, only for T2_7). No request loads
+`polynomial`, the `Fraction`-valued polynomial API. `identities` reads the
+`--suite` selection and decides which failures set exit code 1. `_parse`
+reads the flags from `_COMMANDS`, and `_json` writes every JSON record, so
+no request imports `argparse` or `csv`, and only `verify --report json`
+imports `json`. `_emit` splices a list written in pieces into a record
+(`table` and `moments` rows, `verify` reports); every output leaves
+`_write_output` in writes of about 64 KiB (a piece of 64 KiB or more as it
+is), and only `--out` imports `tempfile`.
 
 Every value is computed before the first write, so a failure (a bad
 command line too) gives one `error:` line and never half a document. A
@@ -241,20 +244,10 @@ def cmd_bell(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .identities import OPT_IN_IDENTITIES, IdentityId, _reports, default_grid
+    from .identities import _reports, default_grid, gating_failures, parse_suite
 
-    if args.suite == "all":
-        wanted = [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
-    else:
-        wanted = []
-        for name in args.suite.split(","):
-            name = name.strip()
-            try:
-                wanted.append(IdentityId(name))
-            except ValueError:
-                raise ValueError(f"unknown identity id: {name!r}") from None
     summary: dict = {}
-    reports = _reports(default_grid(args.max_n), wanted, summary)
+    reports = _reports(default_grid(args.max_n), parse_suite(args.suite), summary)
     if args.report == "json":
         import json
 
@@ -268,9 +261,7 @@ def cmd_verify(args) -> int:
         for _ in reports:  # the summary keeps no report
             pass
         _emit(_record("verify", None, {"summary": summary}), args.out)
-    # opt-in identities report findings; only the rest gate the exit status
-    gating_failures = sum(s["fail"] for name, s in summary.items() if IdentityId(name) not in OPT_IN_IDENTITIES)
-    return 1 if gating_failures else 0
+    return 1 if gating_failures(summary) else 0
 
 
 def cmd_moments(args) -> int:

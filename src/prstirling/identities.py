@@ -5,10 +5,11 @@ paths (disjoint above the exact kernel), so agreement is evidence rather than
 tautology. The production route of `table` and `bell` (the generating-function
 triangle) enters through the row `bell_coeffs` reads: T2_5 checks it against
 Theorem 2.1, T2_6 against the binomial-convolution form and T2_7 against the
-Dobinski series. Every other identity checks witnesses against each other;
-T2_1_vs_T2_2 and T2_6 share one convolution step (`stirling._convolution`)
-but read its moments from different tables. Failures are data: reports carry
-both sides and the full parameter point.
+Dobinski series. Every other identity checks witnesses against each other.
+The witness routes come from `witness`, which never reaches the
+generating-function triangle; T2_1_vs_T2_2 and T2_6 share one convolution
+step (`witness._convolution`) but read its moments from different tables.
+Failures are data: reports carry both sides and the full parameter point.
 
 Each identity holds for one row n at many points: `run_suite` runs it
 through a row checker that reads the row's shared inputs once, and keeps
@@ -35,26 +36,30 @@ point(1) oracle whose Y = 1 rows both read. Before its first check it
 grows, once, each iid-sum table the selected identities read, to the
 highest row and order they read there (`_reports`), so no check grows a
 table. A suite run leaves behind only the kernel Stirling triangles. It loads
-`bell` once, and only when T2_6 or T2_7 is selected, and hands those two
-checkers their witnesses.
+`bell` once, and only when T2_7 is selected, and hands that checker the
+Dobinski series.
 
 The suite is one stream of reports in canonical order (`_reports`), which
 tallies each identity's counts as its reports pass. `run_suite` lists it;
 the CLI's `verify` reads it a report at a time, so a summary run keeps no
-report, and a JSON run keeps only the reports' final text.
+report, and a JSON run keeps only the reports' final text. `parse_suite`
+reads the CLI's `--suite` selection, and `gating_failures` counts the
+failures that set its exit status.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 from operator import mul, truediv
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .kernel import Basis, RationalLike, Row, _at, _convert, _degenerate_falling, _format, _shift, stirling1_signed
 from .distparse import parse_dist, parse_rational
 from .moments import MomentOracle
-from .stirling import _ZERO, StirlingContext, _row, _triangle_row, _via_conv, _via_shift
+from .stirling import StirlingContext, _row, _triangle_row
+from .witness import _ZERO, _via_conv, _via_convolution, _via_shift
 
 
 class IdentityId(str, Enum):
@@ -77,22 +82,23 @@ class IdentityId(str, Enum):
 OPT_IN_IDENTITIES = frozenset({IdentityId.T2_9_paper_form})
 
 
-class VerificationReport(NamedTuple):
-    """One check: the identity, its parameter point, the verdict and both
-    sides. `lhs` and `rhs` are the sides' exact text, made when read. A side
-    is held as it was decided: a float, a `Row` (a kept Theorem 2.1 or
-    generating-function row, or a fresh coefficient vector), or an integer
-    `left`/`right` over `left_den`/`right_den`. Reports compare and hash by
-    that text, not by the held form."""
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "identity point passed left right tolerance left_den right_den",
+        defaults=(None, None, None),
+    )
+):
+    """One check: the `IdentityId`, its parameter point (a tuple of (name,
+    text) pairs), the bool verdict `passed` and both sides. `lhs` and `rhs`
+    are the sides' exact text, made when read. A side is held as it was
+    decided: a float, a `Row` (a kept Theorem 2.1 or generating-function
+    row, or a fresh coefficient vector), or an integer `left`/`right` over
+    the int `left_den`/`right_den` (else None). The float `tolerance` is
+    set for a series check only. Reports compare and hash by that text, not
+    by the held form."""
 
-    identity: IdentityId
-    point: tuple[tuple[str, str], ...]
-    passed: bool
-    left: object
-    right: object
-    tolerance: Optional[float] = None
-    left_den: Optional[int] = None
-    right_den: Optional[int] = None
+    __slots__ = ()
 
     @property
     def lhs(self) -> str:
@@ -209,11 +215,11 @@ def _thm_2_5(ctx: StirlingContext, head: tuple, items: _Items, n: int) -> list:
     return [VerificationReport(IdentityId.T2_5, head + (items["n", n],), _same(lhs, rhs), lhs, rhs)]
 
 
-def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, conv: Callable, points: Sequence[tuple], n: int) -> list:
-    """T2_6: direct evaluation against the binomial-convolution form `conv`
-    (`bell._via_convolution`) at each (x, its point item) of row n: at x = p/q
-    each coefficient row is one integer over its denominator times q^n."""
-    row, by_conv, point, reports = _triangle_row(ctx, n), conv(ctx, n), head + (items["n", n],), []
+def _thm_2_6(ctx: StirlingContext, head: tuple, items: _Items, points: Sequence[tuple], n: int) -> list:
+    """T2_6: direct evaluation against the binomial-convolution form
+    (`witness._via_convolution`) at each (x, its point item) of row n: at
+    x = p/q each coefficient row is one integer over its denominator times q^n."""
+    row, by_conv, point, reports = _triangle_row(ctx, n), _via_convolution(ctx, n), head + (items["n", n],), []
     for x, x_item in points:
         (lhs, lhs_den), (rhs, rhs_den) = _at(row, x.numerator, x.denominator), _at(by_conv, x.numerator, x.denominator)
         passed = lhs * rhs_den == rhs * lhs_den
@@ -266,22 +272,50 @@ def _thm_2_8(ctx: StirlingContext, head: tuple, items: _Items, max_n: int) -> li
 # ---- suite -----------------------------------------------------------------
 
 
-class SuiteGrid(NamedTuple):
-    """Deterministic parameter grid the suite runs over."""
-
-    dists: tuple[str, ...] = ("point(1)", "bernoulli(1/2)", "uniform{0,1,2}", "poisson(1)")
-    lambdas: tuple[str, ...] = ("-1/2", "0", "1/3", "1", "2")
-    rs: tuple[int, ...] = (0, 1, 2, 3)
-    max_n: int = 6
-    xs: tuple[str, ...] = ("-1", "0", "1/2", "1", "2")
-    dobinski_xs: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    dobinski_tol: float = 1e-9
+SuiteGrid = namedtuple(
+    "SuiteGrid",
+    "dists lambdas rs max_n xs dobinski_xs dobinski_tol",
+    defaults=(
+        ("point(1)", "bernoulli(1/2)", "uniform{0,1,2}", "poisson(1)"),
+        ("-1/2", "0", "1/3", "1", "2"),
+        (0, 1, 2, 3),
+        6,
+        ("-1", "0", "1/2", "1", "2"),
+        (0.5, 1.0, 2.0, 4.0),
+        1e-9,
+    ),
+)
+SuiteGrid.__doc__ = """Deterministic parameter grid the suite runs over: tuples of
+distribution expressions (`dists`), lambdas, shifts `rs` and exact points
+`xs` (all text but the int shifts), the int `max_n`, and the float points
+and tolerance of the Dobinski series (`dobinski_xs`, `dobinski_tol`)."""
 
 
 def default_grid(max_n: int = 6) -> SuiteGrid:
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     return SuiteGrid(max_n=max_n)
+
+
+def parse_suite(text: str) -> list[IdentityId]:
+    """The identities of a `--suite` value: "all" is every gating identity,
+    anything else a comma-separated list of ids."""
+    if text == "all":
+        return [i for i in IdentityId if i not in OPT_IN_IDENTITIES]
+    wanted = []
+    for name in text.split(","):
+        name = name.strip()
+        try:
+            wanted.append(IdentityId(name))
+        except ValueError:
+            raise ValueError(f"unknown identity id: {name!r}") from None
+    return wanted
+
+
+def gating_failures(summary: dict[str, dict[str, int]]) -> int:
+    """The failed checks of a suite summary that gate `verify`'s exit status:
+    the opt-in identities report findings, and only the rest gate."""
+    return sum(s["fail"] for name, s in summary.items() if IdentityId(name) not in OPT_IN_IDENTITIES)
 
 
 def run_suite(
@@ -323,9 +357,9 @@ def _reports(
     def ones(lams: Sequence[RationalLike]) -> list[StirlingContext]:
         return [StirlingContext(one, lam, r) for lam in lams for r in grid.rs]
 
-    conv = dobinski = None  # the witnesses of T2_6 and T2_7: `bell` is loaded once per run, for them only
-    if {IdentityId.T2_6, IdentityId.T2_7} & set(wanted):
-        from .bell import _dobinski as dobinski, _via_convolution as conv
+    dobinski = None  # the witness of T2_7: `bell` is loaded once per run, for it only
+    if IdentityId.T2_7 in wanted:
+        from .bell import _dobinski as dobinski
 
     def shifted(c: StirlingContext) -> int:  # Theorem 2.1 rows 0..max_n at shift r
         return c.r + max_n
@@ -340,7 +374,7 @@ def _reports(
         IdentityId.T2_1_vs_T2_3: (shifted, rows(_agreement, IdentityId.T2_1_vs_T2_3)),
         IdentityId.T2_4: (shifted, rows(_shifted, IdentityId.T2_4)),
         IdentityId.T2_5: (shifted, rows(_thm_2_5)),
-        IdentityId.T2_6: (lambda c: max(c.r, max_n), rows(_thm_2_6, conv, x_points)),  # E[(S_r)_{m,lam}], r = 0 rows
+        IdentityId.T2_6: (lambda c: max(c.r, max_n), rows(_thm_2_6, x_points)),  # E[(S_r)_{m,lam}], r = 0 rows
         IdentityId.T2_7: (lambda c: max_n, rows(_thm_2_7, dobinski, grid)),  # r = 0 rows
         IdentityId.T2_8: (shifted, lambda c, h, items: _thm_2_8(c, h, items, max_n)),
         IdentityId.T2_9_corrected: (shifted, rows(_shifted, IdentityId.T2_9_corrected)),

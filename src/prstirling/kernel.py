@@ -1,23 +1,25 @@
-"""Exact arithmetic kernel: combinatorial triangles and polynomial basis changes.
+"""Exact arithmetic kernel: combinatorial triangles and integer polynomial rows.
 
 The integer-valued helpers (`factorial`, `binomial`, the Stirling numbers)
 return `int`; s1 is signed: (x)_n = sum_k s1(n,k) x^k. Every row the package
-keeps is a `Row`, ints over one denominator, and `_convert`, `_shift` and `_at`
-are `convert_basis`, `shift_argument` and evaluation of Rows; the public
-functions bring Fractions over their lcm once (`_over_lcm`) and build one
-Fraction per output value. `_format` prints a value with one gcd.
-The Stirling triangles are the only process-global state: they grow to the
-largest n requested, under one lock and only by full rows, so threads growing
-them at once read the same rows a single thread would.
+keeps is a `Row`, ints over one denominator, and `_convert`, `_shift`, `_at`
+and `_degenerate_falling` are basis change, argument shift, evaluation and
+the degenerate falling factorial on Rows; `polynomial` lays its `Fraction`
+API over them, `_over_lcm` bringing Fractions over their lcm once.
+`_format` prints a value with one gcd. The Stirling triangles are the only
+process-global state: they grow to the largest n requested, under one lock
+and only by full rows, so threads growing them at once read the same rows a
+single thread would.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -80,63 +82,9 @@ class Basis(Enum):
     FALLING_FACTORIAL = "falling"
 
 
-class Row(NamedTuple):
-    """Exact values nums[k] / den over one denominator den > 0, not reduced."""
-
-    nums: Sequence[int]
-    den: int
-
-
-class Polynomial(NamedTuple):
-    """Dense exact polynomial in a declared basis.
-
-    coefficients[k] multiplies x^k (monomial basis) or (x)_k (falling-factorial
-    basis). `make`, `convert_basis` and `shift_argument` return canonical
-    form: no trailing zeros except the zero polynomial, which is the single
-    coefficient [0]. Evaluation accepts any coefficient tuple, trailing zeros
-    included; equality compares the tuples.
-    """
-
-    basis: Basis
-    coefficients: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(basis: Basis, coeffs: Iterable[RationalLike]) -> "Polynomial":
-        return Polynomial(basis, tuple(_trimmed([Fraction(c) for c in coeffs]) or [Fraction(0)]))
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        if self.basis is not Basis.MONOMIAL:
-            return convert_basis(self, Basis.MONOMIAL)(x)
-        x = Fraction(x)
-        return Fraction(*_at(_over_lcm(self.coefficients), x.numerator, x.denominator))
-
-
-def degenerate_falling_coeffs(n: int, lam: RationalLike) -> Polynomial:
-    """Monomial coefficients of the degenerate falling factorial of order n.
-
-    The coefficient of x^k is s1(n, k) * lam^(n-k).
-    """
-    if n < 0:
-        raise ValueError(f"degenerate_falling_coeffs requires n >= 0, got {n}")
-    return _polynomial(Basis.MONOMIAL, _degenerate_falling(n, Fraction(lam)))
-
-
-def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
-    """Express the same polynomial in the target basis.
-
-    Monomial -> falling uses the second-kind triangle; falling -> monomial uses
-    the signed first-kind triangle. Exact inverse operations.
-    """
-    return p if p.basis is target else _polynomial(target, _convert(_over_lcm(p.coefficients), target))
-
-
-def shift_argument(p: Polynomial, r: int) -> Polynomial:
-    """q(x) = p(x + r) for a monomial-basis polynomial, by binomial expansion."""
-    if p.basis is not Basis.MONOMIAL:
-        raise ValueError("shift_argument requires a monomial-basis polynomial")
-    if r < 0:
-        raise ValueError(f"shift_argument requires r >= 0, got {r}")
-    return _polynomial(Basis.MONOMIAL, _shift(_over_lcm(p.coefficients), r)) if r else p
+Row = namedtuple("Row", "nums den")
+Row.__doc__ = """Exact values nums[k] / den over one denominator den > 0, not reduced:
+nums a sequence of ints, den an int."""
 
 
 # ---- integer rows. Tuples are built from lists, not generators: a tuple
@@ -150,13 +98,9 @@ def _over_lcm(coeffs: Sequence[RationalLike]) -> Row:
     return Row([c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
-def _polynomial(basis: Basis, row: Row) -> Polynomial:
-    """The row as a polynomial, one reduced Fraction per coefficient."""
-    return Polynomial(basis, tuple([Fraction(v, row.den) for v in row.nums]) or (Fraction(0),))
-
-
 def _degenerate_falling(n: int, lam: Fraction) -> Row:
-    """`degenerate_falling_coeffs`, lam = p/c, over c^n: the product of (c x - i p), i < n."""
+    """`polynomial.degenerate_falling_coeffs`, lam = p/c, over c^n: the
+    product of (c x - i p), i < n."""
     p, c = lam.numerator, lam.denominator
     nums = [1]
     for i in range(n):
@@ -165,15 +109,15 @@ def _degenerate_falling(n: int, lam: Fraction) -> Row:
 
 
 def _convert(row: Row, target: Basis) -> Row:
-    """`convert_basis` of a row, into target from the other basis."""
+    """`polynomial.convert_basis` of a row, into target from the other basis."""
     tri, rows = (stirling2, _S2_ROWS) if target is Basis.FALLING_FACTORIAL else (stirling1_signed, _S1_ROWS)
     tri(max(len(row.nums) - 1, 0), 0)  # grow the triangle to the top row
     return _linear(row, rows)
 
 
 def _shift(row: Row, r: int) -> Row:
-    """`shift_argument` of a row, by Horner steps (Taylor shift): d(d+1)/2
-    multiply-adds for degree d, trailing zeros trimmed."""
+    """`polynomial.shift_argument` of a row, by Horner steps (Taylor shift):
+    d(d+1)/2 multiply-adds for degree d, trailing zeros trimmed."""
     nums = list(row.nums)
     for i in range(len(nums) - 1):
         for j in range(len(nums) - 2, i - 1, -1):

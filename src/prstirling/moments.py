@@ -28,8 +28,9 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .kernel import RationalLike, Row, _homogeneous, _over_lcm, factorial, stirling1_signed, stirling2
 
@@ -265,18 +266,13 @@ class MomentOracle:
         return table
 
 
-class Family(NamedTuple):
-    """One production of the distribution grammar,
-    `name opening arg "," arg ... closing`, syntax only: the family's checks
-    and moments live in `make`, its constructor. `args` holds the type of each
-    argument, int or Fraction; (Fraction, ...) is a nonempty list of
-    rationals, passed to `make` as one sequence."""
-
-    name: str
-    opening: str
-    closing: str
-    args: tuple
-    make: Callable[..., MomentOracle]
+Family = namedtuple("Family", "name opening closing args make")
+Family.__doc__ = """One production of the distribution grammar,
+`name opening arg "," arg ... closing`, syntax only: the family's checks
+and moments live in `make`, its constructor, a callable returning a
+`MomentOracle`. `name`, `opening` and `closing` are strings; the tuple
+`args` holds the type of each argument, int or Fraction; (Fraction, ...) is
+a nonempty list of rationals, passed to `make` as one sequence."""
 
 
 # kind -> family; two kinds may share a name if their openings differ

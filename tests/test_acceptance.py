@@ -9,14 +9,16 @@ import random
 import time
 from fractions import Fraction
 
-from prstirling.bell import bell_dobinski, bell_eval, bell_via_convolution, bell_coeffs
+from prstirling.bell import bell_dobinski, bell_eval, bell_coeffs
 from prstirling.cli import main
 from prstirling.distparse import parse_rational
 from prstirling.identities import IdentityId, SuiteGrid, run_suite
-from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument
+from prstirling.kernel import Basis
 from prstirling.moments import MomentOracle
-from prstirling.stirling import (
-    StirlingContext,
+from prstirling.polynomial import convert_basis, degenerate_falling_coeffs, shift_argument
+from prstirling.stirling import StirlingContext
+from prstirling.witness import (
+    bell_via_convolution,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,

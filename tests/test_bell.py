@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling.bell import (
-    MAX_TERMS, DobinskiResult, _dobinski, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution,
-)
-from prstirling.kernel import Basis, Polynomial
+from prstirling.bell import MAX_TERMS, DobinskiResult, _dobinski, bell_coeffs, bell_dobinski, bell_eval
+from prstirling.kernel import Basis
 from prstirling.moments import MomentOracle
 from prstirling import stirling
-from prstirling.stirling import StirlingContext, prob_r_stirling2, stirling_triangle
+from prstirling.polynomial import Polynomial
+from prstirling.stirling import StirlingContext, stirling_triangle
+from prstirling.witness import bell_via_convolution, prob_r_stirling2
 
 from oracles import bell_number, row_values
 

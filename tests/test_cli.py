@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from prstirling import identities
 from prstirling.cli import _COMMANDS, main
 from prstirling.distparse import parse_rational
 from prstirling.identities import IdentityId, default_grid, run_suite
+from prstirling.kernel import Row
 
 F = Fraction
 
@@ -157,6 +159,26 @@ def test_verify_paper_form_exit_zero(capsys):
     assert code == 0  # opt-in findings do not gate the exit status
     rec = json.loads(out)
     assert rec["payload"]["summary"]["T2_9_paper_form"]["fail"] > 0
+
+
+def test_verify_exits_one_when_a_gating_identity_fails(capsys, monkeypatch):
+    """A failed check is data: `verify` still prints its summary, and a
+    failed gating identity makes the exit code 1."""
+    via_shift = identities._via_shift
+
+    def off(ctx, n, k):  # entry (n+r, r) of every shift-route row raised by 1
+        nums, den = via_shift(ctx, n, k)
+        return Row([nums[0] + den, *nums[1:]], den)
+
+    monkeypatch.setattr(identities, "_via_shift", off)
+    code, out, err = run_cli(capsys, "verify", "--suite", "T2_1_vs_T2_3,T2_5", "--max-n", "2")
+    assert (code, err) == (1, "")
+    summary = json.loads(out)["payload"]["summary"]
+    # 80 contexts, rows n = 0..2 of n + 1 checks each, one failing per row
+    assert summary == {
+        "T2_1_vs_T2_3": {"pass": 240, "fail": 240, "total": 480},
+        "T2_5": {"pass": 240, "fail": 0, "total": 240},
+    }
 
 
 def reference_verify_json(suite, max_n):

@@ -48,13 +48,18 @@ def _cli(*argvs: list[str]) -> str:
     return "import prstirling.cli as cli\nwith contextlib.redirect_stdout(io.StringIO()):\n" + calls
 
 
+# The witness routes and the `Fraction`-valued polynomial API are for
+# `verify` and library callers: no `table`, `moments` or `bell` request loads them.
+COLD = {"prstirling.witness", "prstirling.polynomial"}
+
+
 def test_table_and_moments_load_neither_bell_nor_identities():
     loaded = _fresh(_cli(
         ["table", "--n-max", "6", "--r", "2", "--lambda", "1/3", "--dist", "uniform{0,1,2}"],
         ["moments", "--dist", "poisson(1)", "--upto", "4", "--sum", "2"],
     ))
     assert "prstirling.stirling" in loaded
-    assert loaded.isdisjoint({"prstirling.identities", "prstirling.bell", "dataclasses", "inspect"})
+    assert loaded.isdisjoint({"prstirling.identities", "prstirling.bell", "dataclasses", "inspect", *COLD})
 
 
 # argparse loads gettext, and its subparsers locale. The children run with
@@ -93,7 +98,7 @@ def test_only_out_loads_tempfile(tmp_path):
 def test_bell_does_not_load_identities():
     loaded = _fresh(_cli(["bell", "--n", "4", "--dist", "point(1)", "--x", "1/2", "--dobinski", "--x-float", "2"]))
     assert "prstirling.bell" in loaded
-    assert loaded.isdisjoint({"prstirling.identities", "dataclasses", "inspect"})
+    assert loaded.isdisjoint({"prstirling.identities", "dataclasses", "inspect", *COLD})
 
 
 def test_verify_loads_no_dataclasses():
@@ -102,13 +107,29 @@ def test_verify_loads_no_dataclasses():
     assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
-@pytest.mark.parametrize("suite, loads_bell", [("T2_4", False), ("T2_6", True), ("T2_7", True), ("all", True)])
+@pytest.mark.parametrize("suite, loads_bell", [("T2_4", False), ("T2_6", False), ("T2_7", True), ("all", True)])
 def test_verify_loads_bell_only_for_the_identities_that_call_it(suite, loads_bell):
-    """`identities` imports `bell` once per run, and only when T2_6 or T2_7
-    is selected."""
+    """`identities` imports `bell` once per run, and only when T2_7 is
+    selected: the T2_6 witness is in `witness`, which every run loads."""
     loaded = _fresh(_cli(["verify", "--suite", suite, "--max-n", "1"]))
-    assert "prstirling.identities" in loaded
+    assert {"prstirling.identities", "prstirling.witness"} <= loaded
     assert ("prstirling.bell" in loaded) == loads_bell
+    assert "prstirling.polynomial" not in loaded
+
+
+# public name -> the package modules its first use loads
+FIRST_USE = {
+    "prob_r_stirling2": {"kernel", "moments", "stirling", "witness"},
+    "bell_via_convolution": {"kernel", "moments", "stirling", "witness"},
+    "Polynomial": {"kernel", "polynomial"},
+    "convert_basis": {"kernel", "polynomial"},
+}
+
+
+@pytest.mark.parametrize("name", FIRST_USE)
+def test_a_public_name_loads_only_its_module_and_what_that_imports(name):
+    loaded = _fresh(f"import prstirling\nprstirling.{name}\n")
+    assert {m for m in loaded if m.startswith("prstirling.")} == {f"prstirling.{m}" for m in FIRST_USE[name]}
 
 
 def test_bare_import_loads_no_submodule():

@@ -14,13 +14,12 @@ from prstirling import kernel
 from prstirling.bell import bell_coeffs, bell_dobinski
 from prstirling.distparse import parse_dist
 from prstirling.kernel import stirling1_signed, stirling2
-from prstirling.stirling import (
-    StirlingContext,
+from prstirling.stirling import StirlingContext, stirling_triangle
+from prstirling.witness import (
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
     prob_stirling2,
-    stirling_triangle,
 )
 
 THREADS = 8

@@ -44,7 +44,9 @@ def _unnamed(kinds, wanted) -> list[str]:
 
 
 def test_the_package_sources_are_found():
-    assert {"__init__.py", "kernel.py", "moments.py", "stirling.py", "bell.py", "identities.py"} <= set(TREES)
+    assert {
+        "__init__.py", "kernel.py", "polynomial.py", "moments.py", "stirling.py", "witness.py", "bell.py", "identities.py"
+    } <= set(TREES)
 
 
 @pytest.mark.parametrize("name", sorted(TREES))

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling import bell, identities, moments, stirling
-from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling import identities, moments, stirling, witness
+from prstirling.bell import bell_coeffs, bell_dobinski, bell_eval
 from prstirling.identities import (
     OPT_IN_IDENTITIES,
     IdentityId,
@@ -15,8 +15,9 @@ from prstirling.identities import (
 from prstirling.distparse import parse_dist, parse_rational
 from prstirling.kernel import Row
 from prstirling.moments import MomentOracle
-from prstirling.stirling import (
-    StirlingContext,
+from prstirling.stirling import StirlingContext
+from prstirling.witness import (
+    bell_via_convolution,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
@@ -150,20 +151,19 @@ def test_the_production_route_never_reads_integer_moment_numerators(monkeypatch)
     ids=["convolution", "raw-moments", "lambda-moments"],
 )
 def test_the_shared_convolution_and_each_moment_source_are_evidence(monkeypatch, perturbed, failing):
-    """T2_1_vs_T2_2 and T2_6 share `stirling._convolution` but not its
+    """T2_1_vs_T2_2 and T2_6 share `witness._convolution` but not its
     moments: a defect in that step fails every row of both, and a defect in
     one moment source (the raw sum moments at lam = 0, or the lam table)
     fails every row of the identity that reads it and nothing else."""
     lam = F(1, 3)
     if perturbed == "convolution":
-        convolution = stirling._convolution
+        convolution = witness._convolution
 
         def off(ctx, n, k, moments):
             nums, den = convolution(ctx, n, k, moments)
             return Row([nums[0] + 1, *nums[1:]], den)
 
-        monkeypatch.setattr(stirling, "_convolution", off)
-        monkeypatch.setattr(bell, "_convolution", off)
+        monkeypatch.setattr(witness, "_convolution", off)
     else:
         sum_row, source = MomentOracle._sum_row, F(0) if perturbed == "raw moments" else lam
 
@@ -225,7 +225,7 @@ def test_a_perturbed_generating_function_fails_its_checks(monkeypatch):
     for r in range(3):
         ctx = StirlingContext(MomentOracle.poisson(F(1, 2)), F(1, 3), r)
         assert not check_at(identities._thm_2_5, ctx, 3)[0].passed
-        assert not check_at(identities._thm_2_6, ctx, bell._via_convolution, [(F(1, 2), ("x", "1/2"))], 3)[0].passed
+        assert not check_at(identities._thm_2_6, ctx, [(F(1, 2), ("x", "1/2"))], 3)[0].passed
         assert stirling.stirling_triangle(ctx, 3)[3][1] != prob_r_stirling2(ctx, 3, 1)
         assert check_at(identities._thm_2_5, ctx, 0)[0].passed  # no column 1 at n_max 0
 
@@ -261,8 +261,8 @@ def test_a_perturbed_entry_fails_the_polynomial_checks(monkeypatch):
 
 
 def test_a_suite_run_imports_bell_once(monkeypatch):
-    """The T2_6 and T2_7 checkers get their `bell` witnesses from one import
-    statement per run, not one per row."""
+    """The T2_7 checker gets its `bell` witness from one import statement
+    per run, not one per row."""
     bell_imports, real_import = [], __import__
 
     def counted(name, globals=None, locals=None, fromlist=(), level=0):

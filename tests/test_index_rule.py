@@ -1,4 +1,4 @@
-"""The three r-Stirling routes of `stirling` share one entry reader, so the
+"""The three r-Stirling routes of `witness` share one entry reader, so the
 index rule (negative indices raise, an entry past the row is 0 before any
 read) lives in one function. Read from the source with `ast`, as no linter is
 assumed."""
@@ -6,7 +6,7 @@ assumed."""
 import ast
 from pathlib import Path
 
-STIRLING = Path(__file__).resolve().parents[1] / "src" / "prstirling" / "stirling.py"
+WITNESS = Path(__file__).resolve().parents[1] / "src" / "prstirling" / "witness.py"
 RULE = "indices must be >= 0"
 ROUTES = ("prob_r_stirling2", "prob_r_stirling2_via_conv", "prob_r_stirling2_via_shift")
 
@@ -47,8 +47,8 @@ def test_the_check_sees_every_kind_of_raise():
     assert raisers(ast.parse(source), RULE) == {"plain", "formatted", "Context.read.inner"}
 
 
-def test_one_function_of_stirling_checks_the_indices():
-    tree = ast.parse(STIRLING.read_text(), str(STIRLING))
+def test_one_function_of_witness_checks_the_indices():
+    tree = ast.parse(WITNESS.read_text(), str(WITNESS))
     [reader] = raisers(tree, RULE)
     # each route is one call of that reader
     for node in tree.body:

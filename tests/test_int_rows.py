@@ -10,29 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from prstirling.bell import _via_convolution, bell_coeffs, bell_eval, bell_via_convolution
-from prstirling.kernel import (
-    Basis,
-    Polynomial,
-    _at,
-    _convert,
-    _degenerate_falling,
-    _format,
-    _shift,
-    convert_basis,
-    degenerate_falling_coeffs,
-    shift_argument,
-)
-from prstirling.stirling import (
-    StirlingContext,
-    _row,
-    _triangle_row,
+from prstirling.bell import bell_coeffs, bell_eval
+from prstirling.kernel import Basis, _at, _convert, _degenerate_falling, _format, _shift
+from prstirling.polynomial import Polynomial, convert_basis, degenerate_falling_coeffs, shift_argument
+from prstirling.stirling import StirlingContext, _row, _triangle_row, stirling_triangle
+from prstirling.witness import (
     _via_conv,
+    _via_convolution,
     _via_shift,
+    bell_via_convolution,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
-    stirling_triangle,
 )
 
 from oracles import row_values

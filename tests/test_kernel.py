@@ -4,17 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prstirling.kernel import (
-    Basis,
-    Polynomial,
-    binomial,
-    convert_basis,
-    degenerate_falling_coeffs,
-    factorial,
-    shift_argument,
-    stirling1_signed,
-    stirling2,
-)
+from prstirling.kernel import Basis, binomial, factorial, stirling1_signed, stirling2
+from prstirling.polynomial import Polynomial, convert_basis, degenerate_falling_coeffs, shift_argument
 
 from oracles import (
     evaluate,

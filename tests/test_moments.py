@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prstirling import moments
-from prstirling.kernel import degenerate_falling_coeffs
+from prstirling.polynomial import degenerate_falling_coeffs
 from prstirling.moments import GRAMMAR, DistributionError, MomentOracle
 
 from oracles import (
@@ -185,6 +185,29 @@ def test_mean_additivity():
     for oracle in (MomentOracle.poisson(F(3, 2)), MomentOracle.geometric(F(2, 5))):
         for j in range(9):
             assert oracle.sum_moment(j, 1) == j * oracle.moment(1)
+
+
+# family -> (Y, j -> the closed-form law of the sum S_j of j iid copies of Y)
+SUM_CLOSED = {
+    "point": (MomentOracle.point(F(-2, 3)), lambda j: MomentOracle.point(j * F(-2, 3))),
+    "bernoulli": (MomentOracle.bernoulli(F(1, 3)), lambda j: MomentOracle.binomial_dist(j, F(1, 3))),
+    "binomial": (MomentOracle.binomial_dist(3, F(2, 5)), lambda j: MomentOracle.binomial_dist(3 * j, F(2, 5))),
+    "poisson": (MomentOracle.poisson(F(3, 2)), lambda j: MomentOracle.poisson(j * F(3, 2))),
+}
+
+
+@pytest.mark.parametrize("lam", [F(-1, 2), F(0), F(1, 3), F(2)], ids=str)
+@pytest.mark.parametrize("family", SUM_CLOSED)
+def test_sum_rows_match_the_closed_form_of_the_sum(family, lam):
+    """Row j of the iid-sum table, the convolved rows the witnesses read,
+    equals row 1 of the family the sum S_j belongs to: point(c) -> point(jc),
+    bernoulli(p) -> binomial(j,p), binomial(m,p) -> binomial(jm,p) and
+    poisson(a) -> poisson(ja)."""
+    y, law = SUM_CLOSED[family]
+    for j in range(6):
+        s_j = law(j)
+        for n in range(8):
+            assert y.degenerate_factorial_moment(j, n, lam) == s_j.degenerate_factorial_moment(1, n, lam), (j, n)
 
 
 def test_degenerate_factorial_moment_examples():

@@ -37,8 +37,8 @@ calls = 0
 """
 
 # Run by the child after the mutant's patch: the patched names are bound
-# before `identities` imports them, or its T2_6 and T2_7 checkers import
-# theirs from `bell`.
+# before `identities` imports them, or its T2_7 checker imports its own from
+# `bell`.
 SUITE = """
 from prstirling.identities import OPT_IN_IDENTITIES, IdentityId, _reports, default_grid
 summary = {}
@@ -140,16 +140,16 @@ MUTANTS = [
     pytest.param(
         # entry 1 of each shift-route row raised by 1 at n >= 2, r >= 1
         """
-        from prstirling import stirling
-        via_shift = stirling._via_shift
+        from prstirling import witness
+        via_shift = witness._via_shift
         def mutant(ctx, n, k):
             global calls
             nums, den = via_shift(ctx, n, k)
             if n >= 2 and ctx.r >= 1 and len(nums) > 1:
                 calls += 1
                 nums = [nums[0], nums[1] + den, *nums[2:]]
-            return stirling.Row(nums, den)
-        stirling._via_shift = mutant
+            return witness.Row(nums, den)
+        witness._via_shift = mutant
         """,
         {"T2_1_vs_T2_3": 240, "T2_8": 597},
         id="via_shift",

@@ -1,4 +1,4 @@
-"""Value semantics of the package's records: the NamedTuple records reject
+"""Value semantics of the package's records: the namedtuple records reject
 assignment, and a StirlingContext compares and hashes by (oracle, lam, r)."""
 
 from fractions import Fraction as F
@@ -7,11 +7,15 @@ import pytest
 
 from prstirling.bell import DobinskiResult, bell_coeffs
 from prstirling.identities import IdentityId, SuiteGrid, VerificationReport
-from prstirling.kernel import Basis, Polynomial
-from prstirling.moments import MomentOracle
-from prstirling.stirling import StirlingContext, prob_r_stirling2
+from prstirling.kernel import Basis, Row
+from prstirling.moments import GRAMMAR, MomentOracle
+from prstirling.polynomial import Polynomial
+from prstirling.stirling import StirlingContext
+from prstirling.witness import prob_r_stirling2
 
 RECORDS = [
+    Row([1, 2], 3),
+    GRAMMAR["point"],
     Polynomial(Basis.MONOMIAL, (F(1), F(2))),
     DobinskiResult(1.5, 3, 0.0, 1e-9, True),
     VerificationReport(IdentityId.T2_4, (("n", "1"),), True, "1", "1"),

@@ -9,23 +9,21 @@ from fractions import Fraction
 import pytest
 
 import prstirling
-from prstirling.bell import _dobinski, _via_convolution, bell_coeffs, bell_dobinski, bell_eval, bell_via_convolution
+from prstirling.bell import _dobinski, bell_coeffs, bell_dobinski, bell_eval
 from prstirling import identities
 from prstirling.identities import IdentityId
 from prstirling.distparse import parse_dist
-from prstirling.kernel import Basis, convert_basis, degenerate_falling_coeffs, shift_argument, stirling2
+from prstirling.kernel import Basis, stirling2
 from prstirling.moments import DistributionError, MomentOracle
-from prstirling.stirling import (
-    StirlingContext,
-    _columns,
-    _row,
-    _triangle_row,
+from prstirling.polynomial import convert_basis, degenerate_falling_coeffs, shift_argument
+from prstirling.stirling import StirlingContext, _columns, _row, _triangle_row, stirling_triangle
+from prstirling.witness import (
     _via_shift,
+    bell_via_convolution,
     prob_r_stirling2,
     prob_r_stirling2_via_conv,
     prob_r_stirling2_via_shift,
     prob_stirling2,
-    stirling_triangle,
 )
 
 from oracles import partition_count, row_values, theorem_2_1_entry
@@ -391,7 +389,7 @@ def test_a_context_holds_no_other_context(r):
     for which in (IdentityId.T2_4, IdentityId.T2_9_corrected, IdentityId.T2_9_paper_form):
         check_at(identities._shifted, ctx, which, n)
     check_at(identities._thm_2_5, ctx, n)
-    check_at(identities._thm_2_6, ctx, _via_convolution, [(F(1, 2), ("x", "1/2"))], n)
+    check_at(identities._thm_2_6, ctx, [(F(1, 2), ("x", "1/2"))], n)
     check_at(identities._thm_2_7, ctx, _dobinski, identities.SuiteGrid(dobinski_xs=(1.0,), dobinski_tol=1e-9), n)
     check_at(identities._thm_2_8, ctx, n)
     bell_coeffs(ctx, n)
